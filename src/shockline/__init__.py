@@ -21,7 +21,6 @@ from .core import (
     Branch,
     DampingLaw,
     GasModel,
-    GradientPoint,
     PointState,
     derive_constants,
     phi_of_tau,
@@ -29,6 +28,7 @@ from .core import (
     q_variable,
     riccati_coefficients,
     riemann_invariants,
+    riemann_slopes,
     sound_speed,
     tau_of_phi,
     y_variable,
@@ -47,7 +47,6 @@ from .criteria import (
     evaluate,
 )
 from .errors import (
-    BreakdownError,
     CoefficientError,
     ConfigError,
     DomainError,

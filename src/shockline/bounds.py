@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from . import core
 from .core import Branch, DampingLaw, GasModel
 from .errors import DomainError, RangeError, RegimeError
 from .fields import FieldState
@@ -136,9 +137,7 @@ def density_floor(
             -2.0 * a * (3.0 * g - 1.0) * (1.0 + t) ** (1.0 - lam)
             / ((3.0 - g) ** 2 * (1.0 - lam))
         )
-        if abs(log_decay) > 700.0:
-            raise RangeError("floor decay exponent exceeds double range")
-        decay = math.exp(log_decay)
+        decay = math.exp(core.checked_log(log_decay))
     return k0 * power * decay
 
 
@@ -231,13 +230,10 @@ def k1_constant(gm: GasModel, ib: InitialBound) -> float:
 
 def k2_closed_form(gm: GasModel, dl: DampingLaw) -> float:
     """Closed-form K2 for 0 <= lambda < 1 (valid down to lambda = 0)."""
-    g, a, lam = gm.gamma, dl.alpha, dl.lam
+    g, a = gm.gamma, dl.alpha
     if a == 0.0:
         return math.inf
-    return (
-        2.0 * (g - 3.0) / (a * (3.0 * g - 1.0))
-        * math.exp(-a * (3.0 * g - 1.0) / (2.0 * (g - 3.0) * (1.0 - lam)))
-    )
+    return 2.0 * (g - 3.0) / (a * (3.0 * g - 1.0)) * core.initial_decay(gm, dl)
 
 
 def k2_integral(gm: GasModel, dl: DampingLaw) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -75,12 +76,31 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _require_finite(node, where: str) -> None:
+    """Reject inf and nan anywhere in the config, including numbers
+    written as strings, since every number feeds the model."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _require_finite(value, f"{where}.{key}")
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _require_finite(value, f"{where}[{i}]")
+    elif isinstance(node, (float, str)):
+        try:
+            value = float(node)
+        except ValueError:
+            return
+        if not math.isfinite(value):
+            raise ConfigError(f"{where} must be finite, got {node!r}")
+
+
 def build_scenario(cfg: dict) -> dict:
     """Validate a scenario config and construct all domain objects.
 
     Every downstream precondition is checked here so that invalid
     configs never reach compute.
     """
+    _require_finite(cfg, "config")
     try:
         gas_cfg = _need(cfg, "gas", "scenario")
         gm = GasModel(
@@ -181,11 +201,9 @@ def monitors_csv(mon: solver.Monitors) -> str:
 
 
 def trace_csv(trace: solver.CharTrace, report: solver.CrossValidationReport) -> str:
-    scale = float(np.max(np.abs(trace.y_or_q)))
-    scale = scale if scale > 0.0 else 1.0
     lines = [TRACE_HEADER]
     for i, t in enumerate(trace.times):
-        dev = abs(report.y_integrated[i] - trace.y_or_q[i]) / scale
+        dev = abs(report.y_integrated[i] - trace.y_or_q[i]) / report.scale
         lines.append(
             ",".join(
                 (
@@ -373,8 +391,10 @@ def _sweep_cell(payload) -> str:
             )
         )
     except ShocklineError as e:
-        row = ",".join(("", "NONE", "false", "false", "", "0",
-                        type(e).__name__))
+        # commas and line breaks would split the row
+        error = f"{type(e).__name__}: {e}".replace(",", ";")
+        error = " ".join(error.splitlines())
+        row = ",".join(("", "NONE", "false", "false", "", "0", error))
     return f"{prefix},{row}"
 
 
@@ -453,9 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--jobs", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None,
-                       help="reserved; current presets are deterministic")
+        if verb == "sweep":
+            p.add_argument("--jobs", type=int, default=None)
         p.set_defaults(func=fn)
     return parser
 

@@ -104,18 +104,6 @@ class PointState:
             raise DomainError(f"t must be nonnegative, got {self.t}")
 
 
-@dataclass(frozen=True)
-class GradientPoint:
-    """Riemann-invariant gradients A = w_x and B = z_x at one point."""
-
-    a_w: float
-    b_z: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.a_w) and math.isfinite(self.b_z)):
-            raise DomainError("gradient components must be finite")
-
-
 def phi_of_tau(gm: GasModel, tau):
     """phi = 2 sqrt(K gamma)/(gamma-1) * tau**(-(gamma-1)/2), monotone
     decreasing in tau."""
@@ -158,11 +146,12 @@ def riemann_invariants(gm: GasModel, p: PointState):
     return p.u + phi, p.u - phi
 
 
-def gradient_from_physical(gm: GasModel, tau, u_x, tau_x) -> GradientPoint:
-    """A = w_x = u_x - c*tau_x and B = z_x = u_x + c*tau_x
-    (phi_x = -c * tau_x by the chain rule)."""
-    c = sound_speed(gm, tau)
-    return GradientPoint(a_w=float(u_x - c * tau_x), b_z=float(u_x + c * tau_x))
+def riemann_slopes(c, u_x, tau_x):
+    """Riemann-invariant slopes A = w_x = u_x - c*tau_x and
+    B = z_x = u_x + c*tau_x (phi_x = -c * tau_x by the chain rule), with
+    c = sound_speed(gm, tau) at the same points."""
+    c_taux = c * tau_x
+    return u_x - c_taux, u_x + c_taux
 
 
 # exponents of phi that recur in the gradient-variable algebra
@@ -193,41 +182,46 @@ def log_time_factor(gm: GasModel, dl: DampingLaw, t):
     )
 
 
-def _checked_exp(log_val):
-    if np.any(np.abs(np.asarray(log_val)) > _LOG_CAP):
+def checked_log(log_val):
+    """log_val unchanged, after checking that its exponential stays in
+    double-precision range; RangeError otherwise."""
+    magnitude = float(np.max(np.abs(log_val)))
+    if magnitude > _LOG_CAP:
         raise RangeError(
-            "time factor exponent exceeds double-precision range "
-            f"(|log| > {_LOG_CAP:g})"
+            f"exponent of magnitude {magnitude:.6g} exceeds double-precision "
+            f"range (|log| > {_LOG_CAP:g})"
         )
-    return np.exp(log_val)
+    return log_val
 
 
-def _tilde_gradient(gm: GasModel, dl: DampingLaw, phi, grad, t):
-    """Shared prefactor of y and q before the time multiplier."""
-    if np.any(np.asarray(phi) <= 0.0):
-        raise DomainError("phi must be positive")
-    g, a, lam = gm.gamma, dl.alpha, dl.lam
-    shift = a * (g - 1.0) / (gm.k_c * (g - 3.0) * (1.0 + t) ** lam)
-    return phi ** _p_hi(gm) * grad - shift * phi ** _p_lo(gm)
+def _checked_exp(log_val):
+    return np.exp(checked_log(log_val))
 
 
-def y_variable(gm: GasModel, dl: DampingLaw, phi, a_w, t):
-    """Decoupled gradient variable along forward characteristics.
+def initial_decay(gm: GasModel, dl: DampingLaw) -> float:
+    """exp(-log_time_factor(0)), the scalar decay in K2 and in the
+    gamma > 3 thresholds (1 on the critical branch)."""
+    return math.exp(-checked_log(log_time_factor(gm, dl, 0.0)))
+
+
+def y_variable(gm: GasModel, dl: DampingLaw, phi, grad, t):
+    """Decoupled gradient variable: y along forward characteristics with
+    grad = A = w_x, and q along backward ones with grad = B = z_x.
 
     y = (phi**((g+1)/(2(g-1))) * A
          - alpha(g-1)/(K_c (g-3) (1+t)**lam) * phi**((g-3)/(2(g-1))))
         * exp(log_time_factor).
     """
-    return _tilde_gradient(gm, dl, phi, a_w, t) * _checked_exp(
-        log_time_factor(gm, dl, t)
-    )
+    if np.any(np.asarray(phi) <= 0.0):
+        raise DomainError("phi must be positive")
+    g, a, lam = gm.gamma, dl.alpha, dl.lam
+    shift = a * (g - 1.0) / (gm.k_c * (g - 3.0) * (1.0 + t) ** lam)
+    tilde = phi ** _p_hi(gm) * grad - shift * phi ** _p_lo(gm)
+    return tilde * _checked_exp(log_time_factor(gm, dl, t))
 
 
-def q_variable(gm: GasModel, dl: DampingLaw, phi, b_z, t):
-    """Mirror of y_variable with B = z_x in the gradient slot."""
-    return _tilde_gradient(gm, dl, phi, b_z, t) * _checked_exp(
-        log_time_factor(gm, dl, t)
-    )
+# q has the same body as y, with B = z_x in the gradient slot
+q_variable = y_variable
 
 
 def riccati_coefficients(gm: GasModel, dl: DampingLaw, phi, t):

@@ -11,7 +11,6 @@ kept consistent with the sign of the decoupled gradient variables.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -115,17 +114,10 @@ def classify_regime(gm: GasModel, dl: DampingLaw) -> Regime:
     return Regime(GammaSide.SUB, side, Theorem.T3_2)
 
 
-def _slopes(field: FieldState):
-    """Both Riemann-invariant slopes on the grid: A = u_x + phi_x and
-    B = u_x - phi_x."""
-    ux = field.u_x()
-    phix = field.phi_x()
-    return ux + phix, ux - phix
-
-
-def _scan(field: FieldState, lhs_a, lhs_b, rhs, theorem: Theorem, threshold: float):
+def _scan(field: FieldState, rhs, theorem: Theorem, threshold: float):
     """Fire if either slope undercuts rhs anywhere, with the strict
     margin; witness is the argmin of lhs - rhs, ties to smallest x."""
+    lhs_a, lhs_b = field.slopes()
     gap = np.minimum(lhs_a - rhs, lhs_b - rhs)
     idx = int(np.argmin(gap))
     lhs = float(min(lhs_a[idx], lhs_b[idx]))
@@ -154,44 +146,11 @@ def _require_certified(field: FieldState, ib: InitialBound):
         )
 
 
-def check_theorem_31(
-    field: FieldState, gm: GasModel, dl: DampingLaw, ib: InitialBound
-) -> Verdict:
-    """gamma > 3, generic branch outside the lambda gap: fires where a
-    Riemann-invariant slope is below
-    Kt1 * phi**(-2/(g-1)) - Kt2 * phi**(-(g+1)/(2(g-1)))."""
-    _require_t0(field)
-    regime = classify_regime(gm, dl)
-    if regime.applicable_theorem is not Theorem.T3_1:
-        raise RegimeError("theorem for gamma > 3, lambda != 1, outside the gap")
-    _require_certified(field, ib)
-    g = gm.gamma
-    n_thr = bounds.threshold_N(gm, dl, ib)
-    kt1 = dl.alpha * (g - 1.0) / (gm.k_c * (g - 3.0))
-    kt2 = n_thr * math.exp(
-        -dl.alpha * (3.0 * g - 1.0) / (2.0 * (g - 3.0) * (1.0 - dl.lam))
-    )
-    phi = field.phi()
-    rhs = kt1 * phi ** (-2.0 / (g - 1.0)) - kt2 * phi ** (
-        -(g + 1.0) / (2.0 * (g - 1.0))
-    )
-    lhs_a, lhs_b = _slopes(field)
-    return _scan(field, lhs_a, lhs_b, rhs, Theorem.T3_1, n_thr)
-
-
-def _sub_gamma_rhs(field: FieldState, gm: GasModel, dl: DampingLaw) -> np.ndarray:
-    g = gm.gamma
-    phi = field.phi()
-    return (
-        -dl.alpha * (g - 1.0) / (gm.k_c * (3.0 - g)) * phi ** (-2.0 / (g - 1.0))
-    )
-
-
 def _assert_sign_consistency(field: FieldState, rhs: np.ndarray):
     """The slope inequality must agree with the sign of y (and q) at
     every grid point; this ties the theorem form to the decoupled
     gradient variables."""
-    lhs_a, lhs_b = _slopes(field)
+    lhs_a, lhs_b = field.slopes()
     p_hi = (field.gas.gamma + 1.0) / (2.0 * (field.gas.gamma - 1.0))
     factor = field.phi() ** p_hi * np.exp(
         core.log_time_factor(field.gas, field.damping, field.t)
@@ -203,18 +162,57 @@ def _assert_sign_consistency(field: FieldState, rhs: np.ndarray):
             raise DomainError("slope form and y/q sign form disagree")
 
 
+# Each theorem: its regime hypothesis and its blow-up threshold constant.
+# The gamma > 3 criteria (threshold N or N1) compare the slopes with
+#   Kt1 * phi**(-2/(g-1)) - N * exp(-log_time_factor(0)) * phi**(-(g+1)/(2(g-1)))
+# on certified data; the 1 < gamma < 3 criteria (no threshold) drop the
+# second term, which makes them sign conditions on y and q.
+_CRITERIA = {
+    Theorem.T3_1: ("gamma > 3, lambda != 1, outside the gap", bounds.threshold_N),
+    Theorem.T3_2: ("1 < gamma < 3, lambda != 1, above the gap", None),
+    Theorem.T4_1: ("gamma > 3, lambda = 1, alpha >= (g-3)/(g-1)", bounds.threshold_N1),
+    Theorem.T4_2: ("1 < gamma < 3, lambda = 1", None),
+}
+
+
+def _check(
+    theorem: Theorem, field: FieldState, gm: GasModel, dl: DampingLaw,
+    ib: Optional[InitialBound] = None,
+) -> Verdict:
+    """The one checker body behind the four check_theorem_* entry points."""
+    hypothesis, threshold_fn = _CRITERIA[theorem]
+    _require_t0(field)
+    if classify_regime(gm, dl).applicable_theorem is not theorem:
+        raise RegimeError(f"theorem for {hypothesis}")
+    g = gm.gamma
+    phi = field.phi()
+    kt1 = dl.alpha * (g - 1.0) / (gm.k_c * (g - 3.0))
+    rhs = kt1 * phi ** (-2.0 / (g - 1.0))
+    if threshold_fn is None:
+        threshold = 0.0
+        _assert_sign_consistency(field, rhs)
+    else:
+        _require_certified(field, ib)
+        threshold = threshold_fn(gm, dl, ib)
+        kt2 = threshold * core.initial_decay(gm, dl)
+        rhs = rhs - kt2 * phi ** (-(g + 1.0) / (2.0 * (g - 1.0)))
+    return _scan(field, rhs, theorem, threshold)
+
+
+def check_theorem_31(
+    field: FieldState, gm: GasModel, dl: DampingLaw, ib: InitialBound
+) -> Verdict:
+    """gamma > 3, generic branch outside the lambda gap: fires where a
+    Riemann-invariant slope is below
+    Kt1 * phi**(-2/(g-1)) - Kt2 * phi**(-(g+1)/(2(g-1)))."""
+    return _check(Theorem.T3_1, field, gm, dl, ib)
+
+
 def check_theorem_32(field: FieldState, gm: GasModel, dl: DampingLaw) -> Verdict:
     """1 < gamma < 3, lambda >= alpha(g-1)/(g-3), generic branch: fires
     where a slope is below -alpha(g-1)/(K_c(3-g)) * phi**(-2/(g-1)),
     equivalently where y or q is negative at t = 0."""
-    _require_t0(field)
-    regime = classify_regime(gm, dl)
-    if regime.applicable_theorem is not Theorem.T3_2:
-        raise RegimeError("theorem for 1 < gamma < 3, lambda != 1, above the gap")
-    rhs = _sub_gamma_rhs(field, gm, dl)
-    _assert_sign_consistency(field, rhs)
-    lhs_a, lhs_b = _slopes(field)
-    return _scan(field, lhs_a, lhs_b, rhs, Theorem.T3_2, 0.0)
+    return _check(Theorem.T3_2, field, gm, dl)
 
 
 def check_theorem_41(
@@ -222,33 +220,13 @@ def check_theorem_41(
 ) -> Verdict:
     """gamma > 3, lambda = 1, alpha >= (g-3)/(g-1): as the generic
     gamma > 3 check with the critical threshold N1."""
-    _require_t0(field)
-    regime = classify_regime(gm, dl)
-    if regime.applicable_theorem is not Theorem.T4_1:
-        raise RegimeError("theorem for gamma > 3, lambda = 1, alpha >= (g-3)/(g-1)")
-    _require_certified(field, ib)
-    g = gm.gamma
-    n1 = bounds.threshold_N1(gm, dl, ib)
-    kt1 = dl.alpha * (g - 1.0) / (gm.k_c * (g - 3.0))
-    phi = field.phi()
-    rhs = kt1 * phi ** (-2.0 / (g - 1.0)) - n1 * phi ** (
-        -(g + 1.0) / (2.0 * (g - 1.0))
-    )
-    lhs_a, lhs_b = _slopes(field)
-    return _scan(field, lhs_a, lhs_b, rhs, Theorem.T4_1, n1)
+    return _check(Theorem.T4_1, field, gm, dl, ib)
 
 
 def check_theorem_42(field: FieldState, gm: GasModel, dl: DampingLaw) -> Verdict:
     """1 < gamma < 3, lambda = 1: same inequality shape as the generic
     sub-gamma check."""
-    _require_t0(field)
-    regime = classify_regime(gm, dl)
-    if regime.applicable_theorem is not Theorem.T4_2:
-        raise RegimeError("theorem for 1 < gamma < 3, lambda = 1")
-    rhs = _sub_gamma_rhs(field, gm, dl)
-    _assert_sign_consistency(field, rhs)
-    lhs_a, lhs_b = _slopes(field)
-    return _scan(field, lhs_a, lhs_b, rhs, Theorem.T4_2, 0.0)
+    return _check(Theorem.T4_2, field, gm, dl)
 
 
 def evaluate(
@@ -267,17 +245,11 @@ def evaluate(
     regime = classify_regime(gm, dl)
     if ib is None:
         ib = bounds.certified_initial_bound(field)
-    try:
-        if regime.applicable_theorem is Theorem.T3_1:
-            return check_theorem_31(field, gm, dl, ib)
-        if regime.applicable_theorem is Theorem.T3_2:
-            return check_theorem_32(field, gm, dl)
-        if regime.applicable_theorem is Theorem.T4_1:
-            return check_theorem_41(field, gm, dl, ib)
-        if regime.applicable_theorem is Theorem.T4_2:
-            return check_theorem_42(field, gm, dl)
-    except RegimeError:
-        pass
+    if regime.applicable_theorem in _CRITERIA:
+        try:
+            return _check(regime.applicable_theorem, field, gm, dl, ib)
+        except RegimeError:
+            pass
     return Verdict(
         fired=False, theorem=Theorem.NONE, witness_x=None, lhs=None, rhs=None,
         threshold=0.0,

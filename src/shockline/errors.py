@@ -37,21 +37,6 @@ class VacuumError(ShocklineError):
     """Specific volume dropped to zero or below during a simulation."""
 
 
-class BreakdownError(ShocklineError):
-    """Gradients became unresolvable on the current grid (smooth-solution
-    breakdown).  Carries the breakdown time bracket and the recorded
-    gradient maximum."""
-
-    def __init__(self, t: float, t_prev: float, max_abs_ux: float):
-        self.t = t
-        self.t_prev = t_prev
-        self.max_abs_ux = max_abs_ux
-        super().__init__(
-            f"gradient unresolvable at t={t:.6g} "
-            f"(max |u_x| = {max_abs_ux:.6g})"
-        )
-
-
 class TraceError(ShocklineError):
     """A characteristic trace left the stored space-time window."""
 

@@ -9,6 +9,7 @@ the second-order scheme accuracy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -66,6 +67,27 @@ def diff4(f: np.ndarray) -> np.ndarray:
     )
 
 
+def _per_state(view):
+    """Cache a derived view on its FieldState.  A state never changes, so
+    each view is computed at most once and every reader shares it; the
+    shared arrays are made read-only."""
+    key = "_" + view.__name__
+
+    @functools.wraps(view)
+    def cached(self):
+        try:
+            return self.__dict__[key]
+        except KeyError:
+            value = view(self)
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.flags.writeable = False
+            # frozen dataclass: store past its __setattr__
+            self.__dict__[key] = value
+            return value
+
+    return cached
+
+
 @dataclass(frozen=True)
 class FieldState:
     """Sampled (tau, u) on a periodic grid at one time."""
@@ -88,9 +110,11 @@ class FieldState:
         object.__setattr__(self, "u", u)
 
     # -- derived pointwise views -------------------------------------
+    @_per_state
     def phi(self) -> np.ndarray:
         return core.phi_of_tau(self.gas, self.tau)
 
+    @_per_state
     def sound(self) -> np.ndarray:
         return core.sound_speed(self.gas, self.tau)
 
@@ -101,28 +125,28 @@ class FieldState:
         return self.u - self.phi()
 
     # -- derived gradient views (4th-order FD) -----------------------
+    @_per_state
     def u_x(self) -> np.ndarray:
         return ddx4(self.u, self.grid.dx)
 
+    @_per_state
     def tau_x(self) -> np.ndarray:
         return ddx4(self.tau, self.grid.dx)
 
-    def phi_x(self) -> np.ndarray:
-        return -self.sound() * self.tau_x()
+    @_per_state
+    def slopes(self):
+        """(A, B) = (w_x, z_x), the Riemann-invariant slopes."""
+        return core.riemann_slopes(self.sound(), self.u_x(), self.tau_x())
 
-    def a_grad(self) -> np.ndarray:
-        """A = w_x = u_x + phi_x."""
-        return self.u_x() + self.phi_x()
-
-    def b_grad(self) -> np.ndarray:
-        """B = z_x = u_x - phi_x."""
-        return self.u_x() - self.phi_x()
-
+    @_per_state
     def y(self) -> np.ndarray:
-        return core.y_variable(self.gas, self.damping, self.phi(), self.a_grad(), self.t)
+        a_w, _ = self.slopes()
+        return core.y_variable(self.gas, self.damping, self.phi(), a_w, self.t)
 
+    @_per_state
     def q(self) -> np.ndarray:
-        return core.q_variable(self.gas, self.damping, self.phi(), self.b_grad(), self.t)
+        _, b_z = self.slopes()
+        return core.q_variable(self.gas, self.damping, self.phi(), b_z, self.t)
 
     def with_state(self, tau: np.ndarray, u: np.ndarray, t: float) -> "FieldState":
         return replace(self, tau=tau, u=u, t=t)

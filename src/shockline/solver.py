@@ -23,13 +23,7 @@ from scipy.interpolate import CubicSpline
 
 from . import bounds, core, riccati
 from .core import Branch, DampingLaw, GasModel
-from .errors import (
-    BreakdownError,
-    DomainError,
-    RangeError,
-    TraceError,
-    VacuumError,
-)
+from .errors import DomainError, RangeError, TraceError, VacuumError
 from .fields import FieldState, Grid, ddx2, ddx4, diff4
 
 DEFAULT_CFL = 0.4
@@ -63,6 +57,7 @@ def step(field: FieldState, dt: float) -> FieldState:
 
     Heun stages on (tau, w) with w = u divided by the exact in-step
     damping decay; for x-independent data the damping is thereby exact.
+    The breakdown test on the new state is left to the caller (run).
     """
     if not (dt > 0.0):
         raise DomainError(f"dt must be positive, got {dt}")
@@ -84,11 +79,7 @@ def step(field: FieldState, dt: float) -> FieldState:
 
     if np.any(tau_n <= 0.0):
         raise VacuumError(f"tau reached zero at t={t1:.6g}")
-    new = field.with_state(tau=tau_n, u=u_n, t=t1)
-    max_ux = float(np.max(np.abs(new.u_x())))
-    if max_ux * dx > BREAKDOWN_CELL_GRADIENT:
-        raise BreakdownError(t=t1, t_prev=t0, max_abs_ux=max_ux)
-    return new
+    return field.with_state(tau=tau_n, u=u_n, t=t1)
 
 
 # ---------------------------------------------------------------------
@@ -106,7 +97,6 @@ class Monitors:
 
     ts: list = dc_field(default_factory=list)
     max_abs_ux: list = dc_field(default_factory=list)
-    max_abs_taux: list = dc_field(default_factory=list)
     min_rho: list = dc_field(default_factory=list)
     y_max: list = dc_field(default_factory=list)
     q_max: list = dc_field(default_factory=list)
@@ -158,42 +148,39 @@ def _prepare_audits(field: FieldState) -> _Audits:
     return audits
 
 
-def _record(mon: Monitors, field: FieldState, audits: _Audits):
+def _latch(mon: Monitors, flag: str, when: str, ok: bool, t: float):
+    """Monotone audit flag: the first check sets it, a violation clears it
+    for good and records its time in the `when` field."""
+    if getattr(mon, flag) is not False:
+        setattr(mon, flag, ok)
+    if not ok and getattr(mon, when) is None:
+        setattr(mon, when, t)
+
+
+def _record(mon: Monitors, field: FieldState, max_ux: float, audits: _Audits):
     t = field.t
-    ux = float(np.max(np.abs(field.u_x())))
-    taux = float(np.max(np.abs(field.tau_x())))
-    rho_min = float(np.min(1.0 / field.tau))
+    rho = 1.0 / field.tau
+    rho_min = float(np.min(rho))
     try:
         y_max = float(np.max(field.y()))
         q_max = float(np.max(field.q()))
     except RangeError:
         y_max = q_max = math.nan
     mon.ts.append(t)
-    mon.max_abs_ux.append(ux)
-    mon.max_abs_taux.append(taux)
+    mon.max_abs_ux.append(max_ux)
     mon.min_rho.append(rho_min)
     mon.y_max.append(y_max)
     mon.q_max.append(q_max)
 
-    rho_max = float(np.max(1.0 / field.tau))
+    rho_max = float(np.max(rho))
     u_max = float(np.max(np.abs(field.u)))
     ok = rho_max <= audits.c0_tilde * 1.02 and u_max <= audits.c0_tilde * 1.02
-    if mon.invariant_region_ok is None:
-        mon.invariant_region_ok = ok
-    elif mon.invariant_region_ok:
-        mon.invariant_region_ok = ok
-    if not ok and mon.invariant_violation_t is None:
-        mon.invariant_violation_t = t
+    _latch(mon, "invariant_region_ok", "invariant_violation_t", ok, t)
 
     if audits.y_cap is not None:
         ok = (not math.isnan(y_max)) and y_max <= audits.y_cap * 1.02 \
             and q_max <= audits.q_cap * 1.02
-        if mon.ceiling_ok is None:
-            mon.ceiling_ok = ok
-        elif mon.ceiling_ok:
-            mon.ceiling_ok = ok
-        if not ok and mon.ceiling_violation_t is None:
-            mon.ceiling_violation_t = t
+        _latch(mon, "ceiling_ok", "ceiling_violation_t", ok, t)
 
     if audits.floor is not None and t > audits.floor.t_min:
         try:
@@ -202,13 +189,7 @@ def _record(mon: Monitors, field: FieldState, audits: _Audits):
             )
         except RangeError:
             floor_val = 0.0
-        ok = rho_min >= 0.95 * floor_val
-        if mon.floor_ok is None:
-            mon.floor_ok = ok
-        elif mon.floor_ok:
-            mon.floor_ok = ok
-        if not ok and mon.floor_violation_t is None:
-            mon.floor_violation_t = t
+        _latch(mon, "floor_ok", "floor_violation_t", rho_min >= 0.95 * floor_val, t)
 
 
 # ---------------------------------------------------------------------
@@ -248,10 +229,6 @@ class RunResult:
     monitors: Monitors
     snapshots: SnapshotStore
 
-    def __iter__(self):
-        # unpacks as (outcome, monitors) per the documented interface
-        return iter((self.outcome, self.monitors))
-
     @property
     def broke_down(self) -> bool:
         return isinstance(self.outcome, BreakdownReport)
@@ -276,31 +253,34 @@ def run(
     cadence = max(1, field.grid.n // 256)
     snaps.append(field)
     if monitors_requested:
-        _record(mon, field, audits)
+        _record(mon, field, float(np.max(np.abs(field.u_x()))), audits)
 
+    # each state's derived views (c, u_x, tau_x, slopes, y, q) are
+    # computed once and shared by the breakdown test, the monitors and
+    # the next CFL dt
     n_step = 0
     while field.t < t_end:
         dt = cfl * field.grid.dx / float(np.max(field.sound()))
         dt = min(dt, t_end - field.t)
-        try:
-            field = step(field, dt)
-        except BreakdownError as e:
+        new = step(field, dt)
+        max_ux = float(np.max(np.abs(new.u_x())))
+        if max_ux * new.grid.dx > BREAKDOWN_CELL_GRADIENT:
             # the last resolved state closes out the snapshot store
             if snaps.times[-1] != field.t:
                 snaps.append(field)
             return RunResult(
                 outcome=BreakdownReport(
-                    t=e.t, t_prev=e.t_prev, max_abs_ux=e.max_abs_ux,
-                    last_field=field,
+                    t=new.t, t_prev=field.t, max_abs_ux=max_ux, last_field=field,
                 ),
                 monitors=mon,
                 snapshots=snaps,
             )
+        field = new
         n_step += 1
         if n_step % cadence == 0 or field.t >= t_end:
             snaps.append(field)
         if monitors_requested:
-            _record(mon, field, audits)
+            _record(mon, field, max_ux, audits)
     if snaps.times[-1] != field.t:
         snaps.append(field)
     return RunResult(outcome=field, monitors=mon, snapshots=snaps)
@@ -356,10 +336,14 @@ def trace_characteristic(
     times = snaps.times
     sign = 1.0 if direction is Direction.FORWARD else -1.0
 
-    def speed(t: float, x: float) -> float:
+    def bracket(t: float):
+        """Snapshot interval k holding t and the linear weight of k + 1."""
         k = int(np.searchsorted(times, t, side="right")) - 1
         k = min(max(k, 0), len(times) - 2)
-        w = (t - times[k]) / (times[k + 1] - times[k])
+        return k, (t - times[k]) / (times[k + 1] - times[k])
+
+    def speed(t: float, x: float) -> float:
+        k, w = bracket(t)
         tau_a, _ = frames[k].eval(x)
         tau_b, _ = frames[k + 1].eval(x)
         tau = (1.0 - w) * tau_a + w * tau_b
@@ -368,9 +352,7 @@ def trace_characteristic(
         return sign * float(core.sound_speed(gm, tau))
 
     def sample(t: float, x: float):
-        k = int(np.searchsorted(times, t, side="right")) - 1
-        k = min(max(k, 0), len(times) - 2)
-        w = (t - times[k]) / (times[k + 1] - times[k])
+        k, w = bracket(t)
         va = frames[k].eval(x, deriv=True)
         vb = frames[k + 1].eval(x, deriv=True)
         tau, u, taux, ux = (
@@ -380,13 +362,9 @@ def trace_characteristic(
             raise TraceError("interpolated tau became nonpositive on the path")
         phi = float(core.phi_of_tau(gm, tau))
         c = float(core.sound_speed(gm, tau))
-        if direction is Direction.FORWARD:
-            grad = ux - c * taux  # A = u_x + phi_x
-            val = float(core.y_variable(gm, dl, phi, grad, t))
-        else:
-            grad = ux + c * taux  # B = u_x - phi_x
-            val = float(core.q_variable(gm, dl, phi, grad, t))
-        return phi, val
+        a_w, b_z = core.riemann_slopes(c, ux, taux)
+        grad = a_w if direction is Direction.FORWARD else b_z
+        return phi, float(core.y_variable(gm, dl, phi, grad, t))
 
     x0w = float(grid.wrap(x_start))
     ts_out, xs_out, phi_out, val_out = [], [], [], []
@@ -428,6 +406,7 @@ class CrossValidationReport:
     deviation: float
     within_tol: bool
     y_integrated: np.ndarray
+    scale: float  # max |field-sampled value|, or 1 if that is 0
 
 
 def cross_validate_riccati(
@@ -467,7 +446,8 @@ def cross_validate_riccati(
     scale = scale if scale > 0.0 else 1.0
     deviation = float(np.max(np.abs(y_int - trace.y_or_q))) / scale
     return CrossValidationReport(
-        deviation=deviation, within_tol=deviation <= tol, y_integrated=y_int
+        deviation=deviation, within_tol=deviation <= tol, y_integrated=y_int,
+        scale=scale,
     )
 
 

@@ -9,6 +9,7 @@ from shockline import Verdict
 from shockline.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_RUNTIME,
     MONITOR_HEADER,
     TRACE_HEADER,
     main,
@@ -54,6 +55,8 @@ class TestValidate:
         lambda c: c["damping"].update(alpha=-1.0),
         lambda c: c["run"].update(cfl=0.9),
         lambda c: c.pop("gas"),
+        lambda c: c["damping"].update(alpha=float("inf")),
+        lambda c: c["profile"].update(u_amp=float("nan")),
     ])
     def test_fuzzed_invalid_configs(self, tmp_path, capsys, mutate):
         bad = json.loads(json.dumps(BASE))
@@ -77,6 +80,19 @@ class TestCheck:
         v = Verdict.from_dict(json.loads(text))
         assert v.theorem.value == "T3_2"
         assert v.fired is False
+
+    @pytest.mark.parametrize("lam", [0.999, 1.001])
+    def test_near_critical_lambda_is_range_error(self, tmp_path, capsys, lam):
+        # the threshold exponent a(3g-1)/(2(g-3)(1-lam)) is +-1750 here:
+        # exp underflows in K2 below 1 and overflows in Kt2 above 1
+        cfg_d = json.loads(json.dumps(BASE))
+        cfg_d["gas"]["gamma"] = 5.0
+        cfg_d["damping"] = {"alpha": 0.5, "lambda": lam}
+        cfg = write_cfg(tmp_path, cfg_d)
+        assert main(["check", "--config", cfg]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "RangeError"
 
 
 class TestSimulate:
@@ -175,7 +191,8 @@ class TestSweep:
         rows = (out / "sweep.csv").read_text().splitlines()[1:]
         assert len(rows) == 5
         errs = [r.split(",")[-1] for r in rows]
-        assert errs[2] == "ConfigError"  # gamma = 3
+        assert errs[2].startswith("ConfigError: ")  # gamma = 3
+        assert "gamma == 3" in errs[2]
         assert all(e == "" for i, e in enumerate(errs) if i != 2)
 
     def test_sweep_determinism_parallel(self, tmp_path):

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from shockline import DampingLaw, DomainError, GasModel, Grid, VacuumError
-from shockline.fields import init_field
+from shockline import fields
+from shockline.fields import ddx4, init_field
 from shockline.solver import (
     BreakdownReport,
     Direction,
@@ -78,10 +79,10 @@ class TestStep:
 
 class TestRun:
     def test_completes_and_unpacks(self, sine_field):
-        outcome, monitors = run(sine_field, 0.5)
-        assert outcome.t == 0.5
-        assert len(monitors.ts) > 2
-        assert monitors.ts[0] == 0.0
+        res = run(sine_field, 0.5)
+        assert res.outcome.t == 0.5
+        assert len(res.monitors.ts) > 2
+        assert res.monitors.ts[0] == 0.0
 
     def test_constant_state_no_violations(self, gm2, dl_const):
         f = make_field(gm2, dl_const, {"preset": "constant", "tau": 1.0, "u": 0.0},
@@ -129,6 +130,20 @@ class TestRun:
         assert snaps.times[0] == 0.0
         assert math.isclose(snaps.times[-1], 0.1)
         assert len(snaps.times) >= 3
+
+    def test_two_derivative_passes_per_step(self, sine_field, monkeypatch):
+        # with monitors on, each accepted state differentiates u and tau
+        # once; the breakdown test, monitors, audits and dt share them
+        calls = []
+
+        def counted(f, dx):
+            calls.append(1)
+            return ddx4(f, dx)
+
+        monkeypatch.setattr(fields, "ddx4", counted)
+        res = run(sine_field, 0.5)
+        assert not res.broke_down
+        assert len(calls) == 2 * len(res.monitors.ts)
 
     def test_validates_inputs(self, sine_field):
         with pytest.raises(DomainError):
