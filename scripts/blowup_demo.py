@@ -5,17 +5,24 @@ breakdown time against the Riccati upper bound computed along the
 traced forward characteristic.
 
 Usage: python scripts/blowup_demo.py [--gamma 2.0] [--lam 0.0] [--n 256]
+
+On some data (e.g. --gamma 5 --lam 1 --u-amp -3 --n 512, a T4_1 case)
+the integral of the Riccati coefficient along the traced characteristic
+never reaches the blow-up threshold; the demo then says that no finite
+bound exists by the search horizon.
 """
 
 import argparse
 
 import numpy as np
 
-from shockline import DampingLaw, GasModel, Grid, evaluate
+from shockline import DampingLaw, GasModel, Grid, NoBoundError, evaluate
 from shockline.fields import init_field
 from shockline.riccati import RiccatiProblem, blowup_time_upper_bound_case1
 from shockline.core import riccati_coefficients
 from shockline.solver import Direction, run, trace_characteristic
+
+T_MAX = 100.0  # horizon of the Riccati bound search
 
 
 def main():
@@ -62,7 +69,12 @@ def main():
     y0 = float(trace.y_or_q[0])
     if y0 < 0.0:
         prob = RiccatiProblem(coeff_source=coeffs, y0=y0)
-        bound = blowup_time_upper_bound_case1(prob, t_max=100.0)
+        try:
+            bound = blowup_time_upper_bound_case1(prob, t_max=T_MAX)
+        except NoBoundError as e:
+            print(f"traced y(0)={y0:.3f}: no finite Riccati bound exists by "
+                  f"t_max={T_MAX:g} on this characteristic ({e})")
+            return
         print(f"Riccati upper bound from traced y(0)={y0:.3f}: "
               f"t* <= {bound:.6f}")
         print(f"observed breakdown precedes the bound: {rep.t <= bound}")

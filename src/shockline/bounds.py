@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import core
 from .core import Branch, DampingLaw, GasModel
@@ -101,9 +100,8 @@ def density_floor_constant(
     """K0 of the density lower bound."""
     _require_floor_regime(gm, dl)
     g = gm.gamma
-    p_lo = (g - 3.0) / (2.0 * (g - 1.0))
     bracket = (
-        gm.phi_coef ** (-p_lo)
+        gm.phi_coef ** (-core.p_lo(gm))
         * (ceilings.y_cap + ceilings.q_cap)
         * (3.0 - g) / (2.0 * (g - 1.0))
         * gm.k_c
@@ -162,9 +160,7 @@ def _onset_lhs(gm: GasModel, dl: DampingLaw, ceilings: RiccatiCeilings, t: float
 def initial_phi_term_sup(field: FieldState) -> float:
     """sup_x of phi(x,0)**((g-3)/(2(g-1))), the term the onset must
     dominate."""
-    g = field.gas.gamma
-    p_lo = (g - 3.0) / (2.0 * (g - 1.0))
-    return float(np.max(field.phi() ** p_lo))
+    return float(np.max(field.phi() ** core.p_lo(field.gas)))
 
 
 def density_floor_onset(
@@ -220,10 +216,9 @@ def k1_constant(gm: GasModel, ib: InitialBound) -> float:
     """K1 = K_c(g+1)/(2(g-1)) * phi_coef**(-(g-3)/(2(g-1)))
     * c0_tilde**((3-g)/4)."""
     g = gm.gamma
-    p_lo = (g - 3.0) / (2.0 * (g - 1.0))
     return (
         gm.k_c * (g + 1.0) / (2.0 * (g - 1.0))
-        * gm.phi_coef ** (-p_lo)
+        * gm.phi_coef ** (-core.p_lo(gm))
         * ib.c0_tilde ** ((3.0 - g) / 4.0)
     )
 
@@ -244,6 +239,7 @@ def k2_integral(gm: GasModel, dl: DampingLaw) -> float:
     1 - lambda >= 1; the tail is truncated where it falls below 1e-16
     of its initial value.
     """
+    from scipy.integrate import quad  # imported on use: scipy dominates import time
     g, a, lam = gm.gamma, dl.alpha, dl.lam
     if a == 0.0:
         return math.inf

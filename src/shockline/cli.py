@@ -11,11 +11,13 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import math
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -237,29 +239,21 @@ def summary_text(scn: dict, verdict: criteria.Verdict, result) -> str:
             )
         else:
             lines.append(f"completed: t={_fmt(result.outcome.t)}")
-        lines.append(
-            "invariant region audit: "
-            + ("ok" if mon.invariant_region_ok else
-               f"violated at t={_fmt(mon.invariant_violation_t)}")
-        )
+        lines.append(_audit(
+            "invariant region", mon.invariant_region_ok, mon.invariant_violation_t))
         if mon.ceiling_ok is not None:
-            lines.append(
-                "ceiling audit: "
-                + ("ok" if mon.ceiling_ok else
-                   f"violated at t={_fmt(mon.ceiling_violation_t)}")
-            )
+            lines.append(_audit("ceiling", mon.ceiling_ok, mon.ceiling_violation_t))
         if 1.0 < gm.gamma < 3.0:
-            if mon.floor_ok is None:
-                lines.append(
-                    "density floor audit: not exercised (run ended before t_min)"
-                )
-            else:
-                lines.append(
-                    "density floor audit: "
-                    + ("ok" if mon.floor_ok else
-                       f"violated at t={_fmt(mon.floor_violation_t)}")
-                )
+            lines.append(
+                "density floor audit: not exercised (run ended before t_min)"
+                if mon.floor_ok is None
+                else _audit("density floor", mon.floor_ok, mon.floor_violation_t)
+            )
     return "\n".join(lines) + "\n"
+
+
+def _audit(name: str, ok, violation_t) -> str:
+    return f"{name} audit: " + ("ok" if ok else f"violated at t={_fmt(violation_t)}")
 
 
 def _write(out_dir: Path, name: str, text: str):
@@ -292,6 +286,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    start = time.perf_counter()
     scn = build_scenario(load_config(args.config))
     if scn["t_end"] <= 0.0:
         raise ConfigError("simulate requires run.t_end > 0")
@@ -321,6 +316,12 @@ def cmd_simulate(args) -> int:
     if outputs.get("summary", True):
         _write(out_dir, "summary.txt", summary_text(scn, verdict, result))
     sys.stdout.write(summary_text(scn, verdict, result))
+    dts = np.diff(result.monitors.ts)
+    log.info(
+        "simulate: %d steps, dt %s, %s at t=%.6g, %.3f s", dts.size,
+        f"{dts.min():.6g}..{dts.max():.6g}" if dts.size else "-",
+        "breakdown" if result.broke_down else "completed", result.outcome.t,
+        time.perf_counter() - start)
     return EXIT_OK
 
 
@@ -372,13 +373,8 @@ def _sweep_cell(payload) -> str:
                 broke = "true"
                 bracket = f"{_fmt(rep.t_prev)}..{_fmt(rep.t)}"
             mon = result.monitors
-            if mon.floor_ok is not None and not mon.floor_ok:
-                n_bad = sum(
-                    1 for t in mon.ts
-                    if mon.floor_violation_t is not None
-                    and t >= mon.floor_violation_t
-                )
-                floor_violations = str(n_bad)
+            if mon.floor_ok is False:  # the latch has set floor_violation_t
+                floor_violations = str(sum(t >= mon.floor_violation_t for t in mon.ts))
         row = ",".join(
             (
                 f"{regime.gamma_side.value}/{regime.lambda_side.value}",
@@ -399,6 +395,7 @@ def _sweep_cell(payload) -> str:
 
 
 def cmd_sweep(args) -> int:
+    start = time.perf_counter()
     cfg = load_config(args.config)
     sweep_cfg = cfg.pop("sweep", None)
     if not sweep_cfg:
@@ -423,14 +420,11 @@ def cmd_sweep(args) -> int:
     if n_cells > budget:
         raise ConfigError(f"sweep has {n_cells} cells, budget is {budget}")
 
-    cells = []
-    if len(grids) == 1:
-        for v in grids[0]:
-            cells.append((cfg, tuple(axes), (float(v),)))
-    else:
-        for v0 in grids[0]:
-            for v1 in grids[1]:
-                cells.append((cfg, tuple(axes), (float(v0), float(v1))))
+    # the first axis varies slowest
+    cells = [
+        (cfg, tuple(axes), tuple(float(v) for v in values))
+        for values in itertools.product(*grids)
+    ]
 
     jobs = args.jobs or os.cpu_count() or 1
     if jobs > 1 and len(cells) > 1:
@@ -438,6 +432,9 @@ def cmd_sweep(args) -> int:
             rows = list(pool.map(_sweep_cell, cells))
     else:
         rows = [_sweep_cell(c) for c in cells]
+    log.info(
+        "sweep: %d cells, %d error rows, %d jobs, %.3f s", len(rows),
+        sum(not row.endswith(",") for row in rows), jobs, time.perf_counter() - start)
 
     header = ",".join(axes) + "," + SWEEP_HEADER
     text = header + "\n" + "\n".join(rows) + "\n"
@@ -480,10 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("SHOCKLINE_LOG", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    level = os.environ.get("SHOCKLINE_LOG", "WARNING").upper()
+    # the package logger alone; an unknown level name falls back to WARNING
+    log.setLevel(level if isinstance(logging.getLevelName(level), int) else "WARNING")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

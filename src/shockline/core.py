@@ -54,13 +54,21 @@ class GasModel:
             raise DomainError("gamma == 3 is outside the model (division by gamma-3)")
         if not (k > 0.0):
             raise DomainError(f"big_k must be positive, got {k}")
-        phi_coef = 2.0 * math.sqrt(k * g) / (g - 1.0)
-        k_tau = phi_coef ** (2.0 / (g - 1.0))
+        try:  # k_tau = inf gives k_p = 0; k_tau = 0 raises ZeroDivisionError
+            phi_coef = 2.0 * math.sqrt(k * g) / (g - 1.0)
+            k_tau = phi_coef ** (2.0 / (g - 1.0))
+            k_p = k * k_tau ** (-g)
+            k_c = math.sqrt(k * g) * k_tau ** (-(g + 1.0) / 2.0)
+        except (OverflowError, ZeroDivisionError):
+            k_p = k_c = math.inf
+        if not (0.0 < k_p < math.inf and 0.0 < k_c < math.inf):
+            raise DomainError(f"gamma = {g!r} with big_k = {k!r} puts the derived "
+                              "gas constants outside double range")
         object.__setattr__(self, "theta", (g - 1.0) / 2.0)
         object.__setattr__(self, "phi_coef", phi_coef)
         object.__setattr__(self, "k_tau", k_tau)
-        object.__setattr__(self, "k_p", k * k_tau ** (-g))
-        object.__setattr__(self, "k_c", math.sqrt(k * g) * k_tau ** (-(g + 1.0) / 2.0))
+        object.__setattr__(self, "k_p", k_p)
+        object.__setattr__(self, "k_c", k_c)
 
 
 def derive_constants(gamma: float, big_k: float) -> GasModel:
@@ -104,39 +112,39 @@ class PointState:
             raise DomainError(f"t must be nonnegative, got {self.t}")
 
 
+def _require_positive(name: str, x) -> None:
+    if (np.asarray(x) <= 0.0).any():
+        raise DomainError(f"{name} must be positive")
+
+
 def phi_of_tau(gm: GasModel, tau):
     """phi = 2 sqrt(K gamma)/(gamma-1) * tau**(-(gamma-1)/2), monotone
     decreasing in tau."""
-    if np.any(np.asarray(tau) <= 0.0):
-        raise DomainError("tau must be positive")
+    _require_positive("tau", tau)
     return gm.phi_coef * tau ** (-gm.theta)
 
 
 def tau_of_phi(gm: GasModel, phi):
     """Inverse of phi_of_tau: tau = k_tau * phi**(-2/(gamma-1))."""
-    if np.any(np.asarray(phi) <= 0.0):
-        raise DomainError("phi must be positive")
+    _require_positive("phi", phi)
     return gm.k_tau * phi ** (-2.0 / (gm.gamma - 1.0))
 
 
 def pressure(gm: GasModel, tau):
     """p = K * tau**(-gamma)."""
-    if np.any(np.asarray(tau) <= 0.0):
-        raise DomainError("tau must be positive")
+    _require_positive("tau", tau)
     return gm.big_k * tau ** (-gm.gamma)
 
 
 def sound_speed(gm: GasModel, tau):
     """Lagrangian sound speed c = sqrt(K gamma) * tau**(-(gamma+1)/2)."""
-    if np.any(np.asarray(tau) <= 0.0):
-        raise DomainError("tau must be positive")
+    _require_positive("tau", tau)
     return math.sqrt(gm.big_k * gm.gamma) * tau ** (-(gm.gamma + 1.0) / 2.0)
 
 
 def sound_speed_of_phi(gm: GasModel, phi):
     """Same speed through the phi route: c = k_c * phi**((gamma+1)/(gamma-1))."""
-    if np.any(np.asarray(phi) <= 0.0):
-        raise DomainError("phi must be positive")
+    _require_positive("phi", phi)
     return gm.k_c * phi ** ((gm.gamma + 1.0) / (gm.gamma - 1.0))
 
 
@@ -155,11 +163,11 @@ def riemann_slopes(c, u_x, tau_x):
 
 
 # exponents of phi that recur in the gradient-variable algebra
-def _p_hi(gm: GasModel) -> float:
+def p_hi(gm: GasModel) -> float:
     return (gm.gamma + 1.0) / (2.0 * (gm.gamma - 1.0))
 
 
-def _p_lo(gm: GasModel) -> float:
+def p_lo(gm: GasModel) -> float:
     return (gm.gamma - 3.0) / (2.0 * (gm.gamma - 1.0))
 
 
@@ -206,17 +214,18 @@ def initial_decay(gm: GasModel, dl: DampingLaw) -> float:
 
 def y_variable(gm: GasModel, dl: DampingLaw, phi, grad, t):
     """Decoupled gradient variable: y along forward characteristics with
-    grad = A = w_x, and q along backward ones with grad = B = z_x.
+    grad = A = w_x, and q along backward ones with grad = B = z_x.  With
+    grad = the stacked rows (A, B), one call gives (y, q) as rows and
+    shares the phi powers and the time factor.
 
     y = (phi**((g+1)/(2(g-1))) * A
          - alpha(g-1)/(K_c (g-3) (1+t)**lam) * phi**((g-3)/(2(g-1))))
         * exp(log_time_factor).
     """
-    if np.any(np.asarray(phi) <= 0.0):
-        raise DomainError("phi must be positive")
+    _require_positive("phi", phi)
     g, a, lam = gm.gamma, dl.alpha, dl.lam
     shift = a * (g - 1.0) / (gm.k_c * (g - 3.0) * (1.0 + t) ** lam)
-    tilde = phi ** _p_hi(gm) * grad - shift * phi ** _p_lo(gm)
+    tilde = phi ** p_hi(gm) * grad - shift * phi ** p_lo(gm)
     return tilde * _checked_exp(log_time_factor(gm, dl, t))
 
 
@@ -234,8 +243,7 @@ def riccati_coefficients(gm: GasModel, dl: DampingLaw, phi, t):
     and the time factor.  The critical branch is the lam = 1
     specialisation with a power-law time factor.
     """
-    if np.any(np.asarray(phi) <= 0.0):
-        raise DomainError("phi must be positive")
+    _require_positive("phi", phi)
     g, a, lam = gm.gamma, dl.alpha, dl.lam
     log_mu = log_time_factor(gm, dl, t)
     mu = _checked_exp(log_mu)
@@ -245,10 +253,10 @@ def riccati_coefficients(gm: GasModel, dl: DampingLaw, phi, t):
     )
     c0 = (
         num0 / (gm.k_c * (g - 3.0) ** 2 * (1.0 + t) ** (2.0 * lam))
-        * phi ** _p_lo(gm) * mu
+        * phi ** p_lo(gm) * mu
     )
     c2 = (
         gm.k_c * (g + 1.0) / (2.0 * (g - 1.0))
-        * phi ** (-_p_lo(gm)) / mu
+        * phi ** (-p_lo(gm)) / mu
     )
     return c0, c2

@@ -151,8 +151,7 @@ def _assert_sign_consistency(field: FieldState, rhs: np.ndarray):
     every grid point; this ties the theorem form to the decoupled
     gradient variables."""
     lhs_a, lhs_b = field.slopes()
-    p_hi = (field.gas.gamma + 1.0) / (2.0 * (field.gas.gamma - 1.0))
-    factor = field.phi() ** p_hi * np.exp(
+    factor = field.phi() ** core.p_hi(field.gas) * np.exp(
         core.log_time_factor(field.gas, field.damping, field.t)
     )
     for lhs, grad_val in ((lhs_a, field.y()), (lhs_b, field.q())):

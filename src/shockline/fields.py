@@ -4,14 +4,16 @@ The FieldState couples the sampled (tau, u) arrays with the gas model
 and damping law so that every derived view (phi, c, Riemann invariants,
 gradients, y, q) is available without re-threading constants.  Gradients
 use fourth-order central differences so that monitor accuracy exceeds
-the second-order scheme accuracy.
+the second-order scheme accuracy.  Stencils read the neighbours of a
+node as slices of one copy of the field padded with two periodic ghost
+cells a side (`pad`; the padded_* forms take that copy).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,24 +49,36 @@ class Grid:
         return self.x0 + np.mod(x - self.x0, self.length)
 
 
+def pad(f: np.ndarray) -> np.ndarray:
+    """Copy of a periodic field with two wrapped ghost cells on each side;
+    the stencils read their neighbours f[i-2] .. f[i+2] as slices of it."""
+    return np.concatenate((f[-2:], f, f[:2]))
+
+
+def padded_ddx2(g: np.ndarray, dx: float) -> np.ndarray:
+    """ddx2 of the field whose padded copy is g."""
+    return (g[3:-1] - g[1:-3]) / (2.0 * dx)
+
+
+def padded_diff4(g: np.ndarray) -> np.ndarray:
+    """diff4 of the field whose padded copy is g."""
+    return g[:-4] - 4.0 * g[1:-3] + 6.0 * g[2:-2] - 4.0 * g[3:-1] + g[4:]
+
+
 def ddx4(f: np.ndarray, dx: float) -> np.ndarray:
     """Fourth-order central first derivative on a periodic grid."""
-    return (
-        -np.roll(f, -2) + 8.0 * np.roll(f, -1) - 8.0 * np.roll(f, 1) + np.roll(f, 2)
-    ) / (12.0 * dx)
+    g = pad(f)
+    return (-g[4:] + 8.0 * g[3:-1] - 8.0 * g[1:-3] + g[:-4]) / (12.0 * dx)
 
 
 def ddx2(f: np.ndarray, dx: float) -> np.ndarray:
     """Second-order central first derivative on a periodic grid."""
-    return (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * dx)
+    return padded_ddx2(pad(f), dx)
 
 
 def diff4(f: np.ndarray) -> np.ndarray:
     """Undivided fourth difference (stabilization stencil)."""
-    return (
-        np.roll(f, 2) - 4.0 * np.roll(f, 1) + 6.0 * f
-        - 4.0 * np.roll(f, -1) + np.roll(f, -2)
-    )
+    return padded_diff4(pad(f))
 
 
 def _per_state(view):
@@ -79,8 +93,7 @@ def _per_state(view):
             return self.__dict__[key]
         except KeyError:
             value = view(self)
-            for arr in value if isinstance(value, tuple) else (value,):
-                arr.flags.writeable = False
+            value.flags.writeable = False
             # frozen dataclass: store past its __setattr__
             self.__dict__[key] = value
             return value
@@ -118,12 +131,6 @@ class FieldState:
     def sound(self) -> np.ndarray:
         return core.sound_speed(self.gas, self.tau)
 
-    def w(self) -> np.ndarray:
-        return self.u + self.phi()
-
-    def z(self) -> np.ndarray:
-        return self.u - self.phi()
-
     # -- derived gradient views (4th-order FD) -----------------------
     @_per_state
     def u_x(self) -> np.ndarray:
@@ -134,22 +141,31 @@ class FieldState:
         return ddx4(self.tau, self.grid.dx)
 
     @_per_state
-    def slopes(self):
-        """(A, B) = (w_x, z_x), the Riemann-invariant slopes."""
-        return core.riemann_slopes(self.sound(), self.u_x(), self.tau_x())
+    def slopes(self) -> np.ndarray:
+        """(A, B) = (w_x, z_x), the Riemann-invariant slopes, as rows."""
+        return np.stack(core.riemann_slopes(self.sound(), self.u_x(), self.tau_x()))
 
     @_per_state
+    def yq(self) -> np.ndarray:
+        """y and q as rows: one y_variable pass over both slopes shares the
+        phi powers and the time factor."""
+        return core.y_variable(
+            self.gas, self.damping, self.phi(), self.slopes(), self.t)
+
     def y(self) -> np.ndarray:
-        a_w, _ = self.slopes()
-        return core.y_variable(self.gas, self.damping, self.phi(), a_w, self.t)
+        return self.yq()[0]
 
-    @_per_state
     def q(self) -> np.ndarray:
-        _, b_z = self.slopes()
-        return core.q_variable(self.gas, self.damping, self.phi(), b_z, self.t)
+        return self.yq()[1]
 
     def with_state(self, tau: np.ndarray, u: np.ndarray, t: float) -> "FieldState":
-        return replace(self, tau=tau, u=u, t=t)
+        """The state (tau, u) at time t on the same grid and model, without
+        the checks of __post_init__: the caller has them (solver.step)."""
+        new = object.__new__(FieldState)
+        vars(new).update(
+            grid=self.grid, t=t, tau=tau, u=u, gas=self.gas, damping=self.damping
+        )
+        return new
 
 
 # ---------------------------------------------------------------------
@@ -159,71 +175,45 @@ class FieldState:
 PRESETS = ("constant", "gaussian", "sine")
 
 
-def _wrapped_offset(x: np.ndarray, center: float, length: float) -> np.ndarray:
-    """Signed minimum-image distance x - center on a periodic domain."""
-    d = np.mod(x - center + 0.5 * length, length) - 0.5 * length
-    return d
+def _bump(spec: dict, grid: Grid):
+    """(tau_amp, u_amp, shape, shape_x): the amplitudes and the unit shape,
+    with its x-derivative, of the gaussian or sine preset."""
+    preset, x, length = spec.get("preset"), grid.xs, grid.length
+    amps = float(spec.get("tau_amp", 0.0)), float(spec.get("u_amp", 0.0))
+    if preset == "gaussian":
+        center = float(spec.get("center", grid.x0 + 0.5 * length))
+        width = float(spec.get("width", 0.1 * length))
+        if width <= 0.0:
+            raise DomainError("gaussian width must be positive")
+        # signed minimum-image distance x - center
+        d = np.mod(x - center + 0.5 * length, length) - 0.5 * length
+        bump = np.exp(-0.5 * (d / width) ** 2)
+        return (*amps, bump, -(d / width**2) * bump)
+    if preset != "sine":
+        raise DomainError(f"unknown profile preset {preset!r}")
+    periods = int(spec.get("periods", 1))
+    if periods < 1:
+        raise DomainError("sine preset needs at least one full period")
+    ph = 2.0 * math.pi * periods * (x - grid.x0) / length
+    return (*amps, np.sin(ph), 2.0 * math.pi * periods / length * np.cos(ph))
 
 
 def profile_arrays(spec: dict, grid: Grid):
     """Evaluate a named preset on the grid.  Returns (tau0, u0)."""
-    preset = spec.get("preset")
-    x = grid.xs
-    if preset == "constant":
-        tau0 = np.full(grid.n, float(spec.get("tau", 1.0)))
-        u0 = np.full(grid.n, float(spec.get("u", 0.0)))
-    elif preset == "gaussian":
-        base_tau = float(spec.get("tau0", 1.0))
-        base_u = float(spec.get("u0", 0.0))
-        amp_u = float(spec.get("u_amp", 0.0))
-        amp_tau = float(spec.get("tau_amp", 0.0))
-        center = float(spec.get("center", grid.x0 + 0.5 * grid.length))
-        width = float(spec.get("width", 0.1 * grid.length))
-        if width <= 0.0:
-            raise DomainError("gaussian width must be positive")
-        d = _wrapped_offset(x, center, grid.length)
-        bump = np.exp(-0.5 * (d / width) ** 2)
-        tau0 = base_tau + amp_tau * bump
-        u0 = base_u + amp_u * bump
-    elif preset == "sine":
-        base_tau = float(spec.get("tau0", 1.0))
-        base_u = float(spec.get("u0", 0.0))
-        amp_u = float(spec.get("u_amp", 0.0))
-        amp_tau = float(spec.get("tau_amp", 0.0))
-        periods = int(spec.get("periods", 1))
-        if periods < 1:
-            raise DomainError("sine preset needs at least one full period")
-        ph = 2.0 * math.pi * periods * (x - grid.x0) / grid.length
-        tau0 = base_tau + amp_tau * np.sin(ph)
-        u0 = base_u + amp_u * np.sin(ph)
-    else:
-        raise DomainError(f"unknown profile preset {preset!r}")
-    return tau0, u0
+    if spec.get("preset") == "constant":
+        return (np.full(grid.n, float(spec.get("tau", 1.0))),
+                np.full(grid.n, float(spec.get("u", 0.0))))
+    amp_tau, amp_u, shape, _ = _bump(spec, grid)
+    return (float(spec.get("tau0", 1.0)) + amp_tau * shape,
+            float(spec.get("u0", 0.0)) + amp_u * shape)
 
 
 def profile_derivatives(spec: dict, grid: Grid):
     """Analytic x-derivatives of the preset, for verification tests."""
-    preset = spec.get("preset")
-    x = grid.xs
-    if preset == "constant":
-        zero = np.zeros(grid.n)
-        return zero, zero.copy()
-    if preset == "gaussian":
-        amp_u = float(spec.get("u_amp", 0.0))
-        amp_tau = float(spec.get("tau_amp", 0.0))
-        center = float(spec.get("center", grid.x0 + 0.5 * grid.length))
-        width = float(spec.get("width", 0.1 * grid.length))
-        d = _wrapped_offset(x, center, grid.length)
-        core_fn = -(d / width**2) * np.exp(-0.5 * (d / width) ** 2)
-        return amp_tau * core_fn, amp_u * core_fn
-    if preset == "sine":
-        amp_u = float(spec.get("u_amp", 0.0))
-        amp_tau = float(spec.get("tau_amp", 0.0))
-        periods = int(spec.get("periods", 1))
-        k = 2.0 * math.pi * periods / grid.length
-        ph = k * (x - grid.x0)
-        return amp_tau * k * np.cos(ph), amp_u * k * np.cos(ph)
-    raise DomainError(f"unknown profile preset {preset!r}")
+    if spec.get("preset") == "constant":
+        return np.zeros(grid.n), np.zeros(grid.n)
+    amp_tau, amp_u, _, shape_x = _bump(spec, grid)
+    return amp_tau * shape_x, amp_u * shape_x
 
 
 def init_field(

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     CoefficientError,
@@ -212,6 +211,7 @@ def _crossing_time(
 ) -> float:
     """First t with int_{t0}^{t} c2 ds >= target, by windowed quadrature
     and bisection inside the crossing window."""
+    from scipy.integrate import quad  # imported on use: scipy dominates import time
     t, acc = prob.t0, 0.0
     sup_ratio = 0.0
     while t < t_max:

@@ -7,7 +7,9 @@ strong-stability-preserving time stepping, with the linear damping term
 integrated exactly per step through its integrating factor.  A small
 fourth-difference stabilization (coefficient 0.02 in undivided form,
 i.e. 0.02*dx**3 per unit time on the continuum term) keeps the central
-scheme stable at CFL 0.4 without affecting the measured order.
+scheme stable at CFL 0.4 without affecting the measured order.  Each
+stage pads tau, u and p once (fields.pad) and reads both stencils from
+those copies; run checks every accepted state for finiteness.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import bounds, core, riccati
 from .core import Branch, DampingLaw, GasModel
 from .errors import DomainError, RangeError, TraceError, VacuumError
-from .fields import FieldState, Grid, ddx2, ddx4, diff4
+from .fields import FieldState, Grid, pad, padded_ddx2, padded_diff4
 
 DEFAULT_CFL = 0.4
 BREAKDOWN_CELL_GRADIENT = 0.5  # breakdown when max|u_x| * dx exceeds this
@@ -43,13 +44,14 @@ def damping_decay(dl: DampingLaw, t1: float, t2: float) -> float:
     return math.exp(-dl.alpha * integral)
 
 
-def _flux_tau(u: np.ndarray, tau: np.ndarray, dx: float) -> np.ndarray:
-    return ddx2(u, dx) - STAB_COEF * diff4(tau) / dx
-
-
-def _flux_u(gm: GasModel, tau: np.ndarray, u: np.ndarray, dx: float) -> np.ndarray:
-    p = core.pressure(gm, tau)
-    return -ddx2(p, dx) - STAB_COEF * diff4(u) / dx
+def _fluxes(gm: GasModel, tau: np.ndarray, u: np.ndarray, dx: float):
+    """Stabilized (tau_t, u_t) = (u_x, -p_x) of the undamped system."""
+    tau_g, u_g = pad(tau), pad(u)
+    p_g = core.pressure(gm, tau_g)
+    return (
+        padded_ddx2(u_g, dx) - STAB_COEF * padded_diff4(tau_g) / dx,
+        -padded_ddx2(p_g, dx) - STAB_COEF * padded_diff4(u_g) / dx,
+    )
 
 
 def step(field: FieldState, dt: float) -> FieldState:
@@ -65,19 +67,19 @@ def step(field: FieldState, dt: float) -> FieldState:
     t0, t1 = field.t, field.t + dt
     g1 = damping_decay(dl, t0, t1)
 
-    k1_tau = _flux_tau(field.u, field.tau, dx)
-    k1_w = _flux_u(gm, field.tau, field.u, dx)
+    k1_tau, k1_w = _fluxes(gm, field.tau, field.u, dx)
     tau_p = field.tau + dt * k1_tau
-    if np.any(tau_p <= 0.0):
+    if tau_p.min() <= 0.0:
         raise VacuumError(f"tau reached zero in the predictor stage at t={t1:.6g}")
     u_p = g1 * (field.u + dt * k1_w)
 
-    k2_tau = _flux_tau(u_p, tau_p, dx)
-    k2_w = _flux_u(gm, tau_p, u_p, dx) / g1
+    k2_tau, k2_u = _fluxes(gm, tau_p, u_p, dx)
+    k2_w = k2_u / g1
     tau_n = field.tau + 0.5 * dt * (k1_tau + k2_tau)
     u_n = g1 * (field.u + 0.5 * dt * (k1_w + k2_w))
 
-    if np.any(tau_n <= 0.0):
+    # the only validation of the new state: with_state skips __post_init__
+    if tau_n.min() <= 0.0:
         raise VacuumError(f"tau reached zero at t={t1:.6g}")
     return field.with_state(tau=tau_n, u=u_n, t=t1)
 
@@ -121,31 +123,25 @@ def ceiling_regime_holds(gm: GasModel, dl: DampingLaw) -> bool:
 
 @dataclass
 class _Audits:
-    c0_tilde: Optional[float] = None
-    y_cap: Optional[float] = None
-    q_cap: Optional[float] = None
-    floor: Optional[bounds.DensityFloor] = None
-    ceilings: Optional[bounds.RiccatiCeilings] = None
+    c0_tilde: float
+    ceilings: bounds.RiccatiCeilings
+    capped: bool  # the ceiling regime holds: y and q are audited
+    floor: Optional[bounds.DensityFloor]
 
 
 def _prepare_audits(field: FieldState) -> _Audits:
     gm, dl = field.gas, field.damping
-    audits = _Audits()
-    ib = bounds.certified_initial_bound(field)
-    audits.c0_tilde = ib.c0_tilde
+    c0_tilde = bounds.certified_initial_bound(field).c0_tilde
     ceilings = bounds.riccati_ceilings(field)
-    audits.ceilings = ceilings
-    if ceiling_regime_holds(gm, dl):
-        audits.y_cap = ceilings.y_cap
-        audits.q_cap = ceilings.q_cap
+    floor = None
     if 1.0 < gm.gamma < 3.0:
         try:
-            audits.floor = bounds.make_density_floor(
+            floor = bounds.make_density_floor(
                 gm, dl, ceilings, bounds.initial_phi_term_sup(field)
             )
         except (DomainError, RangeError):
-            audits.floor = None
-    return audits
+            pass
+    return _Audits(c0_tilde, ceilings, ceiling_regime_holds(gm, dl), floor)
 
 
 def _latch(mon: Monitors, flag: str, when: str, ok: bool, t: float):
@@ -157,13 +153,12 @@ def _latch(mon: Monitors, flag: str, when: str, ok: bool, t: float):
         setattr(mon, when, t)
 
 
-def _record(mon: Monitors, field: FieldState, max_ux: float, audits: _Audits):
+def _record(mon: Monitors, field: FieldState, max_ux, tau_max, audits: _Audits):
     t = field.t
-    rho = 1.0 / field.tau
-    rho_min = float(np.min(rho))
+    # 1/x is monotone and correctly rounded: min(1/tau) is 1/max(tau) exactly
+    rho_min = 1.0 / tau_max
     try:
-        y_max = float(np.max(field.y()))
-        q_max = float(np.max(field.q()))
+        y_max, q_max = (float(v) for v in field.yq().max(axis=1))
     except RangeError:
         y_max = q_max = math.nan
     mon.ts.append(t)
@@ -172,14 +167,15 @@ def _record(mon: Monitors, field: FieldState, max_ux: float, audits: _Audits):
     mon.y_max.append(y_max)
     mon.q_max.append(q_max)
 
-    rho_max = float(np.max(rho))
-    u_max = float(np.max(np.abs(field.u)))
+    rho_max = 1.0 / float(field.tau.min())
+    u_max = float(np.abs(field.u).max())
     ok = rho_max <= audits.c0_tilde * 1.02 and u_max <= audits.c0_tilde * 1.02
     _latch(mon, "invariant_region_ok", "invariant_violation_t", ok, t)
 
-    if audits.y_cap is not None:
-        ok = (not math.isnan(y_max)) and y_max <= audits.y_cap * 1.02 \
-            and q_max <= audits.q_cap * 1.02
+    if audits.capped:
+        caps = audits.ceilings
+        ok = (not math.isnan(y_max)) and y_max <= caps.y_cap * 1.02 \
+            and q_max <= caps.q_cap * 1.02
         _latch(mon, "ceiling_ok", "ceiling_violation_t", ok, t)
 
     if audits.floor is not None and t > audits.floor.t_min:
@@ -195,6 +191,16 @@ def _record(mon: Monitors, field: FieldState, max_ux: float, audits: _Audits):
 # ---------------------------------------------------------------------
 # run loop
 # ---------------------------------------------------------------------
+
+def _extremes(field: FieldState):
+    """(max|u_x|, max tau), checked finite: a NaN or inf in u reaches u_x
+    through the stencil, one in tau (> 0) reaches max tau."""
+    max_ux = float(np.abs(field.u_x()).max())
+    tau_max = float(field.tau.max())
+    if not (math.isfinite(max_ux) and math.isfinite(tau_max)):
+        raise RangeError(f"tau or u is not finite at t={field.t:.6g}")
+    return max_ux, tau_max
+
 
 @dataclass
 class BreakdownReport:
@@ -242,28 +248,30 @@ def run(
 ) -> RunResult:
     """Advance until t_end or breakdown, recording monitors and
     snapshots.  Breakdown is a recorded outcome, not an exception;
-    VacuumError propagates."""
+    VacuumError, and RangeError for a state that is not finite,
+    propagate."""
     if not (t_end > field.t):
         raise DomainError("t_end must exceed the field time")
     if not (0.0 < cfl <= DEFAULT_CFL):
         raise DomainError(f"cfl must lie in (0, {DEFAULT_CFL}], got {cfl}")
+    max_ux, tau_max = _extremes(field)
     mon = Monitors()
     audits = _prepare_audits(field) if monitors_requested else None
     snaps = SnapshotStore(grid=field.grid, gas=field.gas, damping=field.damping)
     cadence = max(1, field.grid.n // 256)
     snaps.append(field)
     if monitors_requested:
-        _record(mon, field, float(np.max(np.abs(field.u_x()))), audits)
+        _record(mon, field, max_ux, tau_max, audits)
 
     # each state's derived views (c, u_x, tau_x, slopes, y, q) are
-    # computed once and shared by the breakdown test, the monitors and
-    # the next CFL dt
+    # computed once and shared by the finiteness and breakdown tests, the
+    # monitors and the next CFL dt
     n_step = 0
     while field.t < t_end:
-        dt = cfl * field.grid.dx / float(np.max(field.sound()))
+        dt = cfl * field.grid.dx / float(field.sound().max())
         dt = min(dt, t_end - field.t)
         new = step(field, dt)
-        max_ux = float(np.max(np.abs(new.u_x())))
+        max_ux, tau_max = _extremes(new)
         if max_ux * new.grid.dx > BREAKDOWN_CELL_GRADIENT:
             # the last resolved state closes out the snapshot store
             if snaps.times[-1] != field.t:
@@ -280,7 +288,7 @@ def run(
         if n_step % cadence == 0 or field.t >= t_end:
             snaps.append(field)
         if monitors_requested:
-            _record(mon, field, max_ux, audits)
+            _record(mon, field, max_ux, tau_max, audits)
     if snaps.times[-1] != field.t:
         snaps.append(field)
     return RunResult(outcome=field, monitors=mon, snapshots=snaps)
@@ -308,6 +316,7 @@ class _Frame:
     """Periodic cubic-spline view of one snapshot."""
 
     def __init__(self, grid: Grid, tau: np.ndarray, u: np.ndarray):
+        from scipy.interpolate import CubicSpline  # on use, as quad in bounds
         xs = np.append(grid.xs, grid.x0 + grid.length)
         self.tau = CubicSpline(xs, np.append(tau, tau[0]), bc_type="periodic")
         self.u = CubicSpline(xs, np.append(u, u[0]), bc_type="periodic")

@@ -1,11 +1,14 @@
 """CLI verbs, config validation, emission formats, sweeps."""
 
 import json
+import logging
+import re
 
+import numpy as np
 import pytest
 import yaml
 
-from shockline import Verdict
+from shockline import Verdict, solver
 from shockline.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -57,6 +60,7 @@ class TestValidate:
         lambda c: c.pop("gas"),
         lambda c: c["damping"].update(alpha=float("inf")),
         lambda c: c["profile"].update(u_amp=float("nan")),
+        lambda c: c["gas"].update(gamma=1.001),
     ])
     def test_fuzzed_invalid_configs(self, tmp_path, capsys, mutate):
         bad = json.loads(json.dumps(BASE))
@@ -195,6 +199,32 @@ class TestSweep:
         assert "gamma == 3" in errs[2]
         assert all(e == "" for i, e in enumerate(errs) if i != 2)
 
+    def test_nonfinite_state_is_error_row(self, tmp_path, capsys, monkeypatch):
+        # a run whose state stops being finite fails as a RangeError:
+        # an error row in a sweep, exit 3 with one-line JSON in simulate
+        real_step = solver.step
+
+        def poisoned(field, dt):
+            new = real_step(field, dt)
+            return new.with_state(new.tau, new.u * np.nan, new.t)
+
+        monkeypatch.setattr(solver, "step", poisoned)
+        cfg = write_cfg(tmp_path, self.sweep_cfg(
+            [{"name": "alpha", "start": 0.2, "stop": 1.0, "count": 2}], t_end=0.1,
+        ))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out),
+                     "--jobs", "1"]) == EXIT_OK
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert all(r.split(",")[-1].startswith("RangeError: ") for r in rows)
+        cfg = write_cfg(tmp_path, BASE, name="sim.yaml")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) \
+            == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "RangeError"
+
     def test_sweep_determinism_parallel(self, tmp_path):
         cfg = write_cfg(tmp_path, self.sweep_cfg(
             [{"name": "alpha", "start": 0.2, "stop": 1.0, "count": 4}],
@@ -204,3 +234,32 @@ class TestSweep:
         main(["sweep", "--config", cfg, "--out", str(out1), "--jobs", "2"])
         main(["sweep", "--config", cfg, "--out", str(out2), "--jobs", "1"])
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+
+
+class TestLogging:
+    def test_one_info_line_per_verb(self, tmp_path, monkeypatch, caplog):
+        # the capture handler takes every level; main sets the package
+        # logger's level from SHOCKLINE_LOG (set_level restores it later)
+        caplog.set_level(logging.DEBUG, logger="shockline")
+        monkeypatch.setenv("SHOCKLINE_LOG", "INFO")
+        cfg = write_cfg(tmp_path, BASE)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) \
+            == EXIT_OK
+        sweep = write_cfg(tmp_path, TestSweep().sweep_cfg(
+            [{"name": "gamma", "start": 2.0, "stop": 4.0, "count": 3}]
+        ), name="sweep.yaml")
+        assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "w"),
+                     "--jobs", "1"]) == EXIT_OK
+        lines = [r.getMessage() for r in caplog.records if r.name == "shockline"]
+        assert len(lines) == 2
+        assert re.fullmatch(
+            r"simulate: \d+ steps, dt \S+\.\.\S+, completed at t=0\.3, \S+ s",
+            lines[0],
+        )
+        assert re.fullmatch(r"sweep: 3 cells, 1 error rows, 1 jobs, \S+ s", lines[1])
+
+    def test_unknown_level_falls_back(self, tmp_path, monkeypatch, caplog):
+        caplog.set_level(logging.DEBUG, logger="shockline")
+        monkeypatch.setenv("SHOCKLINE_LOG", "chatty")
+        assert main(["validate", "--config", write_cfg(tmp_path, BASE)]) == EXIT_OK
+        assert logging.getLogger("shockline").level == logging.WARNING

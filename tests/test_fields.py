@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shockline import DomainError, Grid
-from shockline.core import q_variable, y_variable
+from shockline.core import phi_of_tau, q_variable, y_variable
 from shockline.fields import (
     FieldState,
     ddx2,
@@ -62,6 +65,39 @@ class TestStencils:
         f = np.sin(k * g.xs)
         sym = (2.0 * math.sin(0.5 * k * g.dx)) ** 4
         assert np.allclose(diff4(f), sym * f, atol=1e-12)
+
+
+# np.roll forms of the stencils: the reference the ghost-padded ones must
+# match bit for bit
+def roll_ddx4(f, dx):
+    return (
+        -np.roll(f, -2) + 8.0 * np.roll(f, -1) - 8.0 * np.roll(f, 1) + np.roll(f, 2)
+    ) / (12.0 * dx)
+
+
+def roll_ddx2(f, dx):
+    return (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * dx)
+
+
+def roll_diff4(f):
+    return (
+        np.roll(f, 2) - 4.0 * np.roll(f, 1) + 6.0 * f
+        - 4.0 * np.roll(f, -1) + np.roll(f, -2)
+    )
+
+
+class TestStencilOracle:
+    @given(
+        f=st.integers(16, 300).flatmap(lambda n: arrays(
+            np.float64, n, elements=st.floats(-1e6, 1e6, allow_nan=False)
+        )),
+        dx=st.floats(1e-4, 10.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_padded_stencils_match_roll(self, f, dx):
+        assert np.array_equal(ddx4(f, dx), roll_ddx4(f, dx))
+        assert np.array_equal(ddx2(f, dx), roll_ddx2(f, dx))
+        assert np.array_equal(diff4(f), roll_diff4(f))
 
 
 class TestPresets:
@@ -134,7 +170,10 @@ class TestFieldState:
         assert np.max(np.abs(0.5 * (a_grad - b_grad) - direct)) < 1e-5
 
     def test_with_state(self, sine_field):
+        phi_before = sine_field.phi()  # cached views must not carry over
         f2 = sine_field.with_state(sine_field.tau * 2.0, sine_field.u, t=1.0)
         assert f2.t == 1.0
         assert np.all(f2.tau == sine_field.tau * 2.0)
         assert f2.gas is sine_field.gas
+        assert np.array_equal(f2.phi(), phi_of_tau(f2.gas, f2.tau))
+        assert not np.array_equal(f2.phi(), phi_before)

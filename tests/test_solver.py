@@ -1,13 +1,14 @@
 """Simulator: scheme fidelity, monitors, tracing, cross-validation,
 snapshot IO."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from shockline import DampingLaw, DomainError, GasModel, Grid, VacuumError
-from shockline import fields
+from shockline import DampingLaw, DomainError, Grid, RangeError, VacuumError
+from shockline import fields, solver
 from shockline.fields import ddx4, init_field
 from shockline.solver import (
     BreakdownReport,
@@ -144,6 +145,33 @@ class TestRun:
         res = run(sine_field, 0.5)
         assert not res.broke_down
         assert len(calls) == 2 * len(res.monitors.ts)
+
+    @pytest.mark.parametrize("name", ["u", "tau"])
+    def test_nonfinite_initial_state(self, sine_field, name):
+        # monitors off: the finiteness check does not depend on them
+        arr = getattr(sine_field, name).copy()
+        arr[7] = np.nan
+        bad = dataclasses.replace(sine_field, **{name: arr})
+        with pytest.raises(RangeError, match=r"not finite at t=0$"):
+            run(bad, 0.5, monitors_requested=False)
+
+    @pytest.mark.parametrize("name", ["u", "tau"])
+    def test_nonfinite_state_mid_run(self, sine_field, monkeypatch, name):
+        real_step = solver.step
+
+        def poisoned(field, dt):
+            new = real_step(field, dt)
+            if new.t < 0.1:
+                return new
+            arr = {"u": new.u.copy(), "tau": new.tau.copy()}
+            arr[name][3] = np.inf if name == "u" else np.nan
+            return new.with_state(arr["tau"], arr["u"], new.t)
+
+        monkeypatch.setattr(solver, "step", poisoned)
+        with pytest.raises(RangeError, match="not finite at t=") as exc:
+            run(sine_field, 0.5, monitors_requested=False)
+        t_bad = float(str(exc.value).rsplit("t=", 1)[1])
+        assert 0.1 <= t_bad < 0.2
 
     def test_validates_inputs(self, sine_field):
         with pytest.raises(DomainError):
