@@ -6,10 +6,12 @@ traced forward characteristic.
 
 Usage: python scripts/blowup_demo.py [--gamma 2.0] [--lam 0.0] [--n 256]
 
-On some data (e.g. --gamma 5 --lam 1 --u-amp -3 --n 512, a T4_1 case)
-the integral of the Riccati coefficient along the traced characteristic
-never reaches the blow-up threshold; the demo then says that no finite
-bound exists by the search horizon.
+When the criterion does not fire, the trace starts where the initial
+y is most negative.  The demo prints where that characteristic is at the
+last resolved time next to where breakdown happens (argmax |u_x|).  On
+some data the integral of the Riccati coefficient along the traced
+characteristic never reaches the blow-up threshold; the demo then says
+that no finite bound exists by the search horizon.
 """
 
 import argparse
@@ -56,9 +58,16 @@ def main():
     print(f"breakdown observed: t in [{rep.t_prev:.6f}, {rep.t:.6f}], "
           f"max|u_x| = {rep.max_abs_ux:.2f}")
 
-    # Riccati upper bound along the characteristic through the witness
-    x0 = verdict.witness_x if verdict.witness_x is not None else 5.0
+    # Riccati upper bound along the characteristic through the witness,
+    # or else through the most negative initial y
+    x0 = verdict.witness_x
+    if x0 is None:
+        x0 = float(grid.xs[np.argmin(field.y())])
     trace = trace_characteristic(result, x0, Direction.FORWARD)
+    x_break = grid.xs[np.argmax(np.abs(rep.last_field.u_x()))]
+    print(f"forward characteristic from x={x0:.4f} is at x={trace.xs[-1]:.4f} "
+          f"at t_prev={trace.times[-1]:.6f}; breakdown x={x_break:.4f} "
+          f"(argmax |u_x|)")
     t_knots, phi_knots = trace.times, trace.phi
 
     def coeffs(t):

@@ -286,12 +286,21 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    start = time.perf_counter()
+    clock = [time.perf_counter()]
+    phases = dict.fromkeys(("build", "criteria", "run", "trace", "write"), 0.0)
+
+    def lap(phase):  # charge the wall time since the previous lap to phase
+        clock.append(time.perf_counter())
+        phases[phase] += clock[-1] - clock[-2]
+
     scn = build_scenario(load_config(args.config))
     if scn["t_end"] <= 0.0:
         raise ConfigError("simulate requires run.t_end > 0")
+    lap("build")
     verdict = _evaluate(scn)
+    lap("criteria")
     result = solver.run(scn["field"], scn["t_end"], cfl=scn["cfl"])
+    lap("run")
     outputs = scn["outputs"]
     out_dir = Path(args.out) if args.out else Path(".")
     if outputs.get("verdict", True):
@@ -305,10 +314,12 @@ def cmd_simulate(args) -> int:
             if trace_req["direction"] == "forward"
             else solver.Direction.BACKWARD
         )
+        lap("write")
         trace = solver.trace_characteristic(result, trace_req["x_start"], direction)
         report = solver.cross_validate_riccati(
             trace, scn["gas"], scn["damping"], scn["trace_tol"]
         )
+        lap("trace")
         _write(out_dir, "trace.csv", trace_csv(trace, report))
     if outputs.get("snapshots", False):
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -316,12 +327,13 @@ def cmd_simulate(args) -> int:
     if outputs.get("summary", True):
         _write(out_dir, "summary.txt", summary_text(scn, verdict, result))
     sys.stdout.write(summary_text(scn, verdict, result))
+    lap("write")
     dts = np.diff(result.monitors.ts)
     log.info(
-        "simulate: %d steps, dt %s, %s at t=%.6g, %.3f s", dts.size,
+        "simulate: %d steps, dt %s, %s at t=%.6g, %.3f s (%s)", dts.size,
         f"{dts.min():.6g}..{dts.max():.6g}" if dts.size else "-",
         "breakdown" if result.broke_down else "completed", result.outcome.t,
-        time.perf_counter() - start)
+        clock[-1] - clock[0], ", ".join(f"{k} {s:.3f}" for k, s in phases.items()))
     return EXIT_OK
 
 

@@ -113,7 +113,7 @@ class PointState:
 
 
 def _require_positive(name: str, x) -> None:
-    if (np.asarray(x) <= 0.0).any():
+    if np.less_equal(x, 0.0).any():
         raise DomainError(f"{name} must be positive")
 
 
@@ -179,7 +179,7 @@ def log_time_factor(gm: GasModel, dl: DampingLaw, t):
     Critical branch: alpha(3g-1)/(2(g-3)) * log(1+t).
     """
     g, a = gm.gamma, dl.alpha
-    if np.any(np.asarray(t) < 0.0):
+    if np.less(t, 0.0).any():
         raise DomainError("t must be nonnegative")
     if dl.branch is Branch.CRITICAL:
         return a * (3.0 * g - 1.0) / (2.0 * (g - 3.0)) * np.log1p(t)
@@ -193,7 +193,7 @@ def log_time_factor(gm: GasModel, dl: DampingLaw, t):
 def checked_log(log_val):
     """log_val unchanged, after checking that its exponential stays in
     double-precision range; RangeError otherwise."""
-    magnitude = float(np.max(np.abs(log_val)))
+    magnitude = float(np.abs(log_val).max())
     if magnitude > _LOG_CAP:
         raise RangeError(
             f"exponent of magnitude {magnitude:.6g} exceeds double-precision "

@@ -10,10 +10,16 @@ i.e. 0.02*dx**3 per unit time on the continuum term) keeps the central
 scheme stable at CFL 0.4 without affecting the measured order.  Each
 stage pads tau, u and p once (fields.pad) and reads both stencils from
 those copies; run checks every accepted state for finiteness.
+
+Tracing reads the snapshots through two periodic cubic splines in x,
+one for tau and one for u, each with every snapshot stacked as a
+column; one evaluation gives all snapshots at a point, and time is
+linear between the two that bracket t.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 import struct
@@ -312,24 +318,16 @@ class CharTrace:
     y_or_q: np.ndarray
 
 
-class _Frame:
-    """Periodic cubic-spline view of one snapshot."""
-
-    def __init__(self, grid: Grid, tau: np.ndarray, u: np.ndarray):
-        from scipy.interpolate import CubicSpline  # on use, as quad in bounds
-        xs = np.append(grid.xs, grid.x0 + grid.length)
-        self.tau = CubicSpline(xs, np.append(tau, tau[0]), bc_type="periodic")
-        self.u = CubicSpline(xs, np.append(u, u[0]), bc_type="periodic")
-        self.grid = grid
-
-    def eval(self, x: float, deriv: bool = False):
-        xw = float(self.grid.wrap(x))
-        if deriv:
-            return (
-                float(self.tau(xw)), float(self.u(xw)),
-                float(self.tau(xw, 1)), float(self.u(xw, 1)),
-            )
-        return float(self.tau(xw)), float(self.u(xw))
+def _periodic_spline(grid: Grid, rows: list):
+    """Periodic CubicSpline in x with snapshot row k as column k of y;
+    each column is solved on its own, as a spline of that row alone."""
+    from scipy.interpolate import CubicSpline  # on use, as quad in bounds
+    ys = np.array(rows)
+    return CubicSpline(
+        np.append(grid.xs, grid.x0 + grid.length),
+        np.concatenate((ys, ys[:, :1]), axis=1).T,
+        bc_type="periodic",
+    )
 
 
 def trace_characteristic(
@@ -341,32 +339,30 @@ def trace_characteristic(
     if len(snaps.times) < 2:
         raise TraceError("need at least two snapshots to trace")
     grid, gm, dl = snaps.grid, snaps.gas, snaps.damping
-    frames = [_Frame(grid, tau, u) for tau, u in zip(snaps.taus, snaps.us)]
+    tau_spl = _periodic_spline(grid, snaps.taus)
+    u_spl = _periodic_spline(grid, snaps.us)
     times = snaps.times
     sign = 1.0 if direction is Direction.FORWARD else -1.0
 
     def bracket(t: float):
         """Snapshot interval k holding t and the linear weight of k + 1."""
-        k = int(np.searchsorted(times, t, side="right")) - 1
+        k = bisect.bisect_right(times, t) - 1
         k = min(max(k, 0), len(times) - 2)
         return k, (t - times[k]) / (times[k + 1] - times[k])
 
     def speed(t: float, x: float) -> float:
         k, w = bracket(t)
-        tau_a, _ = frames[k].eval(x)
-        tau_b, _ = frames[k + 1].eval(x)
-        tau = (1.0 - w) * tau_a + w * tau_b
+        taus = tau_spl(float(grid.wrap(x)))
+        tau = (1.0 - w) * float(taus[k]) + w * float(taus[k + 1])
         if tau <= 0.0:
             raise TraceError("interpolated tau became nonpositive on the path")
         return sign * float(core.sound_speed(gm, tau))
 
     def sample(t: float, x: float):
         k, w = bracket(t)
-        va = frames[k].eval(x, deriv=True)
-        vb = frames[k + 1].eval(x, deriv=True)
-        tau, u, taux, ux = (
-            (1.0 - w) * np.array(va) + w * np.array(vb)
-        )
+        xw = float(grid.wrap(x))
+        vals = np.array((tau_spl(xw), u_spl(xw), tau_spl(xw, 1), u_spl(xw, 1)))
+        tau, u, taux, ux = (1.0 - w) * vals[:, k] + w * vals[:, k + 1]
         if tau <= 0.0:
             raise TraceError("interpolated tau became nonpositive on the path")
         phi = float(core.phi_of_tau(gm, tau))
@@ -375,16 +371,11 @@ def trace_characteristic(
         grad = a_w if direction is Direction.FORWARD else b_z
         return phi, float(core.y_variable(gm, dl, phi, grad, t))
 
-    x0w = float(grid.wrap(x_start))
-    ts_out, xs_out, phi_out, val_out = [], [], [], []
-    x = x0w
+    x = float(grid.wrap(x_start))
+    rows = []  # (t, x, phi, y or q) at each snapshot time
     substeps = 4
     for k in range(len(times)):
-        phi, val = sample(times[k], x)
-        ts_out.append(times[k])
-        xs_out.append(float(grid.wrap(x)))
-        phi_out.append(phi)
-        val_out.append(val)
+        rows.append((times[k], float(grid.wrap(x)), *sample(times[k], x)))
         if k == len(times) - 1:
             break
         t_a, t_b = times[k], times[k + 1]
@@ -397,13 +388,7 @@ def trace_characteristic(
             k4 = speed(min(t + h, t_b), x + h * k3)
             x += h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
             t += h
-    return CharTrace(
-        direction=direction,
-        times=np.array(ts_out),
-        xs=np.array(xs_out),
-        phi=np.array(phi_out),
-        y_or_q=np.array(val_out),
-    )
+    return CharTrace(direction, *(np.array(col) for col in zip(*rows)))
 
 
 # ---------------------------------------------------------------------
@@ -432,10 +417,14 @@ def cross_validate_riccati(
     t_knots = trace.times
     phi_knots = trace.phi
 
+    memo = {}  # pure in t; Dormand-Prince stages 6, 7 and the next 1 share a t
+
     def coeff_source(t: float):
-        phi = float(np.interp(t, t_knots, phi_knots))
-        c0, c2 = core.riccati_coefficients(gm, dl, phi, t)
-        return float(c0), float(c2)
+        if t not in memo:
+            phi = float(np.interp(t, t_knots, phi_knots))
+            c0, c2 = core.riccati_coefficients(gm, dl, phi, t)
+            memo[t] = float(c0), float(c2)
+        return memo[t]
 
     # integrate knot to knot so comparison points are hit exactly,
     # never interpolated off the adaptive trajectory
@@ -464,21 +453,25 @@ def cross_validate_riccati(
 # snapshot binary dump
 # ---------------------------------------------------------------------
 
-# magic + int64 n + five float64 parameters (L, gamma, K, alpha, lam)
-_MAGIC = b"SHKL1\x00\x00\x00"
-_HEADER = struct.Struct("<8sq5d")
+# magic + int64 n + five float64 parameters (L, gamma, K, alpha, lam);
+# SHKL2 appends a float64 x0 and is written only for a grid with x0 != 0
+_SHKL1, _SHKL2 = b"SHKL1\x00\x00\x00", b"SHKL2\x00\x00\x00"
+_HEADERS = {_SHKL1: struct.Struct("<8sq5d"), _SHKL2: struct.Struct("<8sq6d")}
+_MAGIC_LEN = 8
 
 
 def write_snapshots(path, snaps: SnapshotStore) -> None:
-    """Binary dump: 56-byte header then one record per snapshot, each a
-    float64 time followed by interleaved per-cell (tau, u) float64."""
+    """Binary dump: 56-byte SHKL1 header (64-byte SHKL2 with x0 when
+    x0 != 0) then one record per snapshot, each a float64 time followed
+    by interleaved per-cell (tau, u) float64."""
     grid, gm, dl = snaps.grid, snaps.gas, snaps.damping
+    head = [grid.n, grid.length, gm.gamma, gm.big_k, dl.alpha, dl.lam]
+    magic = _SHKL1
+    if grid.x0 != 0.0:
+        magic = _SHKL2
+        head.append(grid.x0)
     with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                _MAGIC, grid.n, grid.length, gm.gamma, gm.big_k, dl.alpha, dl.lam
-            )
-        )
+        fh.write(_HEADERS[magic].pack(magic, *head))
         for t, tau, u in zip(snaps.times, snaps.taus, snaps.us):
             rec = np.empty(1 + 2 * grid.n)
             rec[0] = t
@@ -488,15 +481,17 @@ def write_snapshots(path, snaps: SnapshotStore) -> None:
 
 
 def read_snapshots(path) -> SnapshotStore:
-    """Inverse of write_snapshots."""
+    """Inverse of write_snapshots; reads both header versions."""
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise DomainError("snapshot file truncated in header")
-        magic, n, length, gamma, big_k, alpha, lam = _HEADER.unpack(head)
-        if magic != _MAGIC:
+        magic = fh.read(_MAGIC_LEN)
+        header = _HEADERS.get(magic)
+        if header is None:
             raise DomainError("bad snapshot magic")
-        grid = Grid(n=int(n), length=length)
+        head = magic + fh.read(header.size - _MAGIC_LEN)
+        if len(head) != header.size:
+            raise DomainError("snapshot file truncated in header")
+        _, n, length, gamma, big_k, alpha, lam, *x0 = header.unpack(head)
+        grid = Grid(n=int(n), length=length, x0=x0[0] if x0 else 0.0)
         gm = GasModel(gamma=gamma, big_k=big_k)
         dl = DampingLaw(alpha=alpha, lam=lam)
         snaps = SnapshotStore(grid=grid, gas=gm, damping=dl)

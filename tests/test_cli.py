@@ -253,7 +253,8 @@ class TestLogging:
         lines = [r.getMessage() for r in caplog.records if r.name == "shockline"]
         assert len(lines) == 2
         assert re.fullmatch(
-            r"simulate: \d+ steps, dt \S+\.\.\S+, completed at t=0\.3, \S+ s",
+            r"simulate: \d+ steps, dt \S+\.\.\S+, completed at t=0\.3, \S+ s "
+            r"\(build \S+, criteria \S+, run \S+, trace \S+, write \S+\)",
             lines[0],
         )
         assert re.fullmatch(r"sweep: 3 cells, 1 error rows, 1 jobs, \S+ s", lines[1])

@@ -25,7 +25,12 @@ from shockline import (
     tau_of_phi,
     y_variable,
 )
-from shockline.core import log_time_factor, sound_speed_of_phi
+from shockline.core import (
+    _require_positive,
+    checked_log,
+    log_time_factor,
+    sound_speed_of_phi,
+)
 
 # gammas clear of the excluded value 3 and of the gamma -> 1 blow-up
 gammas = st.floats(1.05, 6.0).filter(lambda g: abs(g - 3.0) > 0.05)
@@ -185,3 +190,39 @@ class TestRiccatiCoefficients:
         c0, c2 = riccati_coefficients(gm2, dl, 1.3, 0.7)
         assert c0 == 0.0
         assert c2 > 0.0
+
+
+class TestGuards:
+    """The scalar guards keep one meaning on floats, 0-d arrays and
+    arrays: NaN is neither nonpositive, negative nor over the cap."""
+
+    shapes = [lambda v: v, np.float64, np.array, lambda v: np.array([v, 1.0])]
+
+    @pytest.mark.parametrize("shape", shapes)
+    def test_require_positive(self, shape):
+        _require_positive("x", shape(2.0))
+        _require_positive("x", shape(math.nan))
+        for bad in (0.0, -1.0, -math.inf):
+            with pytest.raises(DomainError):
+                _require_positive("x", shape(bad))
+
+    def test_require_positive_nan_mixed(self):
+        with pytest.raises(DomainError):
+            _require_positive("x", np.array([math.nan, -1.0]))
+        _require_positive("x", np.array([math.nan]))
+
+    @pytest.mark.parametrize("shape", shapes)
+    def test_log_time_factor_rejects_negative_t(self, gm2, dl_const, dl_crit, shape):
+        for dl in (dl_const, dl_crit):
+            log_time_factor(gm2, dl, shape(0.0))
+            with pytest.raises(DomainError):
+                log_time_factor(gm2, dl, shape(-1e-300))
+
+    @pytest.mark.parametrize("shape", shapes)
+    def test_checked_log(self, shape):
+        for ok in (0.0, 700.0, -700.0, math.nan):
+            v = shape(ok)
+            assert checked_log(v) is v
+        for bad in (700.5, -701.0, math.inf):
+            with pytest.raises(RangeError):
+                checked_log(shape(bad))

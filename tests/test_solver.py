@@ -6,9 +6,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from shockline import DampingLaw, DomainError, Grid, RangeError, VacuumError
-from shockline import fields, solver
+from shockline import DampingLaw, DomainError, GasModel, Grid, RangeError, TraceError
+from shockline import VacuumError, core, fields, riccati, solver
 from shockline.fields import ddx4, init_field
 from shockline.solver import (
     BreakdownReport,
@@ -249,6 +251,131 @@ class TestTrace:
         assert rep.deviation <= 0.01
 
 
+def frame_trace(run_output, x_start, direction):
+    """Per-snapshot trace: two periodic CubicSplines per snapshot, each
+    evaluated one scalar at a time; the oracle of the stacked splines."""
+    from scipy.interpolate import CubicSpline
+
+    snaps = run_output.snapshots
+    if len(snaps.times) < 2:
+        raise TraceError("need at least two snapshots to trace")
+    grid, gm, dl = snaps.grid, snaps.gas, snaps.damping
+    knots = np.append(grid.xs, grid.x0 + grid.length)
+
+    def spline(f):
+        return CubicSpline(knots, np.append(f, f[0]), bc_type="periodic")
+
+    frames = [(spline(tau), spline(u)) for tau, u in zip(snaps.taus, snaps.us)]
+    times = snaps.times
+    sign = 1.0 if direction is Direction.FORWARD else -1.0
+
+    def bracket(t):
+        k = int(np.searchsorted(times, t, side="right")) - 1
+        k = min(max(k, 0), len(times) - 2)
+        return k, (t - times[k]) / (times[k + 1] - times[k])
+
+    def speed(t, x):
+        k, w = bracket(t)
+        xw = float(grid.wrap(x))
+        tau = (1.0 - w) * float(frames[k][0](xw)) + w * float(frames[k + 1][0](xw))
+        if tau <= 0.0:
+            raise TraceError("interpolated tau became nonpositive on the path")
+        return sign * float(core.sound_speed(gm, tau))
+
+    def sample(t, x):
+        k, w = bracket(t)
+        xw = float(grid.wrap(x))
+        va, vb = (np.array([float(s(xw)) for s in frames[j]]
+                           + [float(s(xw, 1)) for s in frames[j]]) for j in (k, k + 1))
+        tau, u, taux, ux = (1.0 - w) * va + w * vb
+        if tau <= 0.0:
+            raise TraceError("interpolated tau became nonpositive on the path")
+        phi = float(core.phi_of_tau(gm, tau))
+        a_w, b_z = core.riemann_slopes(float(core.sound_speed(gm, tau)), ux, taux)
+        grad = a_w if direction is Direction.FORWARD else b_z
+        return phi, float(core.y_variable(gm, dl, phi, grad, t))
+
+    x = float(grid.wrap(x_start))
+    out = []
+    for k in range(len(times)):
+        out.append((times[k], float(grid.wrap(x)), *sample(times[k], x)))
+        if k == len(times) - 1:
+            break
+        t_b = times[k + 1]
+        h = (t_b - times[k]) / 4
+        t = times[k]
+        for _ in range(4):
+            k1 = speed(t, x)
+            k2 = speed(t + 0.5 * h, x + 0.5 * h * k1)
+            k3 = speed(t + 0.5 * h, x + 0.5 * h * k2)
+            k4 = speed(min(t + h, t_b), x + h * k3)
+            x += h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            t += h
+    return np.array(out).T
+
+
+def memo_free_riccati(trace, gm, dl):
+    """cross_validate_riccati's knot-to-knot integration, every
+    coefficient evaluated afresh."""
+    def coeff_source(t):
+        c0, c2 = core.riccati_coefficients(
+            gm, dl, float(np.interp(t, trace.times, trace.phi)), t)
+        return float(c0), float(c2)
+
+    y = [float(trace.y_or_q[0])]
+    for t_a, t_b in zip(trace.times[:-1], trace.times[1:]):
+        prob = riccati.RiccatiProblem(coeff_source, y[-1], float(t_a))
+        out = riccati.integrate(prob, float(t_b), tol=1e-10)
+        if out.kind is riccati.OutcomeKind.BLOWUP:
+            raise TraceError("blow-up inside the trace window")
+        y.append(out.y_end)
+    return np.array(y)
+
+
+class TestStackedTrace:
+    @given(
+        n=st.integers(16, 600),
+        x0=st.sampled_from([0.0, 5.0, -2.5]),
+        gamma=st.sampled_from([1.4, 2.0, 5.0]),
+        alpha=st.floats(0.0, 2.0),
+        lam=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        u_amp=st.floats(-6.0, 0.5),
+        t_end=st.floats(0.05, 0.4),
+        x_start=st.floats(-15.0, 25.0),
+    )
+    # cadence 2, x0 != 0, ends in breakdown at t = 0.166
+    @example(n=520, x0=5.0, gamma=2.0, alpha=1.0, lam=0.0, u_amp=-6.0,
+             t_end=0.4, x_start=9.5)
+    @settings(max_examples=12, deadline=None)
+    def test_matches_per_frame_splines(self, n, x0, gamma, alpha, lam, u_amp,
+                                       t_end, x_start):
+        gm, dl = GasModel(gamma, 1.0), DampingLaw(alpha, lam)
+        f = init_field({"preset": "gaussian", "tau0": 1.0, "u_amp": u_amp,
+                        "width": 0.5}, Grid(n=n, length=10.0, x0=x0), gm, dl)
+        try:
+            res = run(f, t_end, monitors_requested=False)
+        except (VacuumError, RangeError):
+            return
+        for direction in Direction:
+            try:
+                expected = frame_trace(res, x_start, direction)
+            except TraceError:
+                with pytest.raises(TraceError):
+                    trace_characteristic(res, x_start, direction)
+                continue
+            tr = trace_characteristic(res, x_start, direction)
+            for got, want in zip((tr.times, tr.xs, tr.phi, tr.y_or_q), expected):
+                assert np.array_equal(got, want)
+            try:
+                y_free = memo_free_riccati(tr, gm, dl)
+            except TraceError:
+                with pytest.raises(TraceError):
+                    cross_validate_riccati(tr, gm, dl, 0.01)
+                continue
+            assert np.array_equal(cross_validate_riccati(tr, gm, dl, 0.01).y_integrated,
+                                  y_free)
+
+
 class TestSnapshotIO:
     def test_roundtrip(self, sine_field, tmp_path):
         res = run(sine_field, 0.3, monitors_requested=False)
@@ -271,6 +398,38 @@ class TestSnapshotIO:
         assert raw[:8] == b"SHKL1\x00\x00\x00"
         n = sine_field.grid.n
         assert (len(raw) - 56) % (8 * (1 + 2 * n)) == 0
+
+    def test_roundtrip_x0(self, gm2, dl_const, tmp_path):
+        grid = Grid(n=64, length=10.0, x0=5.0)
+        f = init_field({"preset": "sine", "tau0": 1.0, "u_amp": -0.2}, grid, gm2,
+                       dl_const)
+        res = run(f, 0.2, monitors_requested=False)
+        path = tmp_path / "snaps.bin"
+        write_snapshots(path, res.snapshots)
+        raw = path.read_bytes()
+        assert raw[:8] == b"SHKL2\x00\x00\x00"
+        assert (len(raw) - 64) % (8 * (1 + 2 * 64)) == 0
+        back = read_snapshots(path)
+        assert back.grid == grid
+        assert back.times == res.snapshots.times
+        for a, b in zip(back.taus + back.us, res.snapshots.taus + res.snapshots.us):
+            assert np.array_equal(a, b)
+        # a trace from the reloaded store starts where the original does
+        reloaded = solver.RunResult(res.outcome, res.monitors, back)
+        for d in Direction:
+            assert np.array_equal(trace_characteristic(reloaded, 7.0, d).xs,
+                                  trace_characteristic(res, 7.0, d).xs)
+
+    @pytest.mark.parametrize("size", [0, 5, 8, 40, 60])
+    def test_truncated_file(self, sine_field, tmp_path, size):
+        res = run(sine_field, 0.1, monitors_requested=False)
+        for x0 in (0.0, 5.0):
+            res.snapshots.grid = Grid(n=128, length=10.0, x0=x0)
+            path = tmp_path / "snaps.bin"
+            write_snapshots(path, res.snapshots)
+            path.write_bytes(path.read_bytes()[:size])
+            with pytest.raises(DomainError):
+                read_snapshots(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
