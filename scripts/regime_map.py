@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from shockline import DampingLaw, GasModel
-from shockline.criteria import classify_regime
+from shockline.core import classify_regime
 
 
 def main():

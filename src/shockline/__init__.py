@@ -20,8 +20,13 @@ from .bounds import (
 from .core import (
     Branch,
     DampingLaw,
+    GammaSide,
     GasModel,
+    LambdaSide,
     PointState,
+    Regime,
+    Theorem,
+    classify_regime,
     derive_constants,
     phi_of_tau,
     pressure,
@@ -34,16 +39,11 @@ from .core import (
     y_variable,
 )
 from .criteria import (
-    GammaSide,
-    LambdaSide,
-    Regime,
-    Theorem,
     Verdict,
     check_theorem_31,
     check_theorem_32,
     check_theorem_41,
     check_theorem_42,
-    classify_regime,
     evaluate,
 )
 from .errors import (

@@ -2,21 +2,41 @@
 
 Invariant-region constant for certified initial data, the Y/Q ceilings
 on the decoupled gradient variables, the time-dependent density floor
-for 1 < gamma < 3 (both damping branches), and the blow-up threshold
-constants N and N1 for gamma > 3.
+for 1 < gamma < 3 off the lambda gap (both damping branches), and the
+blow-up threshold constants N and N1 for gamma > 3.  Regime hypotheses
+are decided by core.classify_regime.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import core
-from .core import Branch, DampingLaw, GasModel
-from .errors import DomainError, RangeError, RegimeError
+from .core import Branch, DampingLaw, GasModel, LambdaSide, Theorem
+from .errors import DomainError, RangeError
 from .fields import FieldState
+
+
+def _in_double_range(fn):
+    """Make fn raise RangeError where its float arithmetic overflows,
+    divides by zero or ends in inf or nan; finite results pass as is."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            val = fn(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as e:
+            raise RangeError(f"{fn.__name__} leaves double-precision range "
+                             f"({type(e).__name__})") from e
+        if not math.isfinite(val):
+            raise RangeError(f"{fn.__name__} leaves double-precision range ({val})")
+        return val
+
+    return checked
 
 
 @dataclass(frozen=True)
@@ -76,24 +96,13 @@ def riccati_ceilings(field: FieldState) -> RiccatiCeilings:
     return RiccatiCeilings(y_cap=y_cap, q_cap=q_cap)
 
 
-def _require_sub_gamma(gm: GasModel):
-    if not (1.0 < gm.gamma < 3.0):
-        raise DomainError(
-            f"density floor requires 1 < gamma < 3, got gamma={gm.gamma}"
-        )
-
-
 def _require_floor_regime(gm: GasModel, dl: DampingLaw):
-    _require_sub_gamma(gm)
-    if dl.branch is Branch.GENERIC:
-        threshold = dl.alpha * (gm.gamma - 1.0) / (gm.gamma - 3.0)
-        if not (dl.lam >= threshold):
-            raise DomainError(
-                "density floor (generic branch) requires "
-                f"lambda >= alpha(g-1)/(g-3) = {threshold:.6g}, got {dl.lam}"
-            )
+    if not core.classify_regime(gm, dl).has_density_floor:
+        raise DomainError("density floor requires the T3_2 or T4_2 regime "
+                          "(1 < gamma < 3, off the lambda gap)")
 
 
+@_in_double_range
 def density_floor_constant(
     gm: GasModel, dl: DampingLaw, ceilings: RiccatiCeilings
 ) -> float:
@@ -109,6 +118,7 @@ def density_floor_constant(
     return bracket ** (-4.0 / (3.0 - g))
 
 
+@_in_double_range
 def density_floor(
     gm: GasModel,
     dl: DampingLaw,
@@ -163,6 +173,7 @@ def initial_phi_term_sup(field: FieldState) -> float:
     return float(np.max(field.phi() ** core.p_lo(field.gas)))
 
 
+@_in_double_range
 def density_floor_onset(
     gm: GasModel,
     dl: DampingLaw,
@@ -268,50 +279,35 @@ def k3_constant(gm: GasModel, dl: DampingLaw) -> float:
     )
 
 
+@_in_double_range
 def threshold_N(gm: GasModel, dl: DampingLaw, ib: InitialBound) -> float:
     """Blow-up threshold N for gamma > 3 and lambda outside the gap
-    between 1 and alpha(g-1)/(g-3).
+    between 1 and alpha(g-1)/(g-3) (the T3_1 regime).
 
     lambda < min{1, a(g-1)/(g-3)}:  N = 1/(K1*K2).
     lambda > max{1, a(g-1)/(g-3)}:  N = K4 = sqrt(K3 * c0_tilde**((g-3)/2)
                                                   * lambda * (g-3)).
-    Raises RegimeError inside the gap and on its boundary curves.
+    Raises RegimeError outside the T3_1 regime.
     """
+    regime = core.require_theorem(gm, dl, Theorem.T3_1, "threshold N")
     g, a, lam = gm.gamma, dl.alpha, dl.lam
-    if not (g > 3.0):
-        raise RegimeError(f"threshold N requires gamma > 3, got {g}")
-    ratio = a * (g - 1.0) / (g - 3.0)
-    lo, hi = min(1.0, ratio), max(1.0, ratio)
-    if lam < lo:
+    if regime.lambda_side is LambdaSide.GENERIC_LOW:
         if a == 0.0:
             return 0.0
         k1 = k1_constant(gm, ib)
         k2 = k2_closed_form(gm, dl) if lam >= 0.0 else k2_integral(gm, dl)
         return 1.0 / (k1 * k2)
-    if lam > hi:
-        k3 = k3_constant(gm, dl)
-        return math.sqrt(k3 * ib.c0_tilde ** ((g - 3.0) / 2.0) * lam * (g - 3.0))
-    raise RegimeError(
-        f"lambda = {lam} is inside the gap [{lo:.6g}, {hi:.6g}] "
-        "where no blow-up threshold is available"
-    )
+    k3 = k3_constant(gm, dl)
+    return math.sqrt(k3 * ib.c0_tilde ** ((g - 3.0) / 2.0) * lam * (g - 3.0))
 
 
+@_in_double_range
 def threshold_N1(gm: GasModel, dl: DampingLaw, ib: InitialBound) -> float:
-    """Blow-up threshold N1 for the critical branch (lambda = 1,
-    gamma > 3, alpha >= (g-3)/(g-1)): N1 = 1/(K1*K5) with
-    K5 = 2(g-3)/(a(3g-1) - 2(g-3))."""
+    """Blow-up threshold N1 for the critical branch (the T4_1 regime:
+    lambda = 1, gamma > 3, alpha >= (g-3)/(g-1)): N1 = 1/(K1*K5) with
+    K5 = 2(g-3)/(a(3g-1) - 2(g-3)), whose denominator is positive
+    there.  Raises RegimeError outside the T4_1 regime."""
+    core.require_theorem(gm, dl, Theorem.T4_1, "threshold N1")
     g, a = gm.gamma, dl.alpha
-    if not (g > 3.0):
-        raise RegimeError(f"threshold N1 requires gamma > 3, got {g}")
-    if dl.branch is not Branch.CRITICAL:
-        raise RegimeError("threshold N1 requires lambda = 1 exactly")
-    if not (a >= (g - 3.0) / (g - 1.0)):
-        raise RegimeError(
-            f"threshold N1 requires alpha >= (g-3)/(g-1) = {(g - 3.0) / (g - 1.0):.6g}"
-        )
-    denom = a * (3.0 * g - 1.0) - 2.0 * (g - 3.0)
-    if not (denom > 0.0):
-        raise RegimeError("threshold N1 requires alpha(3g-1) > 2(g-3)")
-    k5 = 2.0 * (g - 3.0) / denom
+    k5 = 2.0 * (g - 3.0) / (a * (3.0 * g - 1.0) - 2.0 * (g - 3.0))
     return 1.0 / (k1_constant(gm, ib) * k5)

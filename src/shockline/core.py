@@ -3,7 +3,9 @@
 Pressure law, the integrated sound-speed variable phi, derived gas
 constants, Riemann invariants, the gradient variables y/q that decouple
 the characteristic ODEs, and the Riccati coefficients for both damping
-branches (decay exponent != 1 and == 1).
+branches (decay exponent != 1 and == 1); also the regime map over
+(alpha, lambda, gamma), the hypothesis of every blow-up criterion,
+threshold and density floor.
 
 All functions accept scalars or numpy arrays in the field slots and are
 pure; every type here is an immutable value.
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, RegimeError
 
 # Largest |log| we are willing to exponentiate before declaring overflow.
 _LOG_CAP = 700.0
@@ -95,6 +97,81 @@ class DampingLaw:
             raise DomainError(f"lambda must be finite, got {self.lam}")
         branch = Branch.CRITICAL if self.lam == 1.0 else Branch.GENERIC
         object.__setattr__(self, "branch", branch)
+
+
+class GammaSide(enum.Enum):
+    SUB = "sub"      # 1 < gamma < 3
+    SUPER = "super"  # gamma > 3
+
+
+class LambdaSide(enum.Enum):
+    GENERIC_LOW = "generic_low"
+    GENERIC_HIGH = "generic_high"
+    GENERIC_GAP = "generic_gap"
+    CRITICAL = "critical"
+
+
+class Theorem(enum.Enum):
+    T3_1 = "T3_1"
+    T3_2 = "T3_2"
+    T4_1 = "T4_1"
+    T4_2 = "T4_2"
+    NONE = "NONE"
+
+
+@dataclass(frozen=True)
+class Regime:
+    gamma_side: GammaSide
+    lambda_side: LambdaSide
+    applicable_theorem: Theorem
+
+    @property
+    def has_density_floor(self) -> bool:
+        """The density floor shares the hypothesis of the sub-gamma
+        criteria: 1 < gamma < 3, off the lambda gap."""
+        return self.applicable_theorem in (Theorem.T3_2, Theorem.T4_2)
+
+
+def classify_regime(gm: GasModel, dl: DampingLaw) -> Regime:
+    """Deterministic partition of the (alpha, lambda, gamma) space.
+
+    For gamma > 3 the open interval between 1 and alpha(g-1)/(g-3)
+    (boundaries included, except lambda = 1 itself) has no applicable
+    theorem; for 1 < gamma < 3 the same holds for
+    lambda < alpha(g-1)/(g-3).  Constant damping (lambda = 0) rides the
+    generic machinery.
+    """
+    g = gm.gamma
+    ratio = dl.alpha * (g - 1.0) / (g - 3.0)
+    if g > 3.0:
+        if dl.branch is Branch.CRITICAL:
+            theorem = Theorem.T4_1 if ratio >= 1.0 else Theorem.NONE
+            return Regime(GammaSide.SUPER, LambdaSide.CRITICAL, theorem)
+        lo, hi = min(1.0, ratio), max(1.0, ratio)
+        if dl.lam < lo:
+            return Regime(GammaSide.SUPER, LambdaSide.GENERIC_LOW, Theorem.T3_1)
+        if dl.lam > hi:
+            return Regime(GammaSide.SUPER, LambdaSide.GENERIC_HIGH, Theorem.T3_1)
+        return Regime(GammaSide.SUPER, LambdaSide.GENERIC_GAP, Theorem.NONE)
+    # 1 < gamma < 3 (gamma == 3 cannot construct a GasModel)
+    if dl.branch is Branch.CRITICAL:
+        return Regime(GammaSide.SUB, LambdaSide.CRITICAL, Theorem.T4_2)
+    if dl.lam < ratio:
+        return Regime(GammaSide.SUB, LambdaSide.GENERIC_GAP, Theorem.NONE)
+    side = LambdaSide.GENERIC_HIGH if dl.lam > 1.0 else LambdaSide.GENERIC_LOW
+    return Regime(GammaSide.SUB, side, Theorem.T3_2)
+
+
+def require_theorem(gm: GasModel, dl: DampingLaw, theorem: Theorem, what: str) -> Regime:
+    """The regime of (gm, dl); RegimeError naming `what` unless its
+    applicable theorem is `theorem`."""
+    regime = classify_regime(gm, dl)
+    if regime.applicable_theorem is not theorem:
+        raise RegimeError(
+            f"{what} requires the {theorem.value} regime, got "
+            f"{regime.gamma_side.value}/{regime.lambda_side.value}"
+        )
+    return regime
 
 
 @dataclass(frozen=True)
@@ -192,9 +269,14 @@ def log_time_factor(gm: GasModel, dl: DampingLaw, t):
 
 def checked_log(log_val):
     """log_val unchanged, after checking that its exponential stays in
-    double-precision range; RangeError otherwise."""
-    magnitude = float(np.abs(log_val).max())
-    if magnitude > _LOG_CAP:
+    double-precision range; RangeError if any entry is over the cap (a
+    NaN entry is not, and passes)."""
+    if isinstance(log_val, float):  # scalars, np.float64 too, skip numpy
+        over = abs(log_val) > _LOG_CAP
+    else:
+        over = (np.abs(log_val) > _LOG_CAP).any()
+    if over:
+        magnitude = float(np.nanmax(np.abs(log_val)))
         raise RangeError(
             f"exponent of magnitude {magnitude:.6g} exceeds double-precision "
             f"range (|log| > {_LOG_CAP:g})"
@@ -202,7 +284,7 @@ def checked_log(log_val):
     return log_val
 
 
-def _checked_exp(log_val):
+def checked_exp(log_val):
     return np.exp(checked_log(log_val))
 
 
@@ -226,7 +308,7 @@ def y_variable(gm: GasModel, dl: DampingLaw, phi, grad, t):
     g, a, lam = gm.gamma, dl.alpha, dl.lam
     shift = a * (g - 1.0) / (gm.k_c * (g - 3.0) * (1.0 + t) ** lam)
     tilde = phi ** p_hi(gm) * grad - shift * phi ** p_lo(gm)
-    return tilde * _checked_exp(log_time_factor(gm, dl, t))
+    return tilde * checked_exp(log_time_factor(gm, dl, t))
 
 
 # q has the same body as y, with B = z_x in the gradient slot
@@ -246,7 +328,7 @@ def riccati_coefficients(gm: GasModel, dl: DampingLaw, phi, t):
     _require_positive("phi", phi)
     g, a, lam = gm.gamma, dl.alpha, dl.lam
     log_mu = log_time_factor(gm, dl, t)
-    mu = _checked_exp(log_mu)
+    mu = checked_exp(log_mu)
     num0 = (
         lam * a * (g - 1.0) * (g - 3.0) * (1.0 + t) ** (lam - 1.0)
         - a * a * (g - 1.0) ** 2

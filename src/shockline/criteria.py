@@ -1,5 +1,5 @@
-"""Blow-up criteria: regime classification and pointwise hypothesis
-checks on sampled initial data, producing an auditable Verdict.
+"""Blow-up criteria: pointwise hypothesis checks on sampled initial
+data, routed by the regime map of core, producing an auditable Verdict.
 
 Four sufficient conditions are implemented, split by adiabatic exponent
 (gamma above or below 3) and by damping branch (decay exponent equal to
@@ -10,7 +10,6 @@ kept consistent with the sign of the decoupled gradient variables.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,39 +17,21 @@ import numpy as np
 
 from . import bounds, core
 from .bounds import InitialBound
-from .core import Branch, DampingLaw, GasModel
-from .errors import DomainError, RegimeError
+# the regime map lives in core (bounds needs it too) and is re-exported here
+from .core import (
+    DampingLaw,
+    GammaSide,
+    GasModel,
+    LambdaSide,
+    Regime,
+    Theorem,
+    classify_regime,
+)
+from .errors import DomainError
 from .fields import FieldState
 
 # strict-inequality margin: floating-point ties must not flip verdicts
 _MARGIN = 1e-12
-
-
-class GammaSide(enum.Enum):
-    SUB = "sub"      # 1 < gamma < 3
-    SUPER = "super"  # gamma > 3
-
-
-class LambdaSide(enum.Enum):
-    GENERIC_LOW = "generic_low"
-    GENERIC_HIGH = "generic_high"
-    GENERIC_GAP = "generic_gap"
-    CRITICAL = "critical"
-
-
-class Theorem(enum.Enum):
-    T3_1 = "T3_1"
-    T3_2 = "T3_2"
-    T4_1 = "T4_1"
-    T4_2 = "T4_2"
-    NONE = "NONE"
-
-
-@dataclass(frozen=True)
-class Regime:
-    gamma_side: GammaSide
-    lambda_side: LambdaSide
-    applicable_theorem: Theorem
 
 
 @dataclass(frozen=True)
@@ -82,36 +63,6 @@ class Verdict:
             rhs=d["rhs"],
             threshold=float(d["threshold"]),
         )
-
-
-def classify_regime(gm: GasModel, dl: DampingLaw) -> Regime:
-    """Deterministic partition of the (alpha, lambda, gamma) space.
-
-    For gamma > 3 the open interval between 1 and alpha(g-1)/(g-3)
-    (boundaries included, except lambda = 1 itself) has no applicable
-    theorem; for 1 < gamma < 3 the same holds for
-    lambda < alpha(g-1)/(g-3).  Constant damping (lambda = 0) rides the
-    generic machinery.
-    """
-    g = gm.gamma
-    ratio = dl.alpha * (g - 1.0) / (g - 3.0)
-    if g > 3.0:
-        if dl.branch is Branch.CRITICAL:
-            theorem = Theorem.T4_1 if ratio >= 1.0 else Theorem.NONE
-            return Regime(GammaSide.SUPER, LambdaSide.CRITICAL, theorem)
-        lo, hi = min(1.0, ratio), max(1.0, ratio)
-        if dl.lam < lo:
-            return Regime(GammaSide.SUPER, LambdaSide.GENERIC_LOW, Theorem.T3_1)
-        if dl.lam > hi:
-            return Regime(GammaSide.SUPER, LambdaSide.GENERIC_HIGH, Theorem.T3_1)
-        return Regime(GammaSide.SUPER, LambdaSide.GENERIC_GAP, Theorem.NONE)
-    # 1 < gamma < 3 (gamma == 3 cannot construct a GasModel)
-    if dl.branch is Branch.CRITICAL:
-        return Regime(GammaSide.SUB, LambdaSide.CRITICAL, Theorem.T4_2)
-    if dl.lam < ratio:
-        return Regime(GammaSide.SUB, LambdaSide.GENERIC_GAP, Theorem.NONE)
-    side = LambdaSide.GENERIC_HIGH if dl.lam > 1.0 else LambdaSide.GENERIC_LOW
-    return Regime(GammaSide.SUB, side, Theorem.T3_2)
 
 
 def _scan(field: FieldState, rhs, theorem: Theorem, threshold: float):
@@ -151,7 +102,7 @@ def _assert_sign_consistency(field: FieldState, rhs: np.ndarray):
     every grid point; this ties the theorem form to the decoupled
     gradient variables."""
     lhs_a, lhs_b = field.slopes()
-    factor = field.phi() ** core.p_hi(field.gas) * np.exp(
+    factor = field.phi() ** core.p_hi(field.gas) * core.checked_exp(
         core.log_time_factor(field.gas, field.damping, field.t)
     )
     for lhs, grad_val in ((lhs_a, field.y()), (lhs_b, field.q())):
@@ -161,16 +112,16 @@ def _assert_sign_consistency(field: FieldState, rhs: np.ndarray):
             raise DomainError("slope form and y/q sign form disagree")
 
 
-# Each theorem: its regime hypothesis and its blow-up threshold constant.
-# The gamma > 3 criteria (threshold N or N1) compare the slopes with
+# Each theorem's blow-up threshold constant.  The gamma > 3 criteria
+# (threshold N or N1) compare the slopes with
 #   Kt1 * phi**(-2/(g-1)) - N * exp(-log_time_factor(0)) * phi**(-(g+1)/(2(g-1)))
 # on certified data; the 1 < gamma < 3 criteria (no threshold) drop the
 # second term, which makes them sign conditions on y and q.
 _CRITERIA = {
-    Theorem.T3_1: ("gamma > 3, lambda != 1, outside the gap", bounds.threshold_N),
-    Theorem.T3_2: ("1 < gamma < 3, lambda != 1, above the gap", None),
-    Theorem.T4_1: ("gamma > 3, lambda = 1, alpha >= (g-3)/(g-1)", bounds.threshold_N1),
-    Theorem.T4_2: ("1 < gamma < 3, lambda = 1", None),
+    Theorem.T3_1: bounds.threshold_N,
+    Theorem.T3_2: None,
+    Theorem.T4_1: bounds.threshold_N1,
+    Theorem.T4_2: None,
 }
 
 
@@ -179,10 +130,9 @@ def _check(
     ib: Optional[InitialBound] = None,
 ) -> Verdict:
     """The one checker body behind the four check_theorem_* entry points."""
-    hypothesis, threshold_fn = _CRITERIA[theorem]
+    threshold_fn = _CRITERIA[theorem]
     _require_t0(field)
-    if classify_regime(gm, dl).applicable_theorem is not theorem:
-        raise RegimeError(f"theorem for {hypothesis}")
+    core.require_theorem(gm, dl, theorem, f"criterion {theorem.value}")
     g = gm.gamma
     phi = field.phi()
     kt1 = dl.alpha * (g - 1.0) / (gm.k_c * (g - 3.0))
@@ -236,19 +186,16 @@ def evaluate(
 ) -> Verdict:
     """Route the field through the applicable theorem checker.
 
-    Regimes with no applicable theorem (and RegimeError from threshold
-    computation) yield a non-firing NONE verdict.  When ib is omitted a
-    certified bound is derived from the field itself.
+    Regimes with no applicable theorem yield a non-firing NONE verdict.
+    When ib is omitted a certified bound is derived from the field
+    itself.
     """
     _require_t0(field)
-    regime = classify_regime(gm, dl)
+    theorem = classify_regime(gm, dl).applicable_theorem
     if ib is None:
         ib = bounds.certified_initial_bound(field)
-    if regime.applicable_theorem in _CRITERIA:
-        try:
-            return _check(regime.applicable_theorem, field, gm, dl, ib)
-        except RegimeError:
-            pass
+    if theorem in _CRITERIA:
+        return _check(theorem, field, gm, dl, ib)
     return Verdict(
         fired=False, theorem=Theorem.NONE, witness_x=None, lhs=None, rhs=None,
         threshold=0.0,

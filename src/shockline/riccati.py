@@ -206,25 +206,18 @@ def _crossing_time(
     prob: RiccatiProblem,
     target: float,
     t_max: float,
-    check_c0_nonpositive: bool,
-    ratio_guard: Optional[Callable[[float], bool]] = None,
+    hypothesis: Callable[[float, float, float], None],
 ) -> float:
     """First t with int_{t0}^{t} c2 ds >= target, by windowed quadrature
-    and bisection inside the crossing window."""
+    and bisection inside the crossing window.  hypothesis(t, c0, c2) is
+    called at both ends of every window and raises HypothesisError where
+    the bound's hypothesis fails."""
     from scipy.integrate import quad  # imported on use: scipy dominates import time
     t, acc = prob.t0, 0.0
-    sup_ratio = 0.0
     while t < t_max:
         dt = min(max(0.05, 0.05 * max(t, 1.0)), t_max - t)
         for probe in (t, t + dt):
-            c0, c2 = prob.coeffs(probe)
-            if check_c0_nonpositive and c0 > 0.0:
-                raise HypothesisError(f"c0(t={probe:.6g}) = {c0:.6g} is positive")
-            sup_ratio = max(sup_ratio, math.sqrt(max(c0, 0.0) / c2))
-            if ratio_guard is not None and ratio_guard(sup_ratio):
-                raise HypothesisError(
-                    "initial value does not clear -(1+eps)*sup sqrt(c0/c2)"
-                )
+            hypothesis(probe, *prob.coeffs(probe))
         inc, _ = quad(lambda s: prob.coeffs(s)[1], t, t + dt, epsrel=1e-11, limit=200)
         if acc + inc >= target:
             lo, hi = t, t + dt
@@ -245,77 +238,46 @@ def _crossing_time(
     )
 
 
-def blowup_time_upper_bound_case1(
-    prob: RiccatiProblem,
-    a2_integral: Optional[Callable[[float], float]] = None,
-    t_max: float = 1e4,
-) -> float:
+def blowup_time_upper_bound_case1(prob: RiccatiProblem, t_max: float = 1e4) -> float:
     """Upper bound on the blow-up time when c0 <= 0 and y0 < 0: the
-    first t with int c2 >= -1/y0.
+    first t with int c2 >= -1/y0, the integral computed by quadrature.
 
-    a2_integral, if given, must return the cumulative integral of c2
-    from t0; otherwise the integral is computed by quadrature.  Raises
-    NoBoundError if the threshold is never reached before t_max.
+    The sign of c0 is checked along the quadrature windows; a positive
+    c0 raises HypothesisError.  Raises NoBoundError if the threshold is
+    never reached before t_max.
     """
     if not (prob.y0 < 0.0):
         raise HypothesisError(f"case-1 bound needs y0 < 0, got {prob.y0}")
-    target = -1.0 / prob.y0
-    if a2_integral is not None:
-        return _crossing_from_callable(prob, a2_integral, target, t_max)
-    return _crossing_time(prob, target, t_max, check_c0_nonpositive=True)
+
+    def c0_nonpositive(t, c0, c2):
+        if c0 > 0.0:
+            raise HypothesisError(f"c0(t={t:.6g}) = {c0:.6g} is positive")
+
+    return _crossing_time(prob, -1.0 / prob.y0, t_max, c0_nonpositive)
 
 
 def blowup_time_upper_bound_case2(
-    prob: RiccatiProblem,
-    eps: float,
-    a2_integral: Optional[Callable[[float], float]] = None,
-    t_max: float = 1e4,
+    prob: RiccatiProblem, eps: float, t_max: float = 1e4
 ) -> float:
     """Upper bound allowing c0 > 0, for y0 < -(1+eps)*sup sqrt(c0/c2):
     the first t with (1 - 1/(1+eps)**2) * int c2 >= -1/y0.
 
-    The sup of sqrt(c0/c2) is sampled along the quadrature windows; a
-    violation of the hypothesis raises HypothesisError.
+    sqrt(c0/c2) is sampled along the quadrature windows; a violation of
+    the hypothesis raises HypothesisError.
     """
     if not (eps > 0.0):
         raise DomainError(f"eps must be positive, got {eps}")
     if not (prob.y0 < 0.0):
         raise HypothesisError(f"case-2 bound needs y0 < 0, got {prob.y0}")
     deflation = 1.0 - 1.0 / (1.0 + eps) ** 2
-    target = (-1.0 / prob.y0) / deflation
 
-    def guard(sup_ratio):
-        return prob.y0 >= -(1.0 + eps) * sup_ratio
+    def clears_ratio(t, c0, c2):
+        if prob.y0 >= -(1.0 + eps) * math.sqrt(max(c0, 0.0) / c2):
+            raise HypothesisError(
+                "initial value does not clear -(1+eps)*sup sqrt(c0/c2)"
+            )
 
-    if a2_integral is not None:
-        # hypothesis check against a coarse sample of the coefficients
-        for probe in np.linspace(prob.t0, min(t_max, prob.t0 + 100.0), 101):
-            c0, c2 = prob.coeffs(float(probe))
-            if guard(math.sqrt(max(c0, 0.0) / c2)):
-                raise HypothesisError(
-                    "initial value does not clear -(1+eps)*sup sqrt(c0/c2)"
-                )
-        return _crossing_from_callable(prob, a2_integral, target, t_max)
-    return _crossing_time(
-        prob, target, t_max, check_c0_nonpositive=False, ratio_guard=guard
-    )
-
-
-def _crossing_from_callable(prob, a2_integral, target, t_max):
-    """Monotone bisection on a caller-supplied cumulative integral."""
-    if a2_integral(t_max) < target:
-        raise NoBoundError(
-            f"supplied integral reaches only {a2_integral(t_max):.6g} "
-            f"< {target:.6g} by t={t_max:.6g}"
-        )
-    lo, hi = prob.t0, t_max
-    while hi - lo > 1e-12 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if a2_integral(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _crossing_time(prob, (-1.0 / prob.y0) / deflation, t_max, clears_ratio)
 
 
 # ---------------------------------------------------------------------

@@ -140,12 +140,12 @@ def _prepare_audits(field: FieldState) -> _Audits:
     c0_tilde = bounds.certified_initial_bound(field).c0_tilde
     ceilings = bounds.riccati_ceilings(field)
     floor = None
-    if 1.0 < gm.gamma < 3.0:
+    if core.classify_regime(gm, dl).has_density_floor:
         try:
             floor = bounds.make_density_floor(
                 gm, dl, ceilings, bounds.initial_phi_term_sup(field)
             )
-        except (DomainError, RangeError):
+        except RangeError:
             pass
     return _Audits(c0_tilde, ceilings, ceiling_regime_holds(gm, dl), floor)
 

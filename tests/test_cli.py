@@ -1,12 +1,17 @@
 """CLI verbs, config validation, emission formats, sweeps."""
 
+import contextlib
+import io
 import json
 import logging
+import math
 import re
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shockline import Verdict, solver
 from shockline.cli import (
@@ -123,6 +128,18 @@ class TestSimulate:
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
         assert "density floor" not in (out / "summary.txt").read_text()
+
+    def test_no_floor_line_in_sub_gamma_gap(self, tmp_path):
+        # lambda = -2 < alpha(g-1)/(g-3) = -1: the floor hypothesis fails,
+        # so there is no t_min and no floor audit to report
+        cfg_d = json.loads(json.dumps(BASE))
+        cfg_d["damping"]["lambda"] = -2.0
+        cfg = write_cfg(tmp_path, cfg_d)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        summary = (out / "summary.txt").read_text()
+        assert "regime: sub/generic_gap theorem=NONE" in summary
+        assert "density floor" not in summary
 
     def test_breakdown_is_success(self, tmp_path):
         cfg_d = json.loads(json.dumps(BASE))
@@ -264,3 +281,63 @@ class TestLogging:
         monkeypatch.setenv("SHOCKLINE_LOG", "chatty")
         assert main(["validate", "--config", write_cfg(tmp_path, BASE)]) == EXIT_OK
         assert logging.getLogger("shockline").level == logging.WARNING
+
+
+def _run_verb(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+class TestExitCodeContract:
+    """Every input ends in exit 0, 2 or 3, and a failure writes exactly
+    one JSON line to stderr: no traceback escapes `check` or `simulate`."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gamma=st.one_of(
+            st.floats(1.01, 2.99), st.floats(3.01, 60.0),
+            st.sampled_from([2.9999999, 3.0000001]),
+        ),
+        big_k=_log_uniform(-8.0, 8.0),
+        alpha=st.one_of(st.just(0.0), _log_uniform(-300.0, 300.0)),
+        lam=st.one_of(
+            st.floats(-60.0, 60.0), st.sampled_from([1.0, 1.0 - 1e-6, 1.0 + 1e-6]),
+        ),
+        u_amp=st.floats(-4.0, 0.5),
+    )
+    # overflow and division by zero in the bounds arithmetic
+    @example(gamma=50.0, big_k=1.0, alpha=1e300, lam=1.0, u_amp=-2.0)
+    @example(gamma=50.0, big_k=1.0, alpha=1e-300, lam=50.0, u_amp=-4.0)
+    @example(gamma=3.0000001, big_k=1e8, alpha=700.0, lam=-50.0, u_amp=0.0)
+    @example(gamma=2.9999999, big_k=1e8, alpha=1e-300, lam=1.000001, u_amp=0.0)
+    @example(gamma=2.9999999, big_k=1e-8, alpha=700.0, lam=1.0, u_amp=0.0)
+    @example(gamma=2.9999999, big_k=1e-8, alpha=4.0, lam=1.0, u_amp=0.0)
+    def test_check_and_simulate(self, tmp_path_factory, gamma, big_k, alpha, lam, u_amp):
+        # t_end is cut to about 200 CFL steps at the sound speed of
+        # tau = 1 so that stiff gases stay cheap; the audits are prepared
+        # before the first step whatever t_end is
+        t_end = min(0.05, 12.0 / math.sqrt(big_k * gamma))
+        cfg = {
+            "gas": {"gamma": gamma, "big_k": big_k},
+            "damping": {"alpha": alpha, "lambda": lam},
+            "grid": {"n": 32, "L": 5.0},
+            "profile": {"preset": "sine", "tau0": 1.0, "u_amp": u_amp},
+            "run": {"t_end": t_end},
+        }
+        tmp = tmp_path_factory.mktemp("contract")
+        path = write_cfg(tmp, cfg)
+        for argv in (["check", "--config", path],
+                     ["simulate", "--config", path, "--out", str(tmp / "out")]):
+            code, err = _run_verb(argv)
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME)
+            if code == EXIT_OK:
+                assert err == ""
+            else:
+                assert err.count("\n") == 1 and err.endswith("\n")
+                assert set(json.loads(err)) == {"error", "message"}

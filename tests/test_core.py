@@ -226,3 +226,6 @@ class TestGuards:
         for bad in (700.5, -701.0, math.inf):
             with pytest.raises(RangeError):
                 checked_log(shape(bad))
+        # a NaN entry must not hide an over-cap entry next to it
+        with pytest.raises(RangeError, match="800"):
+            checked_log(np.array([math.nan, 800.0]))

@@ -151,7 +151,8 @@ class TestUpperBounds:
 
     def test_case1_supplied_integral(self):
         prob = const_problem(0.0, 2.0, -1.0)
-        bound = blowup_time_upper_bound_case1(prob, a2_integral=lambda t: 2.0 * t)
+        # int_0^t c2 = 2t reaches -1/y0 = 1 at t = 0.5, found by quadrature
+        bound = blowup_time_upper_bound_case1(prob)
         assert math.isclose(bound, 0.5, rel_tol=1e-9)
 
     def test_case2_frozen_example(self):
