@@ -235,16 +235,30 @@ def summary_text(scn: dict, verdict: criteria.Verdict, result) -> str:
         if mon.ceiling_ok is not None:
             lines.append(_audit("ceiling", mon.ceiling_ok, mon.ceiling_violation_t))
         if regime.has_density_floor:
-            lines.append(
-                "density floor audit: not exercised (run ended before t_min)"
-                if mon.floor_ok is None
-                else _audit("density floor", mon.floor_ok, mon.floor_violation_t)
-            )
+            lines.append(_floor_audit(mon))
     return "\n".join(lines) + "\n"
 
 
 def _audit(name: str, ok, violation_t) -> str:
     return f"{name} audit: " + ("ok" if ok else f"violated at t={_fmt(violation_t)}")
+
+
+def _floor_audit(mon: solver.Monitors) -> str:
+    """The density floor line: whether the floor existed, was reached
+    and stayed in double range, then the audit itself."""
+    if mon.floor_t_min is None:
+        return ("density floor audit: not computed (floor constants outside "
+                "double range)")
+    if mon.floor_ok is None:
+        if mon.floor_range_t is None:
+            return "density floor audit: not exercised (run ended before t_min)"
+        return ("density floor audit: not computed (floor outside double range "
+                "at every step past t_min)")
+    line = _audit("density floor", mon.floor_ok, mon.floor_violation_t)
+    if mon.floor_range_t is not None:
+        line += (" (floor outside double range at some steps from "
+                 f"t={_fmt(mon.floor_range_t)})")
+    return line
 
 
 def _write(out_dir: Path, name: str, text: str):
@@ -298,6 +312,14 @@ def cmd_simulate(args) -> int:
         _write(out_dir, "verdict.json", verdict_json(verdict))
     if outputs.get("monitors", True):
         _write(out_dir, "monitors.csv", monitors_csv(result.monitors))
+    if outputs.get("snapshots", False):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        solver.write_snapshots(out_dir / "snapshots.bin", result.snapshots)
+    # the run's own outputs are on disk before the trace, which can fail
+    summary = summary_text(scn, verdict, result)
+    if outputs.get("summary", True):
+        _write(out_dir, "summary.txt", summary)
+    lap("write")
     trace_req = outputs.get("trace")
     if trace_req:
         direction = (
@@ -305,19 +327,12 @@ def cmd_simulate(args) -> int:
             if trace_req["direction"] == "forward"
             else solver.Direction.BACKWARD
         )
-        lap("write")
         trace = solver.trace_characteristic(result, trace_req["x_start"], direction)
         report = solver.cross_validate_riccati(
             trace, scn["gas"], scn["damping"], scn["trace_tol"]
         )
         lap("trace")
         _write(out_dir, "trace.csv", trace_csv(trace, report))
-    if outputs.get("snapshots", False):
-        out_dir.mkdir(parents=True, exist_ok=True)
-        solver.write_snapshots(out_dir / "snapshots.bin", result.snapshots)
-    summary = summary_text(scn, verdict, result)
-    if outputs.get("summary", True):
-        _write(out_dir, "summary.txt", summary)
     sys.stdout.write(summary)
     lap("write")
     dts = np.diff(result.monitors.ts)

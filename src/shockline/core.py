@@ -190,7 +190,12 @@ class PointState:
 
 
 def _require_positive(name: str, x) -> None:
-    if np.less_equal(x, 0.0).any():
+    """DomainError if any entry is nonpositive (a NaN entry is not)."""
+    if isinstance(x, float):  # scalars, np.float64 too, skip numpy
+        bad = x <= 0.0
+    else:
+        bad = np.less_equal(x, 0.0).any()
+    if bad:
         raise DomainError(f"{name} must be positive")
 
 
@@ -256,7 +261,11 @@ def log_time_factor(gm: GasModel, dl: DampingLaw, t):
     Critical branch: alpha(3g-1)/(2(g-3)) * log(1+t).
     """
     g, a = gm.gamma, dl.alpha
-    if np.less(t, 0.0).any():
+    if isinstance(t, float):  # scalars, np.float64 too, skip numpy
+        negative = t < 0.0
+    else:
+        negative = np.less(t, 0.0).any()
+    if negative:
         raise DomainError("t must be nonnegative")
     if dl.branch is Branch.CRITICAL:
         return a * (3.0 * g - 1.0) / (2.0 * (g - 3.0)) * np.log1p(t)

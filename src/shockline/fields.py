@@ -45,8 +45,9 @@ class Grid:
         return self.x0 + self.dx * np.arange(self.n)
 
     def wrap(self, x):
-        """Map x into [x0, x0 + length)."""
-        return self.x0 + np.mod(x - self.x0, self.length)
+        """Map x into [x0, x0 + length); a float stays a float (Python's
+        float % rounds as np.mod does)."""
+        return self.x0 + (x - self.x0) % self.length
 
 
 def pad(f: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from .errors import (
 BLOWN_UP = float("-inf")
 
 # Dormand-Prince 5(4) tableau.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = [
     [],
     [1 / 5],
@@ -88,14 +88,26 @@ def _rhs(prob: RiccatiProblem, chart: str, t: float, val: float) -> float:
 
 
 def _dp_step(prob, chart, t, val, h):
-    """One Dormand-Prince step; returns (val5, err_estimate)."""
-    k = np.empty(7)
-    k[0] = _rhs(prob, chart, t, val)
-    for i in range(1, 7):
-        vi = val + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]))
-        k[i] = _rhs(prob, chart, t + _DP_C[i] * h, vi)
-    val5 = val + h * float(_DP_B5 @ k)
-    val4 = val + h * float(_DP_B4 @ k)
+    """One Dormand-Prince step; returns (val5, err_estimate).
+
+    The stage sums run on Python floats in tableau order; the two
+    solution weights stay numpy dot products, whose summation order
+    fixes the last bits of the result.
+    """
+    k = [_rhs(prob, chart, t, val)]
+    for c, row in zip(_DP_C[1:], _DP_A[1:]):
+        acc = 0.0
+        for a, kj in zip(row, k):
+            acc += a * kj
+        k.append(_rhs(prob, chart, t + c * h, val + h * acc))
+    ks = np.array(k)
+    if sum(map(abs, k)) < 1e308:  # weights are below 1: no sum can overflow
+        b5, b4 = float(_DP_B5 @ ks), float(_DP_B4 @ ks)
+    else:  # a stage overflowed or is NaN: the same sums, without numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            b5, b4 = float(_DP_B5 @ ks), float(_DP_B4 @ ks)
+    val5 = val + h * b5
+    val4 = val + h * b4
     return val5, abs(val5 - val4)
 
 

@@ -13,8 +13,11 @@ those copies; run checks every accepted state for finiteness.
 
 Tracing reads the snapshots through two periodic cubic splines in x,
 one for tau and one for u, each with every snapshot stacked as a
-column; one evaluation gives all snapshots at a point, and time is
-linear between the two that bracket t.
+column, and is linear in t between the two snapshots that bracket t.
+The trace evaluates only those two columns, from scipy's spline
+coefficients and in scipy's evaluation order (periodic map, half-open
+interval search, evaluate_poly1's power sum), so each value is the one
+PPoly.__call__ gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -65,13 +68,16 @@ def step(field: FieldState, dt: float) -> FieldState:
 
     Heun stages on (tau, w) with w = u divided by the exact in-step
     damping decay; for x-independent data the damping is thereby exact.
-    The breakdown test on the new state is left to the caller (run).
+    RangeError where that decay underflows to 0.  The breakdown test on
+    the new state is left to the caller (run).
     """
     if not (dt > 0.0):
         raise DomainError(f"dt must be positive, got {dt}")
     gm, dl, dx = field.gas, field.damping, field.grid.dx
     t0, t1 = field.t, field.t + dt
     g1 = damping_decay(dl, t0, t1)
+    if g1 == 0.0:  # w = u / g1 is undefined
+        raise RangeError(f"damping decay underflows to 0 over [{t0:.6g}, {t1:.6g}]")
 
     k1_tau, k1_w = _fluxes(gm, field.tau, field.u, dx)
     tau_p = field.tau + dt * k1_tau
@@ -99,8 +105,9 @@ class Monitors:
     """Per-step time series plus monotone audit flags.
 
     A flag is None while its audit is disabled (regime hypotheses not
-    met), True until the first violation, then False forever; the first
-    violation time is recorded.
+    met; for the floor also before t_min, and at steps whose floor is
+    outside double range), True until the first violation, then False
+    forever; the first violation time is recorded.
     """
 
     ts: list = dc_field(default_factory=list)
@@ -114,6 +121,8 @@ class Monitors:
     invariant_violation_t: Optional[float] = None
     ceiling_violation_t: Optional[float] = None
     floor_violation_t: Optional[float] = None
+    floor_t_min: Optional[float] = None  # onset of the floor; None if there is none
+    floor_range_t: Optional[float] = None  # first t whose floor left double range
 
 
 def ceiling_regime_holds(gm: GasModel, dl: DampingLaw) -> bool:
@@ -189,9 +198,11 @@ def _record(mon: Monitors, field: FieldState, max_ux, tau_max, audits: _Audits):
             floor_val = bounds.density_floor(
                 field.gas, field.damping, audits.ceilings, t, audits.floor.t_min
             )
-        except RangeError:
-            floor_val = 0.0
-        _latch(mon, "floor_ok", "floor_violation_t", rho_min >= 0.95 * floor_val, t)
+        except RangeError:  # no floor to audit against at this step
+            if mon.floor_range_t is None:
+                mon.floor_range_t = t
+        else:
+            _latch(mon, "floor_ok", "floor_violation_t", rho_min >= 0.95 * floor_val, t)
 
 
 # ---------------------------------------------------------------------
@@ -261,8 +272,8 @@ def run(
     if not (0.0 < cfl <= DEFAULT_CFL):
         raise DomainError(f"cfl must lie in (0, {DEFAULT_CFL}], got {cfl}")
     max_ux, tau_max = _extremes(field)
-    mon = Monitors()
     audits = _prepare_audits(field) if monitors_requested else None
+    mon = Monitors(floor_t_min=audits.floor.t_min if audits and audits.floor else None)
     snaps = SnapshotStore(grid=field.grid, gas=field.gas, damping=field.damping)
     cadence = max(1, field.grid.n // 256)
     snaps.append(field)
@@ -330,6 +341,57 @@ def _periodic_spline(grid: Grid, rows: list):
     )
 
 
+class _SnapshotSplines:
+    """Periodic cubic splines in x of tau and u, snapshot k as column k
+    (_periodic_spline), read one column at one point.
+
+    Reading the coefficients here gives PPoly.__call__'s numbers bit for
+    bit without its per-call array set-up: the same periodic map
+    x0 + (x - x0) % (x_n - x0), the same half-open interval search (the
+    last interval closed, a point past it NaN) and evaluate_poly1's
+    power sum.  The coefficients of one column on one interval are
+    extracted on first use.
+    """
+
+    def __init__(self, grid: Grid, snaps: SnapshotStore):
+        tau_spl = _periodic_spline(grid, snaps.taus)
+        self.splines = (tau_spl, _periodic_spline(grid, snaps.us))
+        self.knots = tau_spl.x.tolist()
+        self.period = self.knots[-1] - self.knots[0]
+        self._coeffs = {}
+
+    def locate(self, x: float):
+        """(interval i, offset x - x_i) of x under the periodic map."""
+        knots = self.knots
+        xp = knots[0] + (x - knots[0]) % self.period
+        if xp < knots[-1]:
+            i = bisect.bisect_right(knots, xp) - 1
+            return i, xp - knots[i]
+        i = len(knots) - 2
+        return i, (xp - knots[i] if xp == knots[-1] else math.nan)
+
+    def coeffs(self, which: int, i: int, k: int):
+        """Cubic coefficients, highest power first, of spline `which`
+        (0 tau, 1 u), column k, on interval i."""
+        key = (which, i, k)
+        cf = self._coeffs.get(key)
+        if cf is None:
+            cf = self._coeffs[key] = self.splines[which].c[:, i, k].tolist()
+        return cf
+
+
+def _cubic(cf, s: float, nu: int = 0) -> float:
+    """evaluate_poly1 of scipy's _ppoly: the value (nu 0) or slope (nu 1)
+    of the cubic with coefficients cf at offset s, terms summed from the
+    lowest power up in its order of operations, starting from +0.0 (so
+    a -0.0 sum reads +0.0, as in scipy)."""
+    a, b, c, d = cf
+    if nu == 0:
+        ss = s * s
+        return 0.0 + d + c * s + b * ss + a * (ss * s)
+    return 0.0 + c + b * s * 2.0 + a * (s * s) * 3.0
+
+
 def trace_characteristic(
     run_output: RunResult, x_start: float, direction: Direction
 ) -> CharTrace:
@@ -339,10 +401,11 @@ def trace_characteristic(
     if len(snaps.times) < 2:
         raise TraceError("need at least two snapshots to trace")
     grid, gm, dl = snaps.grid, snaps.gas, snaps.damping
-    tau_spl = _periodic_spline(grid, snaps.taus)
-    u_spl = _periodic_spline(grid, snaps.us)
+    splines = _SnapshotSplines(grid, snaps)
+    locate, coeffs = splines.locate, splines.coeffs
     times = snaps.times
     sign = 1.0 if direction is Direction.FORWARD else -1.0
+    wrap = grid.wrap
 
     def bracket(t: float):
         """Snapshot interval k holding t and the linear weight of k + 1."""
@@ -350,32 +413,37 @@ def trace_characteristic(
         k = min(max(k, 0), len(times) - 2)
         return k, (t - times[k]) / (times[k + 1] - times[k])
 
+    def blend(which: int, i: int, s: float, k: int, w: float, nu: int = 0):
+        """Spline `which` at offset s in interval i, linear in t between
+        snapshots k and k + 1 with weight w on k + 1."""
+        return ((1.0 - w) * _cubic(coeffs(which, i, k), s, nu)
+                + w * _cubic(coeffs(which, i, k + 1), s, nu))
+
     def speed(t: float, x: float) -> float:
         k, w = bracket(t)
-        taus = tau_spl(float(grid.wrap(x)))
-        tau = (1.0 - w) * float(taus[k]) + w * float(taus[k + 1])
+        i, s = locate(wrap(x))
+        tau = blend(0, i, s, k, w)
         if tau <= 0.0:
             raise TraceError("interpolated tau became nonpositive on the path")
-        return sign * float(core.sound_speed(gm, tau))
+        return sign * core.sound_speed(gm, tau)
 
     def sample(t: float, x: float):
         k, w = bracket(t)
-        xw = float(grid.wrap(x))
-        vals = np.array((tau_spl(xw), u_spl(xw), tau_spl(xw, 1), u_spl(xw, 1)))
-        tau, u, taux, ux = (1.0 - w) * vals[:, k] + w * vals[:, k + 1]
+        i, s = locate(wrap(x))
+        tau, taux = blend(0, i, s, k, w), blend(0, i, s, k, w, 1)
+        ux = blend(1, i, s, k, w, 1)
         if tau <= 0.0:
             raise TraceError("interpolated tau became nonpositive on the path")
-        phi = float(core.phi_of_tau(gm, tau))
-        c = float(core.sound_speed(gm, tau))
-        a_w, b_z = core.riemann_slopes(c, ux, taux)
+        phi = core.phi_of_tau(gm, tau)
+        a_w, b_z = core.riemann_slopes(core.sound_speed(gm, tau), ux, taux)
         grad = a_w if direction is Direction.FORWARD else b_z
         return phi, float(core.y_variable(gm, dl, phi, grad, t))
 
-    x = float(grid.wrap(x_start))
+    x = wrap(float(x_start))
     rows = []  # (t, x, phi, y or q) at each snapshot time
     substeps = 4
     for k in range(len(times)):
-        rows.append((times[k], float(grid.wrap(x)), *sample(times[k], x)))
+        rows.append((times[k], wrap(x), *sample(times[k], x)))
         if k == len(times) - 1:
             break
         t_a, t_b = times[k], times[k + 1]

@@ -5,7 +5,11 @@ import io
 import json
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import shockline
 from shockline import Verdict, solver
 from shockline.cli import (
     EXIT_CONFIG,
@@ -33,6 +38,26 @@ BASE = {
         "verdict": True, "monitors": True, "summary": True,
         "snapshots": True, "trace": {"x_start": 2.5, "direction": "forward"},
     },
+}
+
+
+# damping decay underflows to 0 in the first step (RangeError)
+DECAY_UNDERFLOWS = {
+    "gas": {"gamma": 3.0000001, "big_k": 11381.77},
+    "damping": {"alpha": 7.69e22, "lambda": 1.0},
+    "grid": {"n": 32, "L": 5.0},
+    "profile": {"preset": "sine", "tau0": 1.0, "u_amp": -2.6},
+    "run": {"t_end": 0.1},
+}
+# completes, then the Riccati cross-check overflows and ends in
+# ToleranceError
+GAP_TRACE_FAILS = {
+    "gas": {"gamma": 2.55, "big_k": 1.0},
+    "damping": {"alpha": 1.0, "lambda": -3.48},
+    "grid": {"n": 64, "L": 5.0},
+    "profile": {"preset": "gaussian", "tau0": 1.0, "u_amp": -2.37, "tau_amp": 0.1},
+    "run": {"t_end": 1.86},
+    "outputs": {"trace": {"x_start": 1.0, "direction": "forward"}},
 }
 
 
@@ -140,6 +165,43 @@ class TestSimulate:
         summary = (out / "summary.txt").read_text()
         assert "regime: sub/generic_gap theorem=NONE" in summary
         assert "density floor" not in summary
+
+    @pytest.mark.parametrize("gas,damping,profile,t_end,line", [
+        # the floor constants overflow: _prepare_audits drops the floor
+        ({"gamma": 2.9999999, "big_k": 1e8}, {"alpha": 1e-300, "lambda": 1.000001},
+         {"preset": "sine", "tau0": 1.0, "u_amp": -0.2}, 0.0005,
+         "density floor audit: not computed (floor constants outside double range)"),
+        # the floor exists but overflows at every step past t_min
+        ({"gamma": 2.9999999, "big_k": 1e-8}, {"alpha": 4.0, "lambda": 1.0},
+         {"preset": "sine", "tau0": 1.0, "u_amp": -0.05}, 0.5,
+         "density floor audit: not computed (floor outside double range at "
+         "every step past t_min)"),
+        # the run ends before t_min
+        (BASE["gas"], BASE["damping"], BASE["profile"], 0.05,
+         "density floor audit: not exercised (run ended before t_min)"),
+    ], ids=["constants_overflow", "floor_overflows", "before_t_min"])
+    def test_floor_line_says_why(self, tmp_path, gas, damping, profile, t_end, line):
+        cfg = write_cfg(tmp_path, {
+            "gas": gas, "damping": damping, "grid": {"n": 32, "L": 5.0},
+            "profile": profile, "run": {"t_end": t_end},
+        })
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert [s for s in summary if s.startswith("density floor")] == [line]
+        flags = [row.split(",")[-1] for row in
+                 (out / "monitors.csv").read_text().splitlines()[1:]]
+        assert {f[2] for f in flags} == {"-"}  # never audited, never "ok"
+
+    def test_summary_written_before_trace(self, tmp_path):
+        # the sub-gamma gap config whose cross-check fails after the run
+        cfg = write_cfg(tmp_path, GAP_TRACE_FAILS)
+        out = tmp_path / "out"
+        code, err = _run_verb(["simulate", "--config", cfg, "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        assert json.loads(err)["error"] == "ToleranceError"
+        assert (out / "summary.txt").read_text().startswith("scenario summary\n")
+        assert not (out / "trace.csv").exists()
 
     def test_breakdown_is_success(self, tmp_path):
         cfg_d = json.loads(json.dumps(BASE))
@@ -341,3 +403,27 @@ class TestExitCodeContract:
             else:
                 assert err.count("\n") == 1 and err.endswith("\n")
                 assert set(json.loads(err)) == {"error", "message"}
+
+
+class TestStderrSubprocess:
+    """The exit-code contract seen from outside: in a fresh interpreter
+    with default warning filters, stderr of a failed run is exactly one
+    JSON line (pytest's warning capture hides numpy warnings in process)."""
+
+    @pytest.mark.parametrize("cfg,error", [
+        (DECAY_UNDERFLOWS, "RangeError"), (GAP_TRACE_FAILS, "ToleranceError"),
+    ])
+    def test_one_json_line(self, tmp_path, cfg, error):
+        src = str(Path(shockline.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        env.pop("PYTHONWARNINGS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "shockline.cli", "simulate",
+             "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_RUNTIME
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
+        assert json.loads(proc.stderr)["error"] == error

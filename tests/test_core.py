@@ -212,11 +212,26 @@ class TestGuards:
         _require_positive("x", np.array([math.nan]))
 
     @pytest.mark.parametrize("shape", shapes)
+    def test_require_positive_edges(self, shape):
+        _require_positive("x", shape(math.inf))
+        _require_positive("x", shape(5e-324))
+        with pytest.raises(DomainError):
+            _require_positive("x", shape(-0.0))
+
+    @pytest.mark.parametrize("shape", shapes)
     def test_log_time_factor_rejects_negative_t(self, gm2, dl_const, dl_crit, shape):
         for dl in (dl_const, dl_crit):
             log_time_factor(gm2, dl, shape(0.0))
+            log_time_factor(gm2, dl, shape(-0.0))
             with pytest.raises(DomainError):
                 log_time_factor(gm2, dl, shape(-1e-300))
+            with pytest.raises(DomainError):
+                log_time_factor(gm2, dl, shape(-math.inf))
+
+    @pytest.mark.parametrize("shape", shapes)
+    def test_log_time_factor_passes_nan(self, gm2, dl_const, dl_crit, shape):
+        for dl in (dl_const, dl_crit):
+            assert np.isnan(np.ravel(log_time_factor(gm2, dl, shape(math.nan)))[0])
 
     @pytest.mark.parametrize("shape", shapes)
     def test_checked_log(self, shape):

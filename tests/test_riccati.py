@@ -2,6 +2,7 @@
 integral upper bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from shockline import (
     NoBoundError,
     OutcomeKind,
     RiccatiProblem,
+    ToleranceError,
     blowup_time_upper_bound_case1,
     blowup_time_upper_bound_case2,
     closed_form_oracle,
@@ -123,6 +125,15 @@ class TestIntegrate:
         prob = const_problem(0.0, -1.0, 1.0)
         with pytest.raises(CoefficientError):
             integrate(prob, 1.0)
+
+    def test_overflowing_stages_are_silent(self):
+        # c2 * y**2 overflows at every stage: each step is rejected until
+        # the step size underflows, and numpy must not warn on the way
+        prob = const_problem(1.0, 1e300, 1e10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ToleranceError, match="underflow"):
+                integrate(prob, 1.0)
 
 
 class TestUpperBounds:

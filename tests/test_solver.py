@@ -3,6 +3,7 @@ snapshot IO."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,16 @@ class TestStep:
     def test_rejects_bad_dt(self, sine_field):
         with pytest.raises(DomainError):
             step(sine_field, 0.0)
+
+    def test_decay_underflow_is_range_error(self, gm2):
+        # exp(-alpha * dt) is 0: w = u / g1 is undefined, and no numpy
+        # warning may print on the way to the error
+        f = make_field(gm2, DampingLaw(1e300, 0.0),
+                       {"preset": "sine", "tau0": 1.0, "u_amp": -0.2})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError, match="underflows"):
+                step(f, 1e-3)
 
     def test_vacuum_error(self, gm2, dl_const):
         # thin gas with a long-wave compression: one oversized step
@@ -374,6 +385,52 @@ class TestStackedTrace:
                 continue
             assert np.array_equal(cross_validate_riccati(tr, gm, dl, 0.01).y_integrated,
                                   y_free)
+
+
+class TestSnapshotSplines:
+    """The column reader of the stacked splines against PPoly.__call__,
+    value and slope, compared bit for bit (the sign of a zero too)."""
+
+    @given(
+        n=st.integers(16, 64),
+        x0=st.sampled_from([0.0, 5.0, -2.5]),
+        length=st.sampled_from([10.0, 7.3]),
+        frames=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+        offsets=st.lists(st.floats(1e-12, 40.0), min_size=1, max_size=4),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_ppoly(self, n, x0, length, frames, seed, offsets, fractions):
+        rng = np.random.default_rng(seed)
+        grid = Grid(n=n, length=length, x0=x0)
+        gm, dl = GasModel(2.0, 1.0), DampingLaw(1.0, 0.0)
+        us = rng.normal(0.0, 1.0, (frames, n))
+        us[:, ::5] = -0.0  # scipy's sum starts at +0.0: a knot value -0.0 reads +0.0
+        snaps = solver.SnapshotStore(
+            grid=grid, gas=gm, damping=dl, times=list(range(frames)),
+            taus=list(rng.uniform(0.5, 1.5, (frames, n))), us=list(us),
+        )
+        splines = solver._SnapshotSplines(grid, snaps)
+        knots = splines.knots
+        xs = (knots  # every breakpoint, x0 + L included
+              + [x0 - d for d in offsets] + [x0 + length + d for d in offsets]
+              + [x0 + f * length for f in fractions])
+        for which, spl in enumerate(splines.splines):
+            for nu in (0, 1):
+                want = spl(np.array(xs), nu)
+                for x, row in zip(xs, want):
+                    i, s = splines.locate(x)
+                    got = np.array([solver._cubic(splines.coeffs(which, i, k), s, nu)
+                                    for k in range(frames)])
+                    assert got.tobytes() == row.tobytes(), (x, which, nu, got, row)
+
+    def test_nan_point(self, sine_field):
+        res = run(sine_field, 0.05, monitors_requested=False)
+        splines = solver._SnapshotSplines(sine_field.grid, res.snapshots)
+        i, s = splines.locate(math.nan)
+        assert math.isnan(solver._cubic(splines.coeffs(0, i, 0), s))
+        assert np.isnan(splines.splines[0](math.nan)).all()
 
 
 class TestSnapshotIO:
