@@ -186,7 +186,8 @@ def density_floor_onset(
     phi(x,0)**((g-3)/(2(g-1))) (see initial_phi_term_sup).  Returns the
     first time at which the growing term of the phi estimate reaches
     phi0_sup, after which doubling its coefficient absorbs the initial
-    term.  Solved by monotone bisection to absolute 1e-9.
+    term.  Solved by monotone bisection to absolute 1e-9, or to adjacent
+    doubles where those lie further apart (an onset beyond 2**23).
     """
     _require_floor_regime(gm, dl)
     if not (phi0_sup > 0.0):
@@ -201,6 +202,8 @@ def density_floor_onset(
     lo = 0.0
     while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent doubles, over 1e-9 apart past 2**23
+            break
         if _onset_lhs(gm, dl, ceilings, mid) >= phi0_sup:
             hi = mid
         else:

@@ -92,7 +92,8 @@ def _dp_step(prob, chart, t, val, h):
 
     The stage sums run on Python floats in tableau order; the two
     solution weights stay numpy dot products, whose summation order
-    fixes the last bits of the result.
+    fixes the last bits of the result.  They run without numpy warnings:
+    an overflowed or NaN stage is caught by the step-size control.
     """
     k = [_rhs(prob, chart, t, val)]
     for c, row in zip(_DP_C[1:], _DP_A[1:]):
@@ -101,11 +102,8 @@ def _dp_step(prob, chart, t, val, h):
             acc += a * kj
         k.append(_rhs(prob, chart, t + c * h, val + h * acc))
     ks = np.array(k)
-    if sum(map(abs, k)) < 1e308:  # weights are below 1: no sum can overflow
+    with np.errstate(over="ignore", invalid="ignore"):
         b5, b4 = float(_DP_B5 @ ks), float(_DP_B4 @ ks)
-    else:  # a stage overflowed or is NaN: the same sums, without numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            b5, b4 = float(_DP_B5 @ ks), float(_DP_B4 @ ks)
     val5 = val + h * b5
     val4 = val + h * b4
     return val5, abs(val5 - val4)

@@ -68,16 +68,15 @@ def step(field: FieldState, dt: float) -> FieldState:
 
     Heun stages on (tau, w) with w = u divided by the exact in-step
     damping decay; for x-independent data the damping is thereby exact.
-    RangeError where that decay underflows to 0.  The breakdown test on
-    the new state is left to the caller (run).
+    RangeError where u_t divided by that decay is not finite (the decay
+    can underflow to 0 or to a subnormal), raised before numpy divides.
+    The breakdown test on the new state is left to the caller (run).
     """
     if not (dt > 0.0):
         raise DomainError(f"dt must be positive, got {dt}")
     gm, dl, dx = field.gas, field.damping, field.grid.dx
     t0, t1 = field.t, field.t + dt
     g1 = damping_decay(dl, t0, t1)
-    if g1 == 0.0:  # w = u / g1 is undefined
-        raise RangeError(f"damping decay underflows to 0 over [{t0:.6g}, {t1:.6g}]")
 
     k1_tau, k1_w = _fluxes(gm, field.tau, field.u, dx)
     tau_p = field.tau + dt * k1_tau
@@ -86,6 +85,11 @@ def step(field: FieldState, dt: float) -> FieldState:
     u_p = g1 * (field.u + dt * k1_w)
 
     k2_tau, k2_u = _fluxes(gm, tau_p, u_p, dx)
+    # the largest |k2_u| / g1 bounds every quotient, rounding included
+    if g1 == 0.0 or not math.isfinite(float(np.abs(k2_u).max()) / g1):
+        raise RangeError(
+            f"u_t / damping decay ({g1:.3g} over [{t0:.6g}, {t1:.6g}]) is not finite"
+        )
     k2_w = k2_u / g1
     tau_n = field.tau + 0.5 * dt * (k1_tau + k2_tau)
     u_n = g1 * (field.u + 0.5 * dt * (k1_w + k2_w))

@@ -129,6 +129,21 @@ class TestDensityFloor:
         assert _onset_lhs(gm2, dl_const, ceilings, t_min) >= phi0_sup
         assert _onset_lhs(gm2, dl_const, ceilings, t_min - 1e-6) < phi0_sup
 
+    def test_onset_beyond_1e9_spacing_terminates(self):
+        # gamma near 1 makes k_c about 1e-20, so the onset is about 2.4e10,
+        # where adjacent doubles lie 3.8e-6 apart: an absolute 1e-9
+        # bracket is never reached there
+        gm = GasModel(gamma=1.1288769550073998, big_k=1.0)
+        dl = DampingLaw(0.0, 0.999999)
+        f = init_field({"preset": "sine", "tau0": 1.0, "u_amp": 0.0},
+                       Grid(n=32, length=5.0), gm, dl)
+        ceilings = riccati_ceilings(f)
+        phi0_sup = initial_phi_term_sup(f)
+        t_min = density_floor_onset(gm, dl, ceilings, phi0_sup)
+        assert t_min > 1e10
+        assert _onset_lhs(gm, dl, ceilings, t_min) >= phi0_sup
+        assert _onset_lhs(gm, dl, ceilings, t_min - math.ulp(t_min)) < phi0_sup
+
     def test_make_density_floor_bundles(self, gm2, dl_const, sine_field):
         ceilings = riccati_ceilings(sine_field)
         df = make_density_floor(

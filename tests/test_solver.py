@@ -70,15 +70,28 @@ class TestStep:
         with pytest.raises(DomainError):
             step(sine_field, 0.0)
 
-    def test_decay_underflow_is_range_error(self, gm2):
-        # exp(-alpha * dt) is 0: w = u / g1 is undefined, and no numpy
-        # warning may print on the way to the error
-        f = make_field(gm2, DampingLaw(1e300, 0.0),
+    # alpha * dt: exp(-alpha * dt) is 0, then subnormal (about 3e-313,
+    # so u_t / g1 overflows for |u_t| above about 5e-5)
+    @pytest.mark.parametrize("alpha_dt", [1e297, 720.0])
+    def test_decay_underflow_is_range_error(self, gm2, alpha_dt):
+        # w = u / g1 leaves double range, and no numpy warning may print
+        # on the way to the error
+        f = make_field(gm2, DampingLaw(alpha_dt * 1e3, 0.0),
                        {"preset": "sine", "tau0": 1.0, "u_amp": -0.2})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(RangeError, match="underflows"):
+            with pytest.raises(RangeError, match="damping decay"):
                 step(f, 1e-3)
+
+    def test_tiny_normal_decay_steps(self, gm2):
+        # exp(-690) is about 1e-300: u_t / g1 stays in range, so the step
+        # completes, quietly; only the corrector's dt * u_t / 2 is left of u
+        f = make_field(gm2, DampingLaw(690e3, 0.0),
+                       {"preset": "sine", "tau0": 1.0, "u_amp": -0.2})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new = step(f, 1e-3)
+        assert np.all(np.isfinite(new.u)) and np.max(np.abs(new.u)) < 1e-6
 
     def test_vacuum_error(self, gm2, dl_const):
         # thin gas with a long-wave compression: one oversized step
