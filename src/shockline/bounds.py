@@ -2,9 +2,10 @@
 
 Invariant-region constant for certified initial data, the Y/Q ceilings
 on the decoupled gradient variables, the time-dependent density floor
-for 1 < gamma < 3 off the lambda gap (both damping branches), and the
-blow-up threshold constants N and N1 for gamma > 3.  Regime hypotheses
-are decided by core.classify_regime.
+for 1 < gamma < 3 off the lambda gap, and the blow-up threshold
+constants N and N1 for gamma > 3.  Regime hypotheses are decided by
+core.classify_regime; every damping time factor is a power of
+exp(core.log_time_factor), so no formula here forks on the branch.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import Branch, DampingLaw, GasModel, LambdaSide, Theorem
+from .core import DampingLaw, GasModel, LambdaSide, Theorem
 from .errors import DomainError, RangeError
 from .fields import FieldState
 
@@ -63,20 +64,24 @@ class RiccatiCeilings:
 
 @dataclass(frozen=True)
 class DensityFloor:
-    """Amplitude constant, validity onset, and branch of the density
-    lower bound."""
+    """Amplitude constant and validity onset of the density lower bound."""
 
     k0: float
     t_min: float
-    branch: Branch
 
 
 def invariant_region_bound(gm: GasModel, c0: float) -> InitialBound:
-    """Invariant-region constant for data with |u0| <= c0, 1/tau0 <= c0."""
+    """Invariant-region constant for data with |u0| <= c0, 1/tau0 <= c0;
+    RangeError where c0_tilde leaves double range."""
     if not (c0 > 0.0):
         raise DomainError(f"c0 must be positive, got {c0}")
-    base = c0 + c0**gm.theta
-    c0_tilde = max(base, base ** (1.0 / gm.theta))
+    try:
+        base = c0 + c0**gm.theta
+        c0_tilde = max(base, base ** (1.0 / gm.theta))
+    except OverflowError:
+        c0_tilde = math.inf
+    if not c0_tilde < math.inf:
+        raise RangeError(f"invariant-region bound for c0 = {c0:.6g} leaves double range")
     return InitialBound(c0=c0, c0_tilde=c0_tilde)
 
 
@@ -102,20 +107,21 @@ def _require_floor_regime(gm: GasModel, dl: DampingLaw):
                           "(1 < gamma < 3, off the lambda gap)")
 
 
+def _floor_coef(gm: GasModel, ceilings: RiccatiCeilings) -> float:
+    """(3-g)/(4(g-1)) * K_c * (Y+Q), the coefficient of the onset term;
+    K0's bracket is 2 * phi_coef**(-p_lo) times it."""
+    g = gm.gamma
+    return (3.0 - g) / (4.0 * (g - 1.0)) * gm.k_c * (ceilings.y_cap + ceilings.q_cap)
+
+
 @_in_double_range
 def density_floor_constant(
     gm: GasModel, dl: DampingLaw, ceilings: RiccatiCeilings
 ) -> float:
     """K0 of the density lower bound."""
     _require_floor_regime(gm, dl)
-    g = gm.gamma
-    bracket = (
-        gm.phi_coef ** (-core.p_lo(gm))
-        * (ceilings.y_cap + ceilings.q_cap)
-        * (3.0 - g) / (2.0 * (g - 1.0))
-        * gm.k_c
-    )
-    return bracket ** (-4.0 / (3.0 - g))
+    bracket = 2.0 * gm.phi_coef ** (-core.p_lo(gm)) * _floor_coef(gm, ceilings)
+    return bracket ** (-4.0 / (3.0 - gm.gamma))
 
 
 @_in_double_range
@@ -126,45 +132,24 @@ def density_floor(
     t: float,
     t_min: float = 0.0,
 ) -> float:
-    """Time-dependent lower bound on density, valid for t > t_min.
-
-    Generic branch:  K0 * t**(-4/(3-g))
-                     * exp(-2 a (3g-1) (1+t)**(1-lam) / ((3-g)**2 (1-lam)))
-    Critical branch: K0 * t**(-4/(3-g)) * (1+t)**(-2 a (3g-1)/(3-g)**2)
-    """
+    """Time-dependent lower bound on density, valid for t > t_min:
+    K0 * t**(-4/(3-g)) * exp(4/(3-g) * log_time_factor(t)); RangeError
+    where the decay leaves double range."""
     k0 = density_floor_constant(gm, dl, ceilings)
     if not (t > t_min):
         raise RangeError(f"floor is only valid for t > t_min = {t_min:.6g}")
-    g, a = gm.gamma, dl.alpha
-    power = t ** (-4.0 / (3.0 - g))
-    if dl.branch is Branch.CRITICAL:
-        decay = (1.0 + t) ** (-2.0 * a * (3.0 * g - 1.0) / (3.0 - g) ** 2)
-    else:
-        lam = dl.lam
-        log_decay = (
-            -2.0 * a * (3.0 * g - 1.0) * (1.0 + t) ** (1.0 - lam)
-            / ((3.0 - g) ** 2 * (1.0 - lam))
-        )
-        decay = math.exp(core.checked_log(log_decay))
-    return k0 * power * decay
+    g = gm.gamma
+    log_decay = 4.0 / (3.0 - g) * core.log_time_factor(gm, dl, t)
+    return k0 * t ** (-4.0 / (3.0 - g)) * math.exp(core.checked_log(log_decay))
 
 
 def _onset_lhs(gm: GasModel, dl: DampingLaw, ceilings: RiccatiCeilings, t: float):
-    """Dominating term of the phi estimate whose crossing defines t_min."""
-    g, a = gm.gamma, dl.alpha
-    coef = (3.0 - g) / (4.0 * (g - 1.0)) * gm.k_c * (ceilings.y_cap + ceilings.q_cap)
-    if dl.branch is Branch.CRITICAL:
-        factor = (1.0 + t) ** (a * (3.0 * g - 1.0) / (2.0 * (3.0 - g)))
-    else:
-        lam = dl.lam
-        log_f = (
-            a * (3.0 * g - 1.0) * (1.0 + t) ** (1.0 - lam)
-            / (2.0 * (3.0 - g) * (1.0 - lam))
-        )
-        if log_f > 700.0:
-            return math.inf
-        factor = math.exp(log_f)
-    return coef * t * factor
+    """Dominating term _floor_coef * t * exp(-log_time_factor(t)) of the
+    phi estimate, whose crossing defines t_min; inf past exponent range."""
+    log_f = -core.log_time_factor(gm, dl, t)
+    if log_f > core._LOG_CAP:
+        return math.inf
+    return _floor_coef(gm, ceilings) * t * math.exp(log_f)
 
 
 def initial_phi_term_sup(field: FieldState) -> float:
@@ -218,7 +203,6 @@ def make_density_floor(
     return DensityFloor(
         k0=density_floor_constant(gm, dl, ceilings),
         t_min=density_floor_onset(gm, dl, ceilings, phi0_sup),
-        branch=dl.branch,
     )
 
 
@@ -247,20 +231,18 @@ def k2_closed_form(gm: GasModel, dl: DampingLaw) -> float:
 
 def k2_integral(gm: GasModel, dl: DampingLaw) -> float:
     """K2 for lambda <= 0 by adaptive quadrature of
-    int_0^inf exp(-a(3g-1)(1+s)**(1-lam) / (2(g-3)(1-lam))) ds.
+    int_0^inf exp(-log_time_factor(s)) ds.
 
     The integrand decays superexponentially for gamma > 3 and
     1 - lambda >= 1; the tail is truncated where it falls below 1e-16
     of its initial value.
     """
     from scipy.integrate import quad  # imported on use: scipy dominates import time
-    g, a, lam = gm.gamma, dl.alpha, dl.lam
-    if a == 0.0:
+    if dl.alpha == 0.0:
         return math.inf
-    rate = a * (3.0 * g - 1.0) / (2.0 * (g - 3.0) * (1.0 - lam))
 
     def integrand(s):
-        return math.exp(-rate * (1.0 + s) ** (1.0 - lam))
+        return math.exp(-core.log_time_factor(gm, dl, s))
 
     f0 = integrand(0.0)
     upper = 1.0

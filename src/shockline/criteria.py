@@ -27,7 +27,7 @@ from .core import (
     Theorem,
     classify_regime,
 )
-from .errors import DomainError
+from .errors import DomainError, RangeError
 from .fields import FieldState
 
 # strict-inequality margin: floating-point ties must not flip verdicts
@@ -90,7 +90,7 @@ def _require_t0(field: FieldState):
 
 
 def _require_certified(field: FieldState, ib: InitialBound):
-    sup = max(float(np.max(np.abs(field.u))), float(np.max(1.0 / field.tau)))
+    sup = bounds.certified_initial_bound(field).c0
     if sup > ib.c0 * (1.0 + 1e-12):
         raise DomainError(
             f"c0 = {ib.c0:.6g} does not certify the field (needs >= {sup:.6g})"
@@ -136,15 +136,18 @@ def _check(
     g = gm.gamma
     phi = field.phi()
     kt1 = dl.alpha * (g - 1.0) / (gm.k_c * (g - 3.0))
-    rhs = kt1 * phi ** (-2.0 / (g - 1.0))
+    threshold = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        rhs = kt1 * phi ** (-2.0 / (g - 1.0))
+        if threshold_fn is not None:
+            _require_certified(field, ib)
+            threshold = threshold_fn(gm, dl, ib)
+            kt2 = threshold * core.initial_decay(gm, dl)
+            rhs = rhs - kt2 * phi ** (-(g + 1.0) / (2.0 * (g - 1.0)))
+    if not np.isfinite(rhs).all():
+        raise RangeError(f"threshold curve of {theorem.value} leaves double range")
     if threshold_fn is None:
-        threshold = 0.0
         _assert_sign_consistency(field, rhs)
-    else:
-        _require_certified(field, ib)
-        threshold = threshold_fn(gm, dl, ib)
-        kt2 = threshold * core.initial_decay(gm, dl)
-        rhs = rhs - kt2 * phi ** (-(g + 1.0) / (2.0 * (g - 1.0)))
     return _scan(field, rhs, theorem, threshold)
 
 

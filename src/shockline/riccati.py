@@ -145,10 +145,11 @@ def integrate(prob: RiccatiProblem, t_end: float, tol: float = 1e-9) -> RiccatiO
 
     Local error per step is kept at or below tol (mixed absolute and
     relative).  Blow-up is reported as a bracket [t_star_lo, t_star_hi]
-    containing the pole.
+    containing the pole.  tol is capped at 1e-9: the bracket's pad is
+    fixed near 1e-8 * t, which a looser integration can miss.
     """
-    if not (1e-12 < tol < 1e-2):
-        raise DomainError(f"tol must lie in (1e-12, 1e-2), got {tol}")
+    if not (1e-12 < tol <= 1e-9):
+        raise DomainError(f"tol must lie in (1e-12, 1e-9], got {tol}")
     if not (t_end > prob.t0):
         raise DomainError("t_end must exceed t0")
 

@@ -131,8 +131,11 @@ class Monitors:
 
 def ceiling_regime_holds(gm: GasModel, dl: DampingLaw) -> bool:
     """Whether the zero-order Riccati coefficient stays nonpositive for
-    all t >= 0, which is the hypothesis of the y/q ceiling."""
+    all t >= 0, which is the hypothesis of the y/q ceiling (c0 = 0 when
+    alpha = 0)."""
     g, a, lam = gm.gamma, dl.alpha, dl.lam
+    if a == 0.0:
+        return True
     if lam < 1.0:
         return lam * (g - 3.0) <= a * (g - 1.0)
     if lam == 1.0:

@@ -54,6 +54,12 @@ class TestInvariantRegion:
         with pytest.raises(DomainError):
             invariant_region_bound(gm2, 0.0)
 
+    def test_out_of_range_raises(self, gm2, gm5):
+        # c0**2 overflows for gamma 5; base**2 overflows for gamma 2
+        for gm in (gm5, gm2):
+            with pytest.raises(RangeError):
+                invariant_region_bound(gm, 1e200)
+
     def test_certified_bound_covers_field(self, sine_field):
         ib = certified_initial_bound(sine_field)
         assert np.max(np.abs(sine_field.u)) <= ib.c0
@@ -150,7 +156,6 @@ class TestDensityFloor:
             gm2, dl_const, ceilings, initial_phi_term_sup(sine_field)
         )
         assert df.k0 > 0.0 and df.t_min > 0.0
-        assert df.branch is dl_const.branch
 
 
 class TestThresholds:

@@ -59,6 +59,15 @@ GAP_TRACE_FAILS = {
     "run": {"t_end": 1.86},
     "outputs": {"trace": {"x_start": 1.0, "direction": "forward"}},
 }
+# the T4_2 threshold curve overflows to -inf (RangeError before the scan)
+THRESHOLD_OVERFLOWS = {
+    "gas": {"gamma": 2.9999999, "big_k": 25684.57},
+    "damping": {"alpha": 1e300, "lambda": 1.0},
+    "grid": {"n": 32, "L": 5.0},
+    "profile": {"preset": "sine", "tau0": 1.0, "u_amp": 0.0},
+    "run": {"t_end": 0.1},
+}
+SMALL_GRID = {"n": 32, "L": 5.0}
 
 
 def write_cfg(tmp_path, cfg, name="cfg.yaml"):
@@ -166,23 +175,34 @@ class TestSimulate:
         assert "regime: sub/generic_gap theorem=NONE" in summary
         assert "density floor" not in summary
 
-    @pytest.mark.parametrize("gas,damping,profile,t_end,line", [
+    @pytest.mark.parametrize("gas,damping,grid,profile,t_end,line,flag", [
         # the floor constants overflow: _prepare_audits drops the floor
         ({"gamma": 2.9999999, "big_k": 1e8}, {"alpha": 1e-300, "lambda": 1.000001},
-         {"preset": "sine", "tau0": 1.0, "u_amp": -0.2}, 0.0005,
-         "density floor audit: not computed (floor constants outside double range)"),
+         SMALL_GRID, {"preset": "sine", "tau0": 1.0, "u_amp": -0.2}, 0.0005,
+         "density floor audit: not computed (floor constants outside double range)",
+         "-"),
         # the floor exists but overflows at every step past t_min
         ({"gamma": 2.9999999, "big_k": 1e-8}, {"alpha": 4.0, "lambda": 1.0},
-         {"preset": "sine", "tau0": 1.0, "u_amp": -0.05}, 0.5,
+         SMALL_GRID, {"preset": "sine", "tau0": 1.0, "u_amp": -0.05}, 0.5,
          "density floor audit: not computed (floor outside double range at "
-         "every step past t_min)"),
+         "every step past t_min)", "-"),
         # the run ends before t_min
-        (BASE["gas"], BASE["damping"], BASE["profile"], 0.05,
-         "density floor audit: not exercised (run ended before t_min)"),
-    ], ids=["constants_overflow", "floor_overflows", "before_t_min"])
-    def test_floor_line_says_why(self, tmp_path, gas, damping, profile, t_end, line):
+        (BASE["gas"], BASE["damping"], SMALL_GRID, BASE["profile"], 0.05,
+         "density floor audit: not exercised (run ended before t_min)", "-"),
+        # critical branch: the decay leaves double range from some step on,
+        # which is reported, not audited as a floor of 0
+        ({"gamma": 2.894510980553233, "big_k": 4.853445236789598},
+         {"alpha": 2.331347427159546, "lambda": 1.0},
+         {"n": 64, "L": 7.4886037742687055},
+         {"preset": "sine", "tau0": 1.0, "tau_amp": 0.22784833958424175,
+          "u_amp": -2.2622174302136844}, 3.1519173258143605,
+         "density floor audit: ok (floor outside double range at some steps "
+         "from t=0.24542100066680472)", "F"),
+    ], ids=["constants_overflow", "floor_overflows", "before_t_min", "critical_decay"])
+    def test_floor_line_says_why(self, tmp_path, gas, damping, grid, profile, t_end,
+                                 line, flag):
         cfg = write_cfg(tmp_path, {
-            "gas": gas, "damping": damping, "grid": {"n": 32, "L": 5.0},
+            "gas": gas, "damping": damping, "grid": grid,
             "profile": profile, "run": {"t_end": t_end},
         })
         out = tmp_path / "out"
@@ -191,7 +211,7 @@ class TestSimulate:
         assert [s for s in summary if s.startswith("density floor")] == [line]
         flags = [row.split(",")[-1] for row in
                  (out / "monitors.csv").read_text().splitlines()[1:]]
-        assert {f[2] for f in flags} == {"-"}  # never audited, never "ok"
+        assert {f[2] for f in flags} == {flag}  # "-": never audited, never "ok"
 
     def test_summary_written_before_trace(self, tmp_path):
         # the sub-gamma gap config whose cross-check fails after the run
@@ -410,17 +430,21 @@ class TestStderrSubprocess:
     with default warning filters, stderr of a failed run is exactly one
     JSON line (pytest's warning capture hides numpy warnings in process)."""
 
-    @pytest.mark.parametrize("cfg,error", [
-        (DECAY_UNDERFLOWS, "RangeError"), (GAP_TRACE_FAILS, "ToleranceError"),
-    ])
-    def test_one_json_line(self, tmp_path, cfg, error):
+    @pytest.mark.parametrize("verb,cfg,error", [
+        ("simulate", DECAY_UNDERFLOWS, "RangeError"),
+        ("simulate", GAP_TRACE_FAILS, "ToleranceError"),
+        ("check", THRESHOLD_OVERFLOWS, "RangeError"),
+        ("simulate", THRESHOLD_OVERFLOWS, "RangeError"),
+    ], ids=["cfg0-RangeError", "cfg1-ToleranceError", "threshold_overflows-check",
+            "threshold_overflows-simulate"])
+    def test_one_json_line(self, tmp_path, verb, cfg, error):
         src = str(Path(shockline.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
         env.pop("PYTHONWARNINGS", None)
         proc = subprocess.run(
-            [sys.executable, "-m", "shockline.cli", "simulate",
+            [sys.executable, "-m", "shockline.cli", verb,
              "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")],
             capture_output=True, text=True, env=env, timeout=60,
         )

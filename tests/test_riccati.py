@@ -74,6 +74,8 @@ class TestIntegrate:
             integrate(prob, 1.0, tol=1e-13)
         with pytest.raises(DomainError):
             integrate(prob, 1.0, tol=0.5)
+        with pytest.raises(DomainError):  # the pole bracket's pad needs tol <= 1e-9
+            integrate(prob, 1.0, tol=1e-8)
         with pytest.raises(DomainError):
             integrate(prob, -1.0)
 

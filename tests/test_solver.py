@@ -217,6 +217,8 @@ class TestCeilingRegime:
         assert not ceiling_regime_holds(gm5, DampingLaw(1.0, 2.0))
         assert ceiling_regime_holds(gm5, DampingLaw(1.0, 1.0))
         assert not ceiling_regime_holds(gm5, DampingLaw(0.3, 1.0))
+        for lam in (0.5, 1.0, 2.0):  # no damping: c0 = 0 at every t
+            assert ceiling_regime_holds(gm5, DampingLaw(0.0, lam))
 
 
 class TestTrace:
