@@ -11,6 +11,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import copy
 import itertools
 import json
 import logging
@@ -41,8 +42,6 @@ EXIT_RUNTIME = 3
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
     return format(float(x), ".17g")
 
 
@@ -67,6 +66,14 @@ def load_config(path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
     return cfg
+
+
+def _integer(value, where: str) -> int:
+    """int(value), refusing a float with a fractional part, which int
+    would truncate (128.0 passes)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _require_finite(node, where: str) -> None:
@@ -107,7 +114,7 @@ def build_scenario(cfg: dict) -> dict:
         )
         grid_cfg = _need(cfg, "grid", "scenario")
         grid = Grid(
-            n=int(_need(grid_cfg, "n", "grid")),
+            n=_integer(_need(grid_cfg, "n", "grid"), "grid.n"),
             length=float(_need(grid_cfg, "L", "grid")),
             x0=float(grid_cfg.get("x0", 0.0)),
         )
@@ -117,6 +124,8 @@ def build_scenario(cfg: dict) -> dict:
                 f"profile preset must be one of {PRESETS}, "
                 f"got {profile.get('preset')!r}"
             )
+        if "periods" in profile:
+            profile["periods"] = _integer(profile["periods"], "profile.periods")
         field = init_field(profile, grid, gm, dl)
         run_cfg = dict(cfg.get("run", {}))
         t_end = float(run_cfg.get("t_end", 0.0))
@@ -134,6 +143,9 @@ def build_scenario(cfg: dict) -> dict:
         outputs = dict(cfg.get("outputs", {}))
         trace_req = outputs.get("trace")
         if trace_req is not None:
+            if not isinstance(trace_req, dict):
+                raise ConfigError(
+                    f"outputs.trace must be a mapping, got {trace_req!r}")
             direction = str(trace_req.get("direction", "forward")).lower()
             if direction not in ("forward", "backward"):
                 raise ConfigError(
@@ -142,7 +154,7 @@ def build_scenario(cfg: dict) -> dict:
                 )
             outputs["trace"] = {
                 "x_start": float(trace_req.get("x_start", grid.x0)),
-                "direction": direction,
+                "direction": solver.Direction(direction),
             }
     except DomainError as e:
         raise ConfigError(str(e)) from e
@@ -163,48 +175,28 @@ def verdict_json(verdict: criteria.Verdict) -> str:
     return json.dumps(verdict.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _flag_char(on_char: str, off_char: str, ok, violation_t, t) -> str:
-    if ok is None:
-        return "-"
-    if violation_t is not None and t >= violation_t:
-        return off_char
-    return on_char
-
-
 def monitors_csv(mon: solver.Monitors) -> str:
     """Flags column: three characters (invariant region, ceiling,
     floor); uppercase = holding, lowercase = violated by this time,
-    '-' = audit not applicable."""
+    '-' = audit off (see solver.Audit)."""
+    audits = (("R", mon.invariant), ("C", mon.ceiling), ("F", mon.floor))
     lines = [MONITOR_HEADER]
-    for i, t in enumerate(mon.ts):
-        flags = (
-            _flag_char("R", "r", mon.invariant_region_ok, mon.invariant_violation_t, t)
-            + _flag_char("C", "c", mon.ceiling_ok, mon.ceiling_violation_t, t)
-            + _flag_char("F", "f", mon.floor_ok, mon.floor_violation_t, t)
-        )
-        lines.append(
-            ",".join(
-                (
-                    _fmt(t), _fmt(mon.max_abs_ux[i]), _fmt(mon.min_rho[i]),
-                    _fmt(mon.y_max[i]), _fmt(mon.q_max[i]), flags,
-                )
-            )
-        )
+    for row in zip(mon.ts, mon.max_abs_ux, mon.min_rho, mon.y_max, mon.q_max):
+        flags = "".join([
+            "-" if audit.ok is None else letter.lower() if audit.violated_by(row[0])
+            else letter
+            for letter, audit in audits
+        ])
+        lines.append(",".join(map(_fmt, row)) + "," + flags)
     return "\n".join(lines) + "\n"
 
 
 def trace_csv(trace: solver.CharTrace, report: solver.CrossValidationReport) -> str:
     lines = [TRACE_HEADER]
-    for i, t in enumerate(trace.times):
-        dev = abs(report.y_integrated[i] - trace.y_or_q[i]) / report.scale
-        lines.append(
-            ",".join(
-                (
-                    _fmt(t), _fmt(trace.xs[i]), _fmt(trace.phi[i]),
-                    _fmt(trace.y_or_q[i]), _fmt(report.y_integrated[i]), _fmt(dev),
-                )
-            )
-        )
+    for t, x, phi, y_or_q, y_int in zip(trace.times, trace.xs, trace.phi,
+                                        trace.y_or_q, report.y_integrated):
+        dev = abs(y_int - y_or_q) / report.scale
+        lines.append(",".join(map(_fmt, (t, x, phi, y_or_q, y_int, dev))))
     return "\n".join(lines) + "\n"
 
 
@@ -215,8 +207,7 @@ def summary_text(scn: dict, verdict: criteria.Verdict, result) -> str:
         "scenario summary",
         f"gamma={_fmt(gm.gamma)} big_k={_fmt(gm.big_k)} "
         f"alpha={_fmt(dl.alpha)} lambda={_fmt(dl.lam)}",
-        f"regime: {regime.gamma_side.value}/{regime.lambda_side.value} "
-        f"theorem={regime.applicable_theorem.value}",
+        f"regime: {regime.label} theorem={regime.applicable_theorem.value}",
         f"verdict: fired={str(verdict.fired).lower()} "
         f"theorem={verdict.theorem.value}",
     ]
@@ -230,17 +221,17 @@ def summary_text(scn: dict, verdict: criteria.Verdict, result) -> str:
             )
         else:
             lines.append(f"completed: t={_fmt(result.outcome.t)}")
-        lines.append(_audit(
-            "invariant region", mon.invariant_region_ok, mon.invariant_violation_t))
-        if mon.ceiling_ok is not None:
-            lines.append(_audit("ceiling", mon.ceiling_ok, mon.ceiling_violation_t))
+        lines.append(_audit("invariant region", mon.invariant))
+        if mon.ceiling.ok is not None:
+            lines.append(_audit("ceiling", mon.ceiling))
         if regime.has_density_floor:
             lines.append(_floor_audit(mon))
     return "\n".join(lines) + "\n"
 
 
-def _audit(name: str, ok, violation_t) -> str:
-    return f"{name} audit: " + ("ok" if ok else f"violated at t={_fmt(violation_t)}")
+def _audit(name: str, audit: solver.Audit) -> str:
+    return f"{name} audit: " + (
+        f"violated at t={_fmt(audit.violation_t)}" if audit.violated_by() else "ok")
 
 
 def _floor_audit(mon: solver.Monitors) -> str:
@@ -249,12 +240,12 @@ def _floor_audit(mon: solver.Monitors) -> str:
     if mon.floor_t_min is None:
         return ("density floor audit: not computed (floor constants outside "
                 "double range)")
-    if mon.floor_ok is None:
+    if mon.floor.ok is None:
         if mon.floor_range_t is None:
             return "density floor audit: not exercised (run ended before t_min)"
         return ("density floor audit: not computed (floor outside double range "
                 "at every step past t_min)")
-    line = _audit("density floor", mon.floor_ok, mon.floor_violation_t)
+    line = _audit("density floor", mon.floor)
     if mon.floor_range_t is not None:
         line += (" (floor outside double range at some steps from "
                  f"t={_fmt(mon.floor_range_t)})")
@@ -322,12 +313,8 @@ def cmd_simulate(args) -> int:
     lap("write")
     trace_req = outputs.get("trace")
     if trace_req:
-        direction = (
-            solver.Direction.FORWARD
-            if trace_req["direction"] == "forward"
-            else solver.Direction.BACKWARD
-        )
-        trace = solver.trace_characteristic(result, trace_req["x_start"], direction)
+        trace = solver.trace_characteristic(
+            result, trace_req["x_start"], trace_req["direction"])
         report = solver.cross_validate_riccati(
             trace, scn["gas"], scn["damping"], scn["trace_tol"]
         )
@@ -357,34 +344,28 @@ SWEEP_HEADER = (
 
 
 def _apply_axis(cfg: dict, name: str, value: float) -> None:
-    if name == "alpha":
-        cfg["damping"]["alpha"] = value
-    elif name == "lambda":
-        cfg["damping"]["lambda"] = value
-    elif name == "gamma":
-        cfg["gas"]["gamma"] = value
-    elif name == "steepness":
-        # scales the profile amplitudes; steepness 1 is the template
+    """Set the config key the axis is named after; steepness instead
+    scales the profile amplitudes (steepness 1 is the template)."""
+    if name == "steepness":
         for key in ("u_amp", "tau_amp"):
             if key in cfg["profile"]:
                 cfg["profile"][key] = cfg["profile"][key] * value
+    else:
+        cfg["gas" if name == "gamma" else "damping"][name] = value
 
 
 def _sweep_cell(payload) -> str:
     """One sweep row; never raises, failures land in the error column."""
     cfg, axes, values = payload
-    import copy
-
     cell_cfg = copy.deepcopy(cfg)
     for name, v in zip(axes, values):
         _apply_axis(cell_cfg, name, v)
     prefix = ",".join(_fmt(v) for v in values)
     try:
         scn = build_scenario(cell_cfg)
-        gm, dl = scn["gas"], scn["damping"]
-        regime = criteria.classify_regime(gm, dl)
+        regime = criteria.classify_regime(scn["gas"], scn["damping"])
         verdict = _evaluate(scn)
-        broke, bracket, floor_violations = "false", "", "0"
+        broke, bracket, floor_violations = "false", "", 0
         if scn["t_end"] > 0.0:
             result = solver.run(scn["field"], scn["t_end"], cfl=scn["cfl"])
             if result.broke_down:
@@ -392,16 +373,15 @@ def _sweep_cell(payload) -> str:
                 broke = "true"
                 bracket = f"{_fmt(rep.t_prev)}..{_fmt(rep.t)}"
             mon = result.monitors
-            if mon.floor_ok is False:  # the latch has set floor_violation_t
-                floor_violations = str(sum(t >= mon.floor_violation_t for t in mon.ts))
+            floor_violations = sum(map(mon.floor.violated_by, mon.ts))
         row = ",".join(
             (
-                f"{regime.gamma_side.value}/{regime.lambda_side.value}",
+                regime.label,
                 verdict.theorem.value,
                 str(verdict.fired).lower(),
                 broke,
                 bracket,
-                floor_violations,
+                str(floor_violations),
                 "",
             )
         )
@@ -417,27 +397,38 @@ def cmd_sweep(args) -> int:
     start = time.perf_counter()
     cfg = load_config(args.config)
     sweep_cfg = cfg.pop("sweep", None)
-    if not sweep_cfg:
-        raise ConfigError("sweep config needs a 'sweep' section")
+    if not (sweep_cfg and isinstance(sweep_cfg, dict)):
+        raise ConfigError("sweep config needs a 'sweep' section (a mapping)")
+    _require_finite(sweep_cfg, "sweep")
     axes_cfg = sweep_cfg.get("axes", [])
-    if not (1 <= len(axes_cfg) <= 2):
+    if not (isinstance(axes_cfg, list) and 1 <= len(axes_cfg) <= 2):
         raise ConfigError("sweep needs one or two axes")
-    axes, grids = [], []
-    for ax in axes_cfg:
-        name = ax.get("name")
-        if name not in _AXIS_NAMES:
-            raise ConfigError(f"axis name must be one of {_AXIS_NAMES}, got {name!r}")
-        count = int(ax.get("count", 0))
-        if count < 1:
-            raise ConfigError("axis count must be at least 1")
-        axes.append(name)
-        grids.append(
-            np.linspace(float(ax["start"]), float(ax["stop"]), count)
-        )
-    budget = int(sweep_cfg.get("budget", SWEEP_BUDGET_DEFAULT))
-    n_cells = int(np.prod([len(g) for g in grids]))
+    axes, spans, probe = [], [], copy.deepcopy(cfg)
+    try:
+        for i, ax in enumerate(axes_cfg):
+            where = f"sweep.axes[{i}]"
+            if not isinstance(ax, dict):
+                raise ConfigError(f"{where} must be a mapping, got {ax!r}")
+            name = ax.get("name")
+            if name not in _AXIS_NAMES:
+                raise ConfigError(
+                    f"axis name must be one of {_AXIS_NAMES}, got {name!r}")
+            count = _integer(ax.get("count", 0), f"{where}.count")
+            if count < 1:
+                raise ConfigError("axis count must be at least 1")
+            lo, hi = (float(_need(ax, key, where)) for key in ("start", "stop"))
+            if not math.isfinite(hi - lo):
+                raise ConfigError(f"{where} spans more than double range")
+            _apply_axis(probe, name, 1.0)  # the template has what the axis sets
+            axes.append(name)
+            spans.append((lo, hi, count))
+        budget = _integer(sweep_cfg.get("budget", SWEEP_BUDGET_DEFAULT), "sweep.budget")
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"malformed sweep: {type(e).__name__}: {e}") from e
+    n_cells = math.prod(count for _, _, count in spans)
     if n_cells > budget:
         raise ConfigError(f"sweep has {n_cells} cells, budget is {budget}")
+    grids = [np.linspace(*span) for span in spans]
 
     # the first axis varies slowest
     cells = [

@@ -126,6 +126,11 @@ class Regime:
     applicable_theorem: Theorem
 
     @property
+    def label(self) -> str:
+        """The regime as the reports print it: gamma_side/lambda_side."""
+        return f"{self.gamma_side.value}/{self.lambda_side.value}"
+
+    @property
     def has_density_floor(self) -> bool:
         """The density floor shares the hypothesis of the sub-gamma
         criteria: 1 < gamma < 3, off the lambda gap."""
@@ -168,8 +173,7 @@ def require_theorem(gm: GasModel, dl: DampingLaw, theorem: Theorem, what: str) -
     regime = classify_regime(gm, dl)
     if regime.applicable_theorem is not theorem:
         raise RegimeError(
-            f"{what} requires the {theorem.value} regime, got "
-            f"{regime.gamma_side.value}/{regime.lambda_side.value}"
+            f"{what} requires the {theorem.value} regime, got {regime.label}"
         )
     return regime
 

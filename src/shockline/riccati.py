@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -77,7 +77,6 @@ class RiccatiOutcome:
     y_end: Optional[float] = None
     t_star_lo: Optional[float] = None
     t_star_hi: Optional[float] = None
-    trajectory: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
 
 
 def _rhs(prob: RiccatiProblem, chart: str, t: float, val: float) -> float:
@@ -158,7 +157,6 @@ def integrate(prob: RiccatiProblem, t_end: float, tol: float = 1e-9) -> RiccatiO
         chart, val = "v", 1.0 / prob.y0
     else:
         chart, val = "y", prob.y0
-    traj = [(t, prob.y0)]
 
     span = t_end - prob.t0
     h = min(1e-2, span / 10.0)
@@ -181,7 +179,6 @@ def integrate(prob: RiccatiProblem, t_end: float, tol: float = 1e-9) -> RiccatiO
                     kind=OutcomeKind.BLOWUP,
                     t_star_lo=max(t, lo - 0.5 * width),
                     t_star_hi=hi + 0.5 * width,
-                    trajectory=np.array(traj),
                 )
             t += h
             val = val_new
@@ -189,7 +186,6 @@ def integrate(prob: RiccatiProblem, t_end: float, tol: float = 1e-9) -> RiccatiO
                 chart, val = "v", 1.0 / val
             elif chart == "v" and val <= -1.0:
                 chart, val = "y", 1.0 / val
-            traj.append((t, val if chart == "y" else 1.0 / val))
             # PI step-size controller (fourth-order in h under
             # per-unit-step scaling)
             grow = safety * ratio ** -0.25 * err_prev**0.04 if ratio > 0 else 5.0
@@ -205,7 +201,6 @@ def integrate(prob: RiccatiProblem, t_end: float, tol: float = 1e-9) -> RiccatiO
         kind=OutcomeKind.GLOBAL,
         t_end=t,
         y_end=val if chart == "y" else 1.0 / val,
-        trajectory=np.array(traj),
     )
 
 

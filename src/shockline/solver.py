@@ -11,6 +11,11 @@ scheme stable at CFL 0.4 without affecting the measured order.  Each
 stage pads tau, u and p once (fields.pad) and reads both stencils from
 those copies; run checks every accepted state for finiteness.
 
+Each audit of an a-priori bound (invariant region, y/q ceilings,
+density floor) is one Audit value in Monitors: a latch that run records
+at every step and whose "violated by t" reading gives the monitors.csv
+flag letter, the summary line and the sweep's floor_violations count.
+
 Tracing reads the snapshots through two periodic cubic splines in x,
 one for tau and one for u, each with every snapshot stacked as a
 column, and is linear in t between the two snapshots that bracket t.
@@ -105,26 +110,40 @@ def step(field: FieldState, dt: float) -> FieldState:
 # ---------------------------------------------------------------------
 
 @dataclass
-class Monitors:
-    """Per-step time series plus monotone audit flags.
+class Audit:
+    """One a-priori bound checked at every step, latched: ok is None
+    while the audit is off (regime hypotheses not met; for the floor
+    also before t_min, and at steps whose floor is outside double
+    range), True while the bound holds, then False for good from the
+    first violation, whose time is violation_t."""
 
-    A flag is None while its audit is disabled (regime hypotheses not
-    met; for the floor also before t_min, and at steps whose floor is
-    outside double range), True until the first violation, then False
-    forever; the first violation time is recorded.
-    """
+    ok: Optional[bool] = None
+    violation_t: Optional[float] = None
+
+    def record(self, ok: bool, t: float) -> None:
+        if self.ok is not False:
+            self.ok = ok
+            if not ok:
+                self.violation_t = t
+
+    def violated_by(self, t: float = math.inf) -> bool:
+        """Whether the bound had failed at or before t (by the end of
+        the run when t is omitted)."""
+        return self.violation_t is not None and self.violation_t <= t
+
+
+@dataclass
+class Monitors:
+    """Per-step time series plus the three audits."""
 
     ts: list = dc_field(default_factory=list)
     max_abs_ux: list = dc_field(default_factory=list)
     min_rho: list = dc_field(default_factory=list)
     y_max: list = dc_field(default_factory=list)
     q_max: list = dc_field(default_factory=list)
-    invariant_region_ok: Optional[bool] = None
-    ceiling_ok: Optional[bool] = None
-    floor_ok: Optional[bool] = None
-    invariant_violation_t: Optional[float] = None
-    ceiling_violation_t: Optional[float] = None
-    floor_violation_t: Optional[float] = None
+    invariant: Audit = dc_field(default_factory=Audit)
+    ceiling: Audit = dc_field(default_factory=Audit)
+    floor: Audit = dc_field(default_factory=Audit)
     floor_t_min: Optional[float] = None  # onset of the floor; None if there is none
     floor_range_t: Optional[float] = None  # first t whose floor left double range
 
@@ -136,46 +155,34 @@ def ceiling_regime_holds(gm: GasModel, dl: DampingLaw) -> bool:
     g, a, lam = gm.gamma, dl.alpha, dl.lam
     if a == 0.0:
         return True
-    if lam < 1.0:
+    if lam <= 1.0:
         return lam * (g - 3.0) <= a * (g - 1.0)
-    if lam == 1.0:
-        return (g - 3.0) <= a * (g - 1.0)
     return lam * (g - 3.0) <= 0.0
 
 
-@dataclass
-class _Audits:
-    c0_tilde: float
-    ceilings: bounds.RiccatiCeilings
-    capped: bool  # the ceiling regime holds: y and q are audited
-    floor: Optional[bounds.DensityFloor]
-
-
-def _prepare_audits(field: FieldState) -> _Audits:
+def _prepare_audits(field: FieldState, mon: Monitors) -> tuple:
+    """The constants of the audits: (c0_tilde, ceilings, floor or None).
+    Switches mon's ceiling audit on where its regime holds (an audit
+    left at None is off) and notes the floor's onset in mon; the floor
+    audit comes on at its first check past t_min."""
     gm, dl = field.gas, field.damping
     c0_tilde = bounds.certified_initial_bound(field).c0_tilde
     ceilings = bounds.riccati_ceilings(field)
+    if ceiling_regime_holds(gm, dl):
+        mon.ceiling.ok = True
     floor = None
     if core.classify_regime(gm, dl).has_density_floor:
         try:
             floor = bounds.make_density_floor(
                 gm, dl, ceilings, bounds.initial_phi_term_sup(field)
             )
+            mon.floor_t_min = floor.t_min
         except RangeError:
             pass
-    return _Audits(c0_tilde, ceilings, ceiling_regime_holds(gm, dl), floor)
+    return c0_tilde, ceilings, floor
 
 
-def _latch(mon: Monitors, flag: str, when: str, ok: bool, t: float):
-    """Monotone audit flag: the first check sets it, a violation clears it
-    for good and records its time in the `when` field."""
-    if getattr(mon, flag) is not False:
-        setattr(mon, flag, ok)
-    if not ok and getattr(mon, when) is None:
-        setattr(mon, when, t)
-
-
-def _record(mon: Monitors, field: FieldState, max_ux, tau_max, audits: _Audits):
+def _record(mon: Monitors, field: FieldState, max_ux, tau_max, audits: tuple):
     t = field.t
     # 1/x is monotone and correctly rounded: min(1/tau) is 1/max(tau) exactly
     rho_min = 1.0 / tau_max
@@ -191,25 +198,24 @@ def _record(mon: Monitors, field: FieldState, max_ux, tau_max, audits: _Audits):
 
     rho_max = 1.0 / float(field.tau.min())
     u_max = float(np.abs(field.u).max())
-    ok = rho_max <= audits.c0_tilde * 1.02 and u_max <= audits.c0_tilde * 1.02
-    _latch(mon, "invariant_region_ok", "invariant_violation_t", ok, t)
+    c0_tilde, caps, floor = audits
+    region_cap = c0_tilde * 1.02
+    mon.invariant.record(rho_max <= region_cap and u_max <= region_cap, t)
 
-    if audits.capped:
-        caps = audits.ceilings
-        ok = (not math.isnan(y_max)) and y_max <= caps.y_cap * 1.02 \
-            and q_max <= caps.q_cap * 1.02
-        _latch(mon, "ceiling_ok", "ceiling_violation_t", ok, t)
+    if mon.ceiling.ok is not None:
+        mon.ceiling.record((not math.isnan(y_max)) and y_max <= caps.y_cap * 1.02
+                           and q_max <= caps.q_cap * 1.02, t)
 
-    if audits.floor is not None and t > audits.floor.t_min:
+    if floor is not None and t > floor.t_min:
         try:
             floor_val = bounds.density_floor(
-                field.gas, field.damping, audits.ceilings, t, audits.floor.t_min
+                field.gas, field.damping, caps, t, floor.t_min
             )
         except RangeError:  # no floor to audit against at this step
             if mon.floor_range_t is None:
                 mon.floor_range_t = t
         else:
-            _latch(mon, "floor_ok", "floor_violation_t", rho_min >= 0.95 * floor_val, t)
+            mon.floor.record(rho_min >= 0.95 * floor_val, t)
 
 
 # ---------------------------------------------------------------------
@@ -279,8 +285,8 @@ def run(
     if not (0.0 < cfl <= DEFAULT_CFL):
         raise DomainError(f"cfl must lie in (0, {DEFAULT_CFL}], got {cfl}")
     max_ux, tau_max = _extremes(field)
-    audits = _prepare_audits(field) if monitors_requested else None
-    mon = Monitors(floor_t_min=audits.floor.t_min if audits and audits.floor else None)
+    mon = Monitors()
+    audits = _prepare_audits(field, mon) if monitors_requested else None
     snaps = SnapshotStore(grid=field.grid, gas=field.gas, damping=field.damping)
     cadence = max(1, field.grid.n // 256)
     snaps.append(field)

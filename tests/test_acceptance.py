@@ -150,7 +150,7 @@ class TestAcceptance:
                 n=128, length=10.0,
             )
             res = run(f, 2.0)
-            all_ok = all_ok and bool(res.monitors.invariant_region_ok)
+            all_ok = all_ok and bool(res.monitors.invariant.ok)
         report(5, "invariant region holds within 2% on 5 presets", all_ok)
 
     def _ceiling_floor_runs(self):
@@ -177,7 +177,7 @@ class TestAcceptance:
         all_ok = True
         detail = []
         for gamma, lam, gm, dl, res, _, _ in self._ceiling_floor_runs():
-            ok = bool(res.monitors.ceiling_ok)
+            ok = bool(res.monitors.ceiling.ok)
             all_ok = all_ok and ok
             detail.append(f"g={gamma},lam={lam}:{'ok' if ok else 'VIOLATED'}")
         report(6, "y/q ceilings hold within 2% on 4 scenarios", all_ok,
@@ -188,7 +188,7 @@ class TestAcceptance:
         exercised = 0
         for gamma, lam, gm, dl, res, ceilings, floor in self._ceiling_floor_runs():
             mon = res.monitors
-            ok = mon.floor_ok is True
+            ok = mon.floor.ok is True
             # recheck directly from the recorded series
             for t, rho in zip(mon.ts, mon.min_rho):
                 if t > floor.t_min:

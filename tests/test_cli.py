@@ -100,6 +100,10 @@ class TestValidate:
         lambda c: c["damping"].update(alpha=float("inf")),
         lambda c: c["profile"].update(u_amp=float("nan")),
         lambda c: c["gas"].update(gamma=1.001),
+        lambda c: c["outputs"].update(trace=True),
+        lambda c: c["outputs"].update(trace=[1]),
+        lambda c: c["grid"].update(n=32.9),
+        lambda c: c["profile"].update(periods=1.5),
     ])
     def test_fuzzed_invalid_configs(self, tmp_path, capsys, mutate):
         bad = json.loads(json.dumps(BASE))
@@ -107,6 +111,12 @@ class TestValidate:
         cfg = write_cfg(tmp_path, bad)
         assert main(["validate", "--config", cfg]) == EXIT_CONFIG
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    def test_integral_floats_accepted(self, tmp_path, capsys):
+        ok = json.loads(json.dumps(BASE))
+        ok["grid"]["n"] = 64.0
+        ok["profile"]["periods"] = 2.0
+        assert main(["validate", "--config", write_cfg(tmp_path, ok)]) == EXIT_OK
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.yaml")]) \
@@ -281,6 +291,28 @@ class TestSweep:
             budget=50,
         ))
         assert main(["sweep", "--config", cfg]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("mutate", [
+        lambda c: c.update(sweep=[1]),
+        lambda c: c["sweep"].update(axes=5),
+        lambda c: c["sweep"].update(axes=[5]),
+        lambda c: c["sweep"]["axes"][0].pop("start"),
+        lambda c: c["sweep"]["axes"][0].update(start="a"),
+        lambda c: c["sweep"]["axes"][0].update(start=float("inf")),
+        lambda c: c["sweep"]["axes"][0].update(count="x"),
+        lambda c: c["sweep"]["axes"][0].update(count=2.5),
+        lambda c: c["sweep"].update(budget="x"),
+        lambda c: c["sweep"].update(budget=10.5),
+        lambda c: c.pop("damping"),  # the lambda axis has nothing to set
+    ])
+    def test_malformed_sweep_is_config_error(self, tmp_path, mutate):
+        cfg = self.sweep_cfg([{"name": "lambda", "start": 0.5, "stop": 2.5, "count": 3}])
+        mutate(cfg)
+        code, err = _run_verb(["sweep", "--config", write_cfg(tmp_path, cfg),
+                               "--jobs", "1"])
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "ConfigError"
 
     def test_cell_isolation(self, tmp_path):
         # the gamma axis crosses the excluded value 3: that cell fails,

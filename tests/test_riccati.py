@@ -116,13 +116,6 @@ class TestIntegrate:
         assert out.kind is OutcomeKind.BLOWUP
         assert out.t_star_lo <= pole <= out.t_star_hi
 
-    def test_trajectory_recorded(self):
-        prob = const_problem(1.0, 1.0, 0.0)
-        out = integrate(prob, 1.0, tol=1e-9)
-        assert out.trajectory.shape[1] == 2
-        assert out.trajectory[0, 0] == 0.0
-        assert math.isclose(out.trajectory[-1, 0], 1.0)
-
     def test_rejects_nonpositive_c2(self):
         prob = const_problem(0.0, -1.0, 1.0)
         with pytest.raises(CoefficientError):

@@ -116,9 +116,9 @@ class TestRun:
                        n=64)
         res = run(f, 10.0)
         assert not res.broke_down
-        assert res.monitors.invariant_region_ok
-        assert res.monitors.ceiling_ok
-        assert res.monitors.floor_ok in (True, None)
+        assert res.monitors.invariant.ok
+        assert res.monitors.ceiling.ok
+        assert res.monitors.floor.ok in (True, None)
 
     def test_breakdown_is_recorded_not_raised(self, gm2, dl_const):
         f = make_field(
@@ -147,7 +147,7 @@ class TestRun:
         res = run(sine_field, 1.0)
         m = res.monitors
         # no violations in this gentle scenario
-        assert m.invariant_region_ok and m.invariant_violation_t is None
+        assert m.invariant.ok and m.invariant.violation_t is None
 
     def test_snapshot_cadence(self, gm2, dl_const):
         f = make_field(gm2, dl_const, {"preset": "sine", "tau0": 1.0,
@@ -219,6 +219,20 @@ class TestCeilingRegime:
         assert not ceiling_regime_holds(gm5, DampingLaw(0.3, 1.0))
         for lam in (0.5, 1.0, 2.0):  # no damping: c0 = 0 at every t
             assert ceiling_regime_holds(gm5, DampingLaw(0.0, lam))
+
+    def test_floor_audited_with_ceiling_audit_off(self):
+        # lambda at alpha(g-1)/(g-3): the regime map admits the floor while
+        # ceiling_regime_holds rounds the other way, so the floor, built on
+        # the ceilings, is audited without the ceiling audit
+        gm = GasModel(1.4958575692561122, 1.0)
+        dl = DampingLaw(0.47263534777696115, -0.1558095895062919)
+        assert core.classify_regime(gm, dl).has_density_floor
+        assert not ceiling_regime_holds(gm, dl)
+        f = make_field(gm, dl, {"preset": "sine", "tau0": 1.0, "u_amp": -0.2},
+                       n=32, length=5.0)
+        mon = run(f, 3.0).monitors
+        assert mon.ceiling.ok is None
+        assert mon.floor_t_min < 3.0 and mon.floor.ok is True
 
 
 class TestTrace:
