@@ -6,8 +6,9 @@ traced forward characteristic.
 
 Usage: python scripts/blowup_demo.py [--gamma 2.0] [--lam 0.0] [--n 256]
 
-When the criterion does not fire, the trace starts where the initial
-y is most negative.  The demo prints where that characteristic is at the
+Exits 1 when the grid is too coarse to trace (breakdown on the first
+step).  When the criterion does not fire, the trace starts where the
+initial y is most negative.  The demo prints where that characteristic is at the
 last resolved time next to where breakdown happens (argmax |u_x|).  On
 some data the integral of the Riccati coefficient along the traced
 characteristic never reaches the blow-up threshold; the demo then says
@@ -15,6 +16,7 @@ that no finite bound exists by the search horizon.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -57,6 +59,10 @@ def main():
     rep = result.outcome
     print(f"breakdown observed: t in [{rep.t_prev:.6f}, {rep.t:.6f}], "
           f"max|u_x| = {rep.max_abs_ux:.2f}")
+    if len(result.snapshots.times) < 2:  # broke down on the first step
+        print(f"the data are under-resolved at n={args.n}: breakdown on the "
+              "first step leaves nothing to trace")
+        return 1
 
     # Riccati upper bound along the characteristic through the witness,
     # or else through the most negative initial y
@@ -92,4 +98,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -40,10 +40,7 @@ from .core import (
 )
 from .criteria import (
     Verdict,
-    check_theorem_31,
-    check_theorem_32,
-    check_theorem_41,
-    check_theorem_42,
+    check_theorem,
     evaluate,
 )
 from .errors import (

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,22 +126,21 @@ def density_floor_constant(
 
 
 @_in_double_range
-def density_floor(
-    gm: GasModel,
-    dl: DampingLaw,
-    ceilings: RiccatiCeilings,
-    t: float,
-    t_min: float = 0.0,
-) -> float:
-    """Time-dependent lower bound on density, valid for t > t_min:
-    K0 * t**(-4/(3-g)) * exp(4/(3-g) * log_time_factor(t)); RangeError
-    where the decay leaves double range."""
-    k0 = density_floor_constant(gm, dl, ceilings)
-    if not (t > t_min):
-        raise RangeError(f"floor is only valid for t > t_min = {t_min:.6g}")
+def density_floor(gm: GasModel, dl: DampingLaw, floor: DensityFloor, t: float) -> float:
+    """Time-dependent lower bound on density, valid for t > floor.t_min:
+    K0 * t**(-4/(3-g)) * exp(4/(3-g) * log_time_factor(t)), with K0 =
+    floor.k0 (see make_density_floor); RangeError where the decay or
+    the floor itself leaves double range, a floor below the smallest
+    normal double included."""
+    if not (t > floor.t_min):
+        raise RangeError(f"floor is only valid for t > t_min = {floor.t_min:.6g}")
     g = gm.gamma
     log_decay = 4.0 / (3.0 - g) * core.log_time_factor(gm, dl, t)
-    return k0 * t ** (-4.0 / (3.0 - g)) * math.exp(core.checked_log(log_decay))
+    val = floor.k0 * t ** (-4.0 / (3.0 - g)) * math.exp(core.checked_log(log_decay))
+    if val < sys.float_info.min:
+        raise RangeError(f"density floor {val:.6g} at t={t:.6g} is below the "
+                         "smallest normal double")
+    return val
 
 
 def _onset_lhs(gm: GasModel, dl: DampingLaw, ceilings: RiccatiCeilings, t: float):

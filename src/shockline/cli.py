@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import bounds, criteria, solver
-from .core import DampingLaw, GasModel
+from . import criteria, solver
+from .core import DampingLaw, GasModel, classify_regime
 from .errors import ConfigError, DomainError, RegimeError, ShocklineError
 from .fields import PRESETS, Grid, init_field
 
@@ -200,9 +200,9 @@ def trace_csv(trace: solver.CharTrace, report: solver.CrossValidationReport) -> 
     return "\n".join(lines) + "\n"
 
 
-def summary_text(scn: dict, verdict: criteria.Verdict, result) -> str:
+def summary_text(scn: dict, verdict: criteria.Verdict, result: solver.RunResult) -> str:
     gm, dl = scn["gas"], scn["damping"]
-    regime = criteria.classify_regime(gm, dl)
+    regime = classify_regime(gm, dl)
     lines = [
         "scenario summary",
         f"gamma={_fmt(gm.gamma)} big_k={_fmt(gm.big_k)} "
@@ -211,21 +211,20 @@ def summary_text(scn: dict, verdict: criteria.Verdict, result) -> str:
         f"verdict: fired={str(verdict.fired).lower()} "
         f"theorem={verdict.theorem.value}",
     ]
-    if result is not None:
-        mon = result.monitors
-        if result.broke_down:
-            rep = result.outcome
-            lines.append(
-                f"breakdown: t in [{_fmt(rep.t_prev)}, {_fmt(rep.t)}] "
-                f"max_abs_ux={_fmt(rep.max_abs_ux)}"
-            )
-        else:
-            lines.append(f"completed: t={_fmt(result.outcome.t)}")
-        lines.append(_audit("invariant region", mon.invariant))
-        if mon.ceiling.ok is not None:
-            lines.append(_audit("ceiling", mon.ceiling))
-        if regime.has_density_floor:
-            lines.append(_floor_audit(mon))
+    mon = result.monitors
+    if result.broke_down:
+        rep = result.outcome
+        lines.append(
+            f"breakdown: t in [{_fmt(rep.t_prev)}, {_fmt(rep.t)}] "
+            f"max_abs_ux={_fmt(rep.max_abs_ux)}"
+        )
+    else:
+        lines.append(f"completed: t={_fmt(result.outcome.t)}")
+    lines.append(_audit("invariant region", mon.invariant))
+    if mon.ceiling.ok is not None:
+        lines.append(_audit("ceiling", mon.ceiling))
+    if regime.has_density_floor:
+        lines.append(_floor_audit(mon))
     return "\n".join(lines) + "\n"
 
 
@@ -311,7 +310,7 @@ def cmd_simulate(args) -> int:
     if outputs.get("summary", True):
         _write(out_dir, "summary.txt", summary)
     lap("write")
-    trace_req = outputs.get("trace")
+    trace_req, trace_note = outputs.get("trace"), ""
     if trace_req:
         trace = solver.trace_characteristic(
             result, trace_req["x_start"], trace_req["direction"])
@@ -320,14 +319,18 @@ def cmd_simulate(args) -> int:
         )
         lap("trace")
         _write(out_dir, "trace.csv", trace_csv(trace, report))
+        trace_note = (f", trace deviation {report.deviation:.3g} "
+                      f"{'within' if report.within_tol else 'over'} "
+                      f"tolerance {scn['trace_tol']:g}")
     sys.stdout.write(summary)
     lap("write")
     dts = np.diff(result.monitors.ts)
     log.info(
-        "simulate: %d steps, dt %s, %s at t=%.6g, %.3f s (%s)", dts.size,
+        "simulate: %d steps, dt %s, %s at t=%.6g, %.3f s (%s)%s", dts.size,
         f"{dts.min():.6g}..{dts.max():.6g}" if dts.size else "-",
         "breakdown" if result.broke_down else "completed", result.outcome.t,
-        clock[-1] - clock[0], ", ".join(f"{k} {s:.3f}" for k, s in phases.items()))
+        clock[-1] - clock[0], ", ".join(f"{k} {s:.3f}" for k, s in phases.items()),
+        trace_note)
     return EXIT_OK
 
 
@@ -363,7 +366,7 @@ def _sweep_cell(payload) -> str:
     prefix = ",".join(_fmt(v) for v in values)
     try:
         scn = build_scenario(cell_cfg)
-        regime = criteria.classify_regime(scn["gas"], scn["damping"])
+        regime = classify_regime(scn["gas"], scn["damping"])
         verdict = _evaluate(scn)
         broke, bracket, floor_violations = "false", "", 0
         if scn["t_end"] > 0.0:

@@ -121,9 +121,13 @@ class Theorem(enum.Enum):
 
 @dataclass(frozen=True)
 class Regime:
+    """A cell of the regime map.  has_ceiling is the hypothesis of the
+    y/q ceilings: c0 <= 0 for all t >= 0."""
+
     gamma_side: GammaSide
     lambda_side: LambdaSide
     applicable_theorem: Theorem
+    has_ceiling: bool
 
     @property
     def label(self) -> str:
@@ -133,7 +137,8 @@ class Regime:
     @property
     def has_density_floor(self) -> bool:
         """The density floor shares the hypothesis of the sub-gamma
-        criteria: 1 < gamma < 3, off the lambda gap."""
+        criteria: 1 < gamma < 3, off the lambda gap (where has_ceiling
+        holds too, as the floor is built on the ceilings)."""
         return self.applicable_theorem in (Theorem.T3_2, Theorem.T4_2)
 
 
@@ -145,26 +150,34 @@ def classify_regime(gm: GasModel, dl: DampingLaw) -> Regime:
     theorem; for 1 < gamma < 3 the same holds for
     lambda < alpha(g-1)/(g-3).  Constant damping (lambda = 0) rides the
     generic machinery.
+
+    The sign of c0 is that of lam(g-3)(1+t)**(lam-1) - alpha(g-1), so the
+    ceilings hold for lambda <= min{1, alpha(g-1)/(g-3)} when gamma > 3,
+    off the gap when 1 < gamma < 3, and for alpha = 0 (c0 = 0).
     """
     g = gm.gamma
     ratio = dl.alpha * (g - 1.0) / (g - 3.0)
+    undamped = dl.alpha == 0.0
     if g > 3.0:
         if dl.branch is Branch.CRITICAL:
             theorem = Theorem.T4_1 if ratio >= 1.0 else Theorem.NONE
-            return Regime(GammaSide.SUPER, LambdaSide.CRITICAL, theorem)
+            return Regime(GammaSide.SUPER, LambdaSide.CRITICAL, theorem,
+                          ratio >= 1.0 or undamped)
         lo, hi = min(1.0, ratio), max(1.0, ratio)
         if dl.lam < lo:
-            return Regime(GammaSide.SUPER, LambdaSide.GENERIC_LOW, Theorem.T3_1)
+            return Regime(GammaSide.SUPER, LambdaSide.GENERIC_LOW, Theorem.T3_1, True)
         if dl.lam > hi:
-            return Regime(GammaSide.SUPER, LambdaSide.GENERIC_HIGH, Theorem.T3_1)
-        return Regime(GammaSide.SUPER, LambdaSide.GENERIC_GAP, Theorem.NONE)
+            return Regime(GammaSide.SUPER, LambdaSide.GENERIC_HIGH, Theorem.T3_1,
+                          undamped)
+        return Regime(GammaSide.SUPER, LambdaSide.GENERIC_GAP, Theorem.NONE,
+                      dl.lam == lo or undamped)
     # 1 < gamma < 3 (gamma == 3 cannot construct a GasModel)
     if dl.branch is Branch.CRITICAL:
-        return Regime(GammaSide.SUB, LambdaSide.CRITICAL, Theorem.T4_2)
+        return Regime(GammaSide.SUB, LambdaSide.CRITICAL, Theorem.T4_2, True)
     if dl.lam < ratio:
-        return Regime(GammaSide.SUB, LambdaSide.GENERIC_GAP, Theorem.NONE)
+        return Regime(GammaSide.SUB, LambdaSide.GENERIC_GAP, Theorem.NONE, undamped)
     side = LambdaSide.GENERIC_HIGH if dl.lam > 1.0 else LambdaSide.GENERIC_LOW
-    return Regime(GammaSide.SUB, side, Theorem.T3_2)
+    return Regime(GammaSide.SUB, side, Theorem.T3_2, True)
 
 
 def require_theorem(gm: GasModel, dl: DampingLaw, theorem: Theorem, what: str) -> Regime:

@@ -17,16 +17,7 @@ import numpy as np
 
 from . import bounds, core
 from .bounds import InitialBound
-# the regime map lives in core (bounds needs it too) and is re-exported here
-from .core import (
-    DampingLaw,
-    GammaSide,
-    GasModel,
-    LambdaSide,
-    Regime,
-    Theorem,
-    classify_regime,
-)
+from .core import DampingLaw, GasModel, Theorem
 from .errors import DomainError, RangeError
 from .fields import FieldState
 
@@ -112,11 +103,7 @@ def _assert_sign_consistency(field: FieldState, rhs: np.ndarray):
             raise DomainError("slope form and y/q sign form disagree")
 
 
-# Each theorem's blow-up threshold constant.  The gamma > 3 criteria
-# (threshold N or N1) compare the slopes with
-#   Kt1 * phi**(-2/(g-1)) - N * exp(-log_time_factor(0)) * phi**(-(g+1)/(2(g-1)))
-# on certified data; the 1 < gamma < 3 criteria (no threshold) drop the
-# second term, which makes them sign conditions on y and q.
+# Each theorem's blow-up threshold constant (see check_theorem).
 _CRITERIA = {
     Theorem.T3_1: bounds.threshold_N,
     Theorem.T3_2: None,
@@ -125,11 +112,25 @@ _CRITERIA = {
 }
 
 
-def _check(
+def check_theorem(
     theorem: Theorem, field: FieldState, gm: GasModel, dl: DampingLaw,
     ib: Optional[InitialBound] = None,
 ) -> Verdict:
-    """The one checker body behind the four check_theorem_* entry points."""
+    """Check one theorem's criterion on initial data; RegimeError unless
+    (gm, dl) lies in its regime.  Fires where a Riemann-invariant slope
+    is below the theorem's threshold curve:
+
+    T3_1 (gamma > 3, generic branch outside the lambda gap) and T4_1
+    (gamma > 3, lambda = 1, alpha >= (g-3)/(g-1)):
+        Kt1 * phi**(-2/(g-1)) - Kt2 * phi**(-(g+1)/(2(g-1))), with
+        Kt1 = alpha(g-1)/(K_c(g-3)) and Kt2 the threshold N (T3_1) or
+        N1 (T4_1) times exp(-log_time_factor(0)), on data certified by
+        ib (derived from the field when omitted);
+    T3_2 (1 < gamma < 3, lambda >= alpha(g-1)/(g-3), generic branch)
+    and T4_2 (1 < gamma < 3, lambda = 1):
+        Kt1 * phi**(-2/(g-1)) = -alpha(g-1)/(K_c(3-g)) * phi**(-2/(g-1)),
+        equivalently where y or q is negative at t = 0.
+    """
     threshold_fn = _CRITERIA[theorem]
     _require_t0(field)
     core.require_theorem(gm, dl, theorem, f"criterion {theorem.value}")
@@ -140,6 +141,8 @@ def _check(
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         rhs = kt1 * phi ** (-2.0 / (g - 1.0))
         if threshold_fn is not None:
+            if ib is None:
+                ib = bounds.certified_initial_bound(field)
             _require_certified(field, ib)
             threshold = threshold_fn(gm, dl, ib)
             kt2 = threshold * core.initial_decay(gm, dl)
@@ -149,36 +152,6 @@ def _check(
     if threshold_fn is None:
         _assert_sign_consistency(field, rhs)
     return _scan(field, rhs, theorem, threshold)
-
-
-def check_theorem_31(
-    field: FieldState, gm: GasModel, dl: DampingLaw, ib: InitialBound
-) -> Verdict:
-    """gamma > 3, generic branch outside the lambda gap: fires where a
-    Riemann-invariant slope is below
-    Kt1 * phi**(-2/(g-1)) - Kt2 * phi**(-(g+1)/(2(g-1)))."""
-    return _check(Theorem.T3_1, field, gm, dl, ib)
-
-
-def check_theorem_32(field: FieldState, gm: GasModel, dl: DampingLaw) -> Verdict:
-    """1 < gamma < 3, lambda >= alpha(g-1)/(g-3), generic branch: fires
-    where a slope is below -alpha(g-1)/(K_c(3-g)) * phi**(-2/(g-1)),
-    equivalently where y or q is negative at t = 0."""
-    return _check(Theorem.T3_2, field, gm, dl)
-
-
-def check_theorem_41(
-    field: FieldState, gm: GasModel, dl: DampingLaw, ib: InitialBound
-) -> Verdict:
-    """gamma > 3, lambda = 1, alpha >= (g-3)/(g-1): as the generic
-    gamma > 3 check with the critical threshold N1."""
-    return _check(Theorem.T4_1, field, gm, dl, ib)
-
-
-def check_theorem_42(field: FieldState, gm: GasModel, dl: DampingLaw) -> Verdict:
-    """1 < gamma < 3, lambda = 1: same inequality shape as the generic
-    sub-gamma check."""
-    return _check(Theorem.T4_2, field, gm, dl)
 
 
 def evaluate(
@@ -194,11 +167,11 @@ def evaluate(
     itself.
     """
     _require_t0(field)
-    theorem = classify_regime(gm, dl).applicable_theorem
+    theorem = core.classify_regime(gm, dl).applicable_theorem
     if ib is None:
         ib = bounds.certified_initial_bound(field)
     if theorem in _CRITERIA:
-        return _check(theorem, field, gm, dl, ib)
+        return check_theorem(theorem, field, gm, dl, ib)
     return Verdict(
         fired=False, theorem=Theorem.NONE, witness_x=None, lhs=None, rhs=None,
         threshold=0.0,

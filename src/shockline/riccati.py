@@ -73,7 +73,6 @@ class OutcomeKind(enum.Enum):
 @dataclass
 class RiccatiOutcome:
     kind: OutcomeKind
-    t_end: Optional[float] = None
     y_end: Optional[float] = None
     t_star_lo: Optional[float] = None
     t_star_hi: Optional[float] = None
@@ -197,11 +196,7 @@ def integrate(prob: RiccatiProblem, t_end: float, tol: float = 1e-9) -> RiccatiO
             raise ToleranceError(
                 f"step size underflow at t={t:.6g} without a pole crossing"
             )
-    return RiccatiOutcome(
-        kind=OutcomeKind.GLOBAL,
-        t_end=t,
-        y_end=val if chart == "y" else 1.0 / val,
-    )
+    return RiccatiOutcome(OutcomeKind.GLOBAL, y_end=val if chart == "y" else 1.0 / val)
 
 
 # ---------------------------------------------------------------------

@@ -148,30 +148,20 @@ class Monitors:
     floor_range_t: Optional[float] = None  # first t whose floor left double range
 
 
-def ceiling_regime_holds(gm: GasModel, dl: DampingLaw) -> bool:
-    """Whether the zero-order Riccati coefficient stays nonpositive for
-    all t >= 0, which is the hypothesis of the y/q ceiling (c0 = 0 when
-    alpha = 0)."""
-    g, a, lam = gm.gamma, dl.alpha, dl.lam
-    if a == 0.0:
-        return True
-    if lam <= 1.0:
-        return lam * (g - 3.0) <= a * (g - 1.0)
-    return lam * (g - 3.0) <= 0.0
-
-
 def _prepare_audits(field: FieldState, mon: Monitors) -> tuple:
     """The constants of the audits: (c0_tilde, ceilings, floor or None).
-    Switches mon's ceiling audit on where its regime holds (an audit
-    left at None is off) and notes the floor's onset in mon; the floor
-    audit comes on at its first check past t_min."""
+    Switches mon's ceiling audit on where the regime map grants its
+    hypothesis (an audit left at None is off) and notes the floor's
+    onset in mon; the floor audit comes on at its first check past
+    t_min."""
     gm, dl = field.gas, field.damping
     c0_tilde = bounds.certified_initial_bound(field).c0_tilde
     ceilings = bounds.riccati_ceilings(field)
-    if ceiling_regime_holds(gm, dl):
+    regime = core.classify_regime(gm, dl)
+    if regime.has_ceiling:
         mon.ceiling.ok = True
     floor = None
-    if core.classify_regime(gm, dl).has_density_floor:
+    if regime.has_density_floor:
         try:
             floor = bounds.make_density_floor(
                 gm, dl, ceilings, bounds.initial_phi_term_sup(field)
@@ -208,9 +198,7 @@ def _record(mon: Monitors, field: FieldState, max_ux, tau_max, audits: tuple):
 
     if floor is not None and t > floor.t_min:
         try:
-            floor_val = bounds.density_floor(
-                field.gas, field.damping, caps, t, floor.t_min
-            )
+            floor_val = bounds.density_floor(field.gas, field.damping, floor, t)
         except RangeError:  # no floor to audit against at this step
             if mon.floor_range_t is None:
                 mon.floor_range_t = t

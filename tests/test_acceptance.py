@@ -24,7 +24,7 @@ from shockline import (
 )
 from shockline.bounds import density_floor, initial_phi_term_sup, make_density_floor
 from shockline.cli import main as cli_main
-from shockline.criteria import GammaSide, LambdaSide, Theorem, classify_regime
+from shockline.core import classify_regime
 from shockline.fields import init_field
 from shockline.riccati import OutcomeKind, RiccatiProblem
 from shockline.solver import Direction, cross_validate_riccati, run, trace_characteristic
@@ -186,16 +186,14 @@ class TestAcceptance:
     def test_07_density_floor(self):
         all_ok = True
         exercised = 0
-        for gamma, lam, gm, dl, res, ceilings, floor in self._ceiling_floor_runs():
+        for gamma, lam, gm, dl, res, _, floor in self._ceiling_floor_runs():
             mon = res.monitors
             ok = mon.floor.ok is True
             # recheck directly from the recorded series
             for t, rho in zip(mon.ts, mon.min_rho):
                 if t > floor.t_min:
                     exercised += 1
-                    ok = ok and rho >= 0.95 * density_floor(
-                        gm, dl, ceilings, t, floor.t_min
-                    )
+                    ok = ok and rho >= 0.95 * density_floor(gm, dl, floor, t)
             all_ok = all_ok and ok
         report(7, "density floor holds at 0.95x on 4 scenarios",
                all_ok and exercised > 0, f"{exercised} samples past t_min")

@@ -26,6 +26,7 @@ from shockline import (
     threshold_N1,
 )
 from shockline.bounds import (
+    DensityFloor,
     _onset_lhs,
     initial_phi_term_sup,
     k1_constant,
@@ -104,10 +105,33 @@ class TestDensityFloor:
         from shockline.bounds import RiccatiCeilings
 
         ceilings = RiccatiCeilings(1.0, 1.0)
+        floor = DensityFloor(density_floor_constant(gm2, dl_const, ceilings), 1.0)
         with pytest.raises(RangeError):
-            density_floor(gm2, dl_const, ceilings, t=0.5, t_min=1.0)
-        val = density_floor(gm2, dl_const, ceilings, t=2.0, t_min=1.0)
+            density_floor(gm2, dl_const, floor, t=0.5)
+        val = density_floor(gm2, dl_const, floor, t=2.0)
         assert val > 0.0
+
+    def test_evaluates_the_floor_it_is_given(self, gm2, dl_const, monkeypatch):
+        # K0 and t_min come from the DensityFloor alone: neither K0 nor
+        # the regime is worked out again per call
+        from shockline import bounds, core
+
+        def forbidden(*args):
+            raise AssertionError("recomputed per call")
+
+        val = density_floor(gm2, dl_const, DensityFloor(1.0, 0.0), 2.0)
+        monkeypatch.setattr(bounds, "density_floor_constant", forbidden)
+        monkeypatch.setattr(core, "classify_regime", forbidden)
+        assert density_floor(gm2, dl_const, DensityFloor(3.0, 0.0), 2.0) == 3.0 * val
+
+    def test_subnormal_floor_leaves_double_range(self, gm2, dl_const):
+        # a floor below the smallest normal double is reported, not
+        # audited as a vanishing bound
+        one = density_floor(gm2, dl_const, DensityFloor(1.0, 0.0), 2.0)
+        assert density_floor(gm2, dl_const, DensityFloor(1e-300 / one, 0.0), 2.0) > 0.0
+        for k0 in (1e-310 / one, 1e-320 / one, 5e-324):
+            with pytest.raises(RangeError, match="smallest normal double"):
+                density_floor(gm2, dl_const, DensityFloor(k0, 0.0), 2.0)
 
     def test_branches_agree_at_lambda_limits(self, gm2):
         # generic formula at lam slightly below 1 approaches the
@@ -115,7 +139,9 @@ class TestDensityFloor:
         from shockline.bounds import RiccatiCeilings
 
         ceilings = RiccatiCeilings(1.0, 1.0)
-        f_crit = density_floor(gm2, DampingLaw(1.0, 1.0), ceilings, 2.0)
+        dl_crit = DampingLaw(1.0, 1.0)
+        k0_crit = density_floor_constant(gm2, dl_crit, ceilings)
+        f_crit = density_floor(gm2, dl_crit, DensityFloor(k0_crit, 0.0), 2.0)
         dl_near = DampingLaw(1.0, 1.0 - 1e-9)
         g, a, t = 2.0, 1.0, 2.0
         # strip the constant e^{-2a(3g-1)/(3-g)^2 / (1-lam)} offset that

@@ -208,7 +208,15 @@ class TestSimulate:
           "u_amp": -2.2622174302136844}, 3.1519173258143605,
          "density floor audit: ok (floor outside double range at some steps "
          "from t=0.24542100066680472)", "F"),
-    ], ids=["constants_overflow", "floor_overflows", "before_t_min", "critical_decay"])
+        # the floor decays below the smallest normal double, then to 0,
+        # which is reported, not audited as a floor of 0
+        ({"gamma": 2.931, "big_k": 9.27}, {"alpha": 0.153, "lambda": 1.74},
+         {"n": 32, "L": 10.0},
+         {"preset": "sine", "tau0": 1.0, "u_amp": -0.05, "tau_amp": 0.02}, 25.4,
+         "density floor audit: ok (floor outside double range at some steps "
+         "from t=20.934491847692339)", "F"),
+    ], ids=["constants_overflow", "floor_overflows", "before_t_min", "critical_decay",
+            "floor_underflows"])
     def test_floor_line_says_why(self, tmp_path, gas, damping, grid, profile, t_end,
                                  line, flag):
         cfg = write_cfg(tmp_path, {
@@ -385,10 +393,23 @@ class TestLogging:
         assert len(lines) == 2
         assert re.fullmatch(
             r"simulate: \d+ steps, dt \S+\.\.\S+, completed at t=0\.3, \S+ s "
-            r"\(build \S+, criteria \S+, run \S+, trace \S+, write \S+\)",
+            r"\(build \S+, criteria \S+, run \S+, trace \S+, write \S+\), "
+            r"trace deviation \S+ within tolerance 0\.01",
             lines[0],
         )
         assert re.fullmatch(r"sweep: 3 cells, 1 error rows, 1 jobs, \S+ s", lines[1])
+
+    def test_trace_over_tolerance_is_logged(self, tmp_path, monkeypatch, caplog):
+        # a cross-check past run.tolerances.trace is still exit 0, and says so
+        caplog.set_level(logging.DEBUG, logger="shockline")
+        monkeypatch.setenv("SHOCKLINE_LOG", "INFO")
+        cfg_d = json.loads(json.dumps(BASE))
+        cfg_d["run"]["tolerances"] = {"trace": 1e-12}
+        cfg = write_cfg(tmp_path, cfg_d)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) \
+            == EXIT_OK
+        [line] = [r.getMessage() for r in caplog.records if r.name == "shockline"]
+        assert re.search(r", trace deviation \S+ over tolerance 1e-12$", line)
 
     def test_unknown_level_falls_back(self, tmp_path, monkeypatch, caplog):
         caplog.set_level(logging.DEBUG, logger="shockline")

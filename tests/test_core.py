@@ -2,10 +2,11 @@
 variables, Riccati coefficients."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shockline import (
@@ -15,6 +16,7 @@ from shockline import (
     GasModel,
     PointState,
     RangeError,
+    classify_regime,
     derive_constants,
     phi_of_tau,
     pressure,
@@ -190,6 +192,77 @@ class TestRiccatiCoefficients:
         c0, c2 = riccati_coefficients(gm2, dl, 1.3, 0.7)
         assert c0 == 0.0
         assert c2 > 0.0
+
+
+@st.composite
+def ceiling_cases(draw):
+    """(gamma, alpha, lambda), lambda drawn freely, at 1, or at
+    alpha(g-1)/(g-3) or one of its two neighbouring doubles."""
+    g, a = draw(gammas), draw(st.floats(0.0, 5.0))
+    ratio = a * (g - 1.0) / (g - 3.0)
+    boundary = [math.nextafter(ratio, -math.inf), ratio,
+                math.nextafter(ratio, math.inf)]
+    return g, a, draw(st.one_of(st.floats(-3.0, 4.0), st.just(1.0),
+                                st.sampled_from(boundary)))
+
+
+class TestCeilingHypothesis:
+    """The regime map's ceiling hypothesis is the theory's, c0 <= 0 at
+    every t >= 0, read off riccati_coefficients on a log-spaced t grid."""
+
+    T_GRID = [0.0, *np.logspace(-3.0, 12.0, 31).tolist()]
+
+    @staticmethod
+    def c0_signs(gm, dl, ts):
+        """{t: sign of c0 at phi = 1} where c0 is in double range; 0 where
+        the two terms of its numerator cancel to within their roundoff
+        (1e-12 of their size, and the smallest normal double, below which
+        a difference has no reliable sign)."""
+        g, a, lam = gm.gamma, dl.alpha, dl.lam
+        signs = {}
+        for t in ts:
+            try:
+                with np.errstate(over="raise"):  # the time factor alone is checked
+                    c0, _ = riccati_coefficients(gm, dl, 1.0, t)
+                terms = a * (g - 1.0) * (
+                    abs(lam * (g - 3.0)) * (1.0 + t) ** (lam - 1.0) + a * (g - 1.0))
+                den = gm.k_c * (g - 3.0) ** 2 * (1.0 + t) ** (2.0 * lam)
+                margin = ((1e-12 * terms + sys.float_info.min) / den
+                          * math.exp(log_time_factor(gm, dl, t)))
+            except (RangeError, OverflowError, FloatingPointError):
+                continue
+            signs[t] = 0 if abs(c0) <= margin else (1 if c0 > 0.0 else -1)
+        return signs
+
+    @given(case=ceiling_cases())
+    @example(case=(1.4958575692561122, 0.47263534777696115, -0.1558095895062919))
+    @example(case=(1.4958575692561122, 0.47263534777696115,
+                   math.nextafter(-0.1558095895062919, -math.inf)))
+    @example(case=(5.0, 0.25, 0.5))  # gamma > 3 at lambda = ratio < 1
+    @example(case=(5.0, 1.0, 2.0))   # gamma > 3 at lambda = ratio > 1
+    @example(case=(5.0, 0.5, 1.0))   # critical at ratio = 1
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_sign_of_c0(self, case):
+        g, a, lam = case
+        gm, dl = derive_constants(g, 1.0), DampingLaw(a, lam)
+        regime = classify_regime(gm, dl)
+        assert regime.has_ceiling or not regime.has_density_floor
+        ts = list(self.T_GRID)
+        witness = 0.0  # where c0 > 0 shows, for no ceiling
+        ratio = a * (g - 1.0) / (g - 3.0)
+        if 1.0 < lam < ratio:
+            # gamma > 3: c0 is negative at t = 0 and turns positive at
+            # (ratio/lam)**(1/(lam-1)) - 1, perhaps far past the grid
+            try:
+                witness = 2.0 * (ratio / lam) ** (1.0 / (lam - 1.0))
+            except OverflowError:
+                return
+            ts.append(witness)
+        signs = self.c0_signs(gm, dl, ts)
+        if regime.has_ceiling:
+            assert max(signs.values(), default=-1) <= 0, signs
+        elif witness in signs:
+            assert max(signs.values()) >= 0, signs
 
 
 class TestGuards:

@@ -15,10 +15,7 @@ from shockline import (
     RegimeError,
     Theorem,
     Verdict,
-    check_theorem_31,
-    check_theorem_32,
-    check_theorem_41,
-    check_theorem_42,
+    check_theorem,
     classify_regime,
     evaluate,
     invariant_region_bound,
@@ -72,7 +69,7 @@ class TestClassifyRegime:
 class TestTheorem32:
     def test_fires_on_steep_data(self, gm2, dl_const):
         f = steep_field(gm2, dl_const, u_amp=-6.0)
-        v = check_theorem_32(f, gm2, dl_const)
+        v = check_theorem(Theorem.T3_2, f, gm2, dl_const)
         assert v.fired and v.theorem is Theorem.T3_2
         assert v.witness_x is not None
         # rhs at tau ~ 1 is -alpha(g-1)/(K_c(3-g)) * phi**(-2) = -2
@@ -80,74 +77,77 @@ class TestTheorem32:
 
     def test_quiet_on_gentle_data(self, gm2, dl_const):
         f = steep_field(gm2, dl_const, u_amp=-0.5)
-        v = check_theorem_32(f, gm2, dl_const)
+        v = check_theorem(Theorem.T3_2, f, gm2, dl_const)
         assert not v.fired and v.witness_x is None
 
     def test_equivalence_with_y_sign(self, gm2, dl_const):
         # fired iff min(y0, q0) < 0, across a ramp of amplitudes
         for amp in (-0.5, -1.5, -2.5, -4.0, -8.0):
             f = steep_field(gm2, dl_const, u_amp=amp)
-            v = check_theorem_32(f, gm2, dl_const)
+            v = check_theorem(Theorem.T3_2, f, gm2, dl_const)
             neg = min(float(np.min(f.y())), float(np.min(f.q()))) < 0.0
             assert v.fired == neg, f"amp={amp}"
 
     def test_wrong_regime(self, gm2, gm5, dl_const, dl_crit):
         with pytest.raises(RegimeError):
-            check_theorem_32(steep_field(gm5, dl_const, -1.0), gm5, dl_const)
+            check_theorem(Theorem.T3_2,
+                          steep_field(gm5, dl_const, -1.0), gm5, dl_const)
         with pytest.raises(RegimeError):
-            check_theorem_32(steep_field(gm2, dl_crit, -1.0), gm2, dl_crit)
+            check_theorem(Theorem.T3_2,
+                          steep_field(gm2, dl_crit, -1.0), gm2, dl_crit)
 
     def test_requires_initial_time(self, gm2, dl_const):
         f = steep_field(gm2, dl_const, -1.0)
         later = f.with_state(f.tau, f.u, t=0.1)
         with pytest.raises(DomainError):
-            check_theorem_32(later, gm2, dl_const)
+            check_theorem(Theorem.T3_2, later, gm2, dl_const)
 
 
 class TestTheorem42:
     def test_fires_on_steep_data(self, gm2, dl_crit):
         f = steep_field(gm2, dl_crit, u_amp=-6.0)
-        v = check_theorem_42(f, gm2, dl_crit)
+        v = check_theorem(Theorem.T4_2, f, gm2, dl_crit)
         assert v.fired and v.theorem is Theorem.T4_2
 
     def test_wrong_regime(self, gm2, dl_const):
         with pytest.raises(RegimeError):
-            check_theorem_42(steep_field(gm2, dl_const, -6.0), gm2, dl_const)
+            check_theorem(Theorem.T4_2,
+                          steep_field(gm2, dl_const, -6.0), gm2, dl_const)
 
 
 class TestTheorem31:
     def test_fires_on_steep_data(self, gm5, dl_const):
         f = steep_field(gm5, dl_const, u_amp=-3.0, n=512, length=5.0, width=0.1)
         ib = certified_initial_bound(f)
-        v = check_theorem_31(f, gm5, dl_const, ib)
+        v = check_theorem(Theorem.T3_1, f, gm5, dl_const, ib)
         assert v.fired and v.theorem is Theorem.T3_1
         assert v.threshold > 0.0
 
     def test_quiet_on_gentle_data(self, gm5, dl_const):
         f = steep_field(gm5, dl_const, u_amp=-0.1, n=512, length=5.0, width=0.5)
         ib = certified_initial_bound(f)
-        v = check_theorem_31(f, gm5, dl_const, ib)
+        v = check_theorem(Theorem.T3_1, f, gm5, dl_const, ib)
         assert not v.fired
 
     def test_uncertified_bound_rejected(self, gm5, dl_const):
         f = steep_field(gm5, dl_const, u_amp=-3.0, n=512, length=5.0, width=0.1)
         ib = invariant_region_bound(gm5, 0.5)  # sup|u| = 3 > 0.5
         with pytest.raises(DomainError):
-            check_theorem_31(f, gm5, dl_const, ib)
+            check_theorem(Theorem.T3_1, f, gm5, dl_const, ib)
 
     def test_gap_regime_rejected(self, gm5):
         dl = DampingLaw(1.0, 1.5)
         f = steep_field(gm5, dl, u_amp=-3.0, n=512, length=5.0, width=0.1)
         ib = certified_initial_bound(f)
         with pytest.raises(RegimeError):
-            check_theorem_31(f, gm5, dl, ib)
+            check_theorem(Theorem.T3_1, f, gm5, dl, ib)
 
 
 class TestTheorem41:
     def test_fires_on_steep_data(self, gm5, dl_crit):
         f = steep_field(gm5, dl_crit, u_amp=-3.0, n=512, length=5.0, width=0.1)
         ib = certified_initial_bound(f)
-        v = check_theorem_41(f, gm5, dl_crit, ib)
+        v = check_theorem(Theorem.T4_1, f, gm5, dl_crit, ib)
         assert v.fired and v.theorem is Theorem.T4_1
 
     def test_weak_damping_rejected(self, gm5):
@@ -155,7 +155,7 @@ class TestTheorem41:
         f = steep_field(gm5, dl, u_amp=-3.0, n=512, length=5.0, width=0.1)
         ib = certified_initial_bound(f)
         with pytest.raises(RegimeError):
-            check_theorem_41(f, gm5, dl, ib)
+            check_theorem(Theorem.T4_1, f, gm5, dl, ib)
 
 
 class TestEvaluate:

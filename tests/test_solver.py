@@ -16,7 +16,6 @@ from shockline.fields import ddx4, init_field
 from shockline.solver import (
     BreakdownReport,
     Direction,
-    ceiling_regime_holds,
     cross_validate_riccati,
     damping_decay,
     read_snapshots,
@@ -207,31 +206,41 @@ class TestRun:
 
 
 class TestCeilingRegime:
+    @staticmethod
+    def has_ceiling(gm, dl):
+        return core.classify_regime(gm, dl).has_ceiling
+
     def test_sub_gamma_always_holds_for_nonneg_lambda(self, gm2):
         for lam in (0.0, 0.5, 1.0, 2.0):
-            assert ceiling_regime_holds(gm2, DampingLaw(1.0, lam))
+            assert self.has_ceiling(gm2, DampingLaw(1.0, lam))
 
     def test_super_gamma_needs_strong_damping(self, gm5):
-        assert ceiling_regime_holds(gm5, DampingLaw(1.0, 0.5))
-        assert not ceiling_regime_holds(gm5, DampingLaw(0.1, 0.5))
-        assert not ceiling_regime_holds(gm5, DampingLaw(1.0, 2.0))
-        assert ceiling_regime_holds(gm5, DampingLaw(1.0, 1.0))
-        assert not ceiling_regime_holds(gm5, DampingLaw(0.3, 1.0))
+        assert self.has_ceiling(gm5, DampingLaw(1.0, 0.5))
+        assert not self.has_ceiling(gm5, DampingLaw(0.1, 0.5))
+        assert not self.has_ceiling(gm5, DampingLaw(1.0, 2.0))
+        assert self.has_ceiling(gm5, DampingLaw(1.0, 1.0))
+        assert not self.has_ceiling(gm5, DampingLaw(0.3, 1.0))
         for lam in (0.5, 1.0, 2.0):  # no damping: c0 = 0 at every t
-            assert ceiling_regime_holds(gm5, DampingLaw(0.0, lam))
+            assert self.has_ceiling(gm5, DampingLaw(0.0, lam))
 
-    def test_floor_audited_with_ceiling_audit_off(self):
-        # lambda at alpha(g-1)/(g-3): the regime map admits the floor while
-        # ceiling_regime_holds rounds the other way, so the floor, built on
-        # the ceilings, is audited without the ceiling audit
+    def test_super_gamma_gap_boundary(self, gm5):
+        # lambda = alpha(g-1)/(g-3) < 1: c0 is 0 at t = 0, negative after
+        assert self.has_ceiling(gm5, DampingLaw(0.25, 0.5))
+        # lambda = alpha(g-1)/(g-3) > 1: c0 is 0 at t = 0, positive after
+        assert not self.has_ceiling(gm5, DampingLaw(1.0, 2.0))
+
+    def test_floor_audited_with_ceiling_audit_on(self):
+        # lambda at alpha(g-1)/(g-3): the regime map that admits the floor
+        # also grants the ceilings the floor is built on, so both are
+        # audited
         gm = GasModel(1.4958575692561122, 1.0)
         dl = DampingLaw(0.47263534777696115, -0.1558095895062919)
         assert core.classify_regime(gm, dl).has_density_floor
-        assert not ceiling_regime_holds(gm, dl)
+        assert self.has_ceiling(gm, dl)
         f = make_field(gm, dl, {"preset": "sine", "tau0": 1.0, "u_amp": -0.2},
                        n=32, length=5.0)
         mon = run(f, 3.0).monitors
-        assert mon.ceiling.ok is None
+        assert mon.ceiling.ok is not None
         assert mon.floor_t_min < 3.0 and mon.floor.ok is True
 
 
