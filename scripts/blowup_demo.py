@@ -8,11 +8,15 @@ Usage: python scripts/blowup_demo.py [--gamma 2.0] [--lam 0.0] [--n 256]
 
 Exits 1 when the grid is too coarse to trace (breakdown on the first
 step).  When the criterion does not fire, the trace starts where the
-initial y is most negative.  The demo prints where that characteristic is at the
-last resolved time next to where breakdown happens (argmax |u_x|).  On
-some data the integral of the Riccati coefficient along the traced
-characteristic never reaches the blow-up threshold; the demo then says
-that no finite bound exists by the search horizon.
+initial y is most negative.  The demo prints where that characteristic
+is at the last resolved time next to where breakdown happens (argmax
+|u_x|).  It then integrates the Riccati equation along it with the
+traced coefficients, unclipped, up to the last traced time (past it phi
+would be held constant), and prints the pole bracket `t* in [lo, hi]`
+or that there is no pole by that time.  On some data the integral of
+the Riccati coefficient along the traced characteristic never reaches
+the blow-up threshold; the demo then says that no finite bound exists
+by the search horizon.
 """
 
 import argparse
@@ -20,9 +24,19 @@ import sys
 
 import numpy as np
 
-from shockline import DampingLaw, GasModel, Grid, NoBoundError, evaluate
+from shockline import (
+    DampingLaw,
+    GasModel,
+    Grid,
+    NoBoundError,
+    OutcomeKind,
+    RiccatiProblem,
+    ShocklineError,
+    blowup_time_upper_bound_case1,
+    evaluate,
+    integrate,
+)
 from shockline.fields import init_field
-from shockline.riccati import RiccatiProblem, blowup_time_upper_bound_case1
 from shockline.core import riccati_coefficients
 from shockline.solver import Direction, run, trace_characteristic
 
@@ -76,12 +90,26 @@ def main():
           f"(argmax |u_x|)")
     t_knots, phi_knots = trace.times, trace.phi
 
-    def coeffs(t):
+    def traced(t):  # past the last knot np.interp would hold phi constant
         phi = float(np.interp(t, t_knots, phi_knots))
-        c0, c2 = riccati_coefficients(gm, dl, phi, t)
-        return float(min(c0, 0.0)), float(c2)  # clip roundoff-positive c0
+        return riccati_coefficients(gm, dl, phi, t)
+
+    def coeffs(t):
+        c0, c2 = traced(t)
+        return min(c0, 0.0), c2  # clip roundoff-positive c0
 
     y0 = float(trace.y_or_q[0])
+    t_last = float(t_knots[-1])
+    try:
+        pole = integrate(RiccatiProblem(traced, y0, float(t_knots[0])), t_last)
+    except ShocklineError as e:
+        print(f"Riccati pole along the trace: {type(e).__name__}: {e}")
+    else:
+        if pole.kind is OutcomeKind.BLOWUP:
+            print(f"Riccati pole along the trace: t* in [{pole.t_star_lo:.9f}, "
+                  f"{pole.t_star_hi:.9f}]")
+        else:
+            print(f"Riccati pole along the trace: none by t={t_last:.6f}")
     if y0 < 0.0:
         prob = RiccatiProblem(coeff_source=coeffs, y0=y0)
         try:

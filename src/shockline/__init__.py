@@ -27,7 +27,6 @@ from .core import (
     Regime,
     Theorem,
     classify_regime,
-    derive_constants,
     phi_of_tau,
     pressure,
     q_variable,

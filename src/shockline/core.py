@@ -73,11 +73,6 @@ class GasModel:
         object.__setattr__(self, "k_c", k_c)
 
 
-def derive_constants(gamma: float, big_k: float) -> GasModel:
-    """Build a GasModel, validating gamma > 1, gamma != 3, big_k > 0."""
-    return GasModel(gamma=gamma, big_k=big_k)
-
-
 @dataclass(frozen=True)
 class DampingLaw:
     """Damping magnitude alpha >= 0 and decay exponent lam.
@@ -341,20 +336,8 @@ def y_variable(gm: GasModel, dl: DampingLaw, phi, grad, t):
 q_variable = y_variable
 
 
-def riccati_coefficients(gm: GasModel, dl: DampingLaw, phi, t):
-    """(c0, c2) of the Riccati equation y' = c0 - c2*y**2 along a
-    characteristic.  c2 > 0 always; the sign of c0 encodes the regime.
-
-    Numerator of c0:
-      lam*alpha*(g-1)*(g-3)*(1+t)**(lam-1) - alpha**2*(g-1)**2,
-    divided by K_c*(g-3)**2*(1+t)**(2 lam), times phi**((g-3)/(2(g-1)))
-    and the time factor.  The critical branch is the lam = 1
-    specialisation with a power-law time factor.
-    """
-    _require_positive("phi", phi)
+def _riccati_pair(gm: GasModel, dl: DampingLaw, phi, t, mu):
     g, a, lam = gm.gamma, dl.alpha, dl.lam
-    log_mu = log_time_factor(gm, dl, t)
-    mu = checked_exp(log_mu)
     num0 = (
         lam * a * (g - 1.0) * (g - 3.0) * (1.0 + t) ** (lam - 1.0)
         - a * a * (g - 1.0) ** 2
@@ -367,4 +350,33 @@ def riccati_coefficients(gm: GasModel, dl: DampingLaw, phi, t):
         gm.k_c * (g + 1.0) / (2.0 * (g - 1.0))
         * phi ** (-p_lo(gm)) / mu
     )
+    return c0, c2
+
+
+def riccati_coefficients(gm: GasModel, dl: DampingLaw, phi, t):
+    """(c0, c2) of the Riccati equation y' = c0 - c2*y**2 along a
+    characteristic.  c2 > 0 always; the sign of c0 encodes the regime.
+
+    Numerator of c0:
+      lam*alpha*(g-1)*(g-3)*(1+t)**(lam-1) - alpha**2*(g-1)**2,
+    divided by K_c*(g-3)**2*(1+t)**(2 lam), times phi**((g-3)/(2(g-1)))
+    and the time factor.  The critical branch is the lam = 1
+    specialisation with a power-law time factor.  RangeError, with no
+    numpy warning, if c0 or c2 is not finite.
+    """
+    _require_positive("phi", phi)
+    mu = checked_exp(log_time_factor(gm, dl, t))
+    if isinstance(phi, float) and isinstance(mu, float):
+        # Python floats: a product overflows to inf quietly, a power raises
+        try:
+            c0, c2 = _riccati_pair(gm, dl, float(phi), float(t), float(mu))
+        except OverflowError:
+            c0 = c2 = math.inf
+        finite = math.isfinite(c0) and math.isfinite(c2)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            c0, c2 = _riccati_pair(gm, dl, phi, t, mu)
+        finite = np.isfinite(c0).all() and np.isfinite(c2).all()
+    if not finite:
+        raise RangeError("Riccati coefficients leave double-precision range")
     return c0, c2

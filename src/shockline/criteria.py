@@ -4,8 +4,8 @@ data, routed by the regime map of core, producing an auditable Verdict.
 Four sufficient conditions are implemented, split by adiabatic exponent
 (gamma above or below 3) and by damping branch (decay exponent equal to
 1 or not).  Each check scans the grid for a point where the slope of a
-Riemann invariant falls below an explicit threshold; the firing form is
-kept consistent with the sign of the decoupled gradient variables.
+Riemann invariant falls below an explicit threshold; for 1 < gamma < 3
+that threshold fires exactly where y or q is negative at t = 0.
 """
 
 from __future__ import annotations
@@ -88,21 +88,6 @@ def _require_certified(field: FieldState, ib: InitialBound):
         )
 
 
-def _assert_sign_consistency(field: FieldState, rhs: np.ndarray):
-    """The slope inequality must agree with the sign of y (and q) at
-    every grid point; this ties the theorem form to the decoupled
-    gradient variables."""
-    lhs_a, lhs_b = field.slopes()
-    factor = field.phi() ** core.p_hi(field.gas) * core.checked_exp(
-        core.log_time_factor(field.gas, field.damping, field.t)
-    )
-    for lhs, grad_val in ((lhs_a, field.y()), (lhs_b, field.q())):
-        recon = factor * (lhs - rhs)
-        scale = np.maximum(np.abs(grad_val), 1.0)
-        if np.any(np.abs(recon - grad_val) > 1e-9 * scale):
-            raise DomainError("slope form and y/q sign form disagree")
-
-
 # Each theorem's blow-up threshold constant (see check_theorem).
 _CRITERIA = {
     Theorem.T3_1: bounds.threshold_N,
@@ -149,8 +134,6 @@ def check_theorem(
             rhs = rhs - kt2 * phi ** (-(g + 1.0) / (2.0 * (g - 1.0)))
     if not np.isfinite(rhs).all():
         raise RangeError(f"threshold curve of {theorem.value} leaves double range")
-    if threshold_fn is None:
-        _assert_sign_consistency(field, rhs)
     return _scan(field, rhs, theorem, threshold)
 
 

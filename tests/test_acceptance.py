@@ -16,7 +16,6 @@ from shockline import (
     Grid,
     blowup_time_upper_bound_case1,
     closed_form_oracle,
-    derive_constants,
     evaluate,
     integrate,
     oracle_pole_time,
@@ -52,7 +51,7 @@ class TestAcceptance:
             if abs(g - 3.0) < 0.02:
                 continue
             k = rng.uniform(0.1, 10.0)
-            gm = derive_constants(g, k)
+            gm = GasModel(g, k)
             e1 = abs(gm.k_p - (g - 1.0) / (2.0 * g) * gm.k_c) / gm.k_p
             e2 = abs(gm.k_tau * gm.k_c - (g - 1.0) / 2.0) / ((g - 1.0) / 2.0)
             worst = max(worst, e1, e2)

@@ -3,6 +3,7 @@ variables, Riccati coefficients."""
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from shockline import (
     PointState,
     RangeError,
     classify_regime,
-    derive_constants,
     phi_of_tau,
     pressure,
     q_variable,
@@ -54,7 +54,7 @@ class TestDerivedConstants:
     @given(g=gammas, k=ks)
     @settings(max_examples=200, deadline=None)
     def test_identities(self, g, k):
-        gm = derive_constants(g, k)
+        gm = GasModel(g, k)
         assert math.isclose(gm.k_p, (g - 1.0) / (2.0 * g) * gm.k_c, rel_tol=1e-12)
         assert math.isclose(gm.k_tau * gm.k_c, (g - 1.0) / 2.0, rel_tol=1e-12)
 
@@ -69,13 +69,13 @@ class TestTransforms:
     @given(g=gammas, k=ks, tau=st.floats(0.05, 20.0))
     @settings(max_examples=200, deadline=None)
     def test_phi_tau_roundtrip(self, g, k, tau):
-        gm = derive_constants(g, k)
+        gm = GasModel(g, k)
         assert math.isclose(tau_of_phi(gm, phi_of_tau(gm, tau)), tau, rel_tol=1e-10)
 
     @given(g=gammas, k=ks, tau=st.floats(0.05, 20.0))
     @settings(max_examples=200, deadline=None)
     def test_sound_speed_routes_agree(self, g, k, tau):
-        gm = derive_constants(g, k)
+        gm = GasModel(g, k)
         c_tau = sound_speed(gm, tau)
         c_phi = sound_speed_of_phi(gm, phi_of_tau(gm, tau))
         assert math.isclose(c_tau, c_phi, rel_tol=1e-10)
@@ -173,7 +173,7 @@ class TestRiccatiCoefficients:
     )
     @settings(max_examples=300, deadline=None)
     def test_sign_law(self, g, a, lam, phi, t):
-        gm = derive_constants(g, 1.0)
+        gm = GasModel(g, 1.0)
         dl = DampingLaw(alpha=a, lam=lam)
         try:
             c0, c2 = riccati_coefficients(gm, dl, phi, t)
@@ -186,6 +186,16 @@ class TestRiccatiCoefficients:
             assert c0 <= 1e-12
         elif lhs > rhs + 1e-9 * max(1.0, abs(rhs)):
             assert c0 >= -1e-12
+
+    @pytest.mark.parametrize("g, a, lam, phi, t", [
+        (4.0, 3.734375, -2.314453125, 1.0, 3.1623),  # log time factor 699.71
+        (1.5, 0.5, 0.0, 1e-300, 0.0),  # phi**p_lo leaves Python float range
+    ])
+    def test_overflow_raises_range_error(self, g, a, lam, phi, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RangeError):
+                riccati_coefficients(GasModel(g, 1.0), DampingLaw(a, lam), phi, t)
 
     def test_alpha_zero_kills_c0(self, gm2):
         dl = DampingLaw(alpha=0.0, lam=0.0)
@@ -244,7 +254,7 @@ class TestCeilingHypothesis:
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_sign_of_c0(self, case):
         g, a, lam = case
-        gm, dl = derive_constants(g, 1.0), DampingLaw(a, lam)
+        gm, dl = GasModel(g, 1.0), DampingLaw(a, lam)
         regime = classify_regime(gm, dl)
         assert regime.has_ceiling or not regime.has_density_floor
         ts = list(self.T_GRID)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from shockline import (
     DampingLaw,
@@ -12,6 +14,7 @@ from shockline import (
     GammaSide,
     Grid,
     LambdaSide,
+    RangeError,
     RegimeError,
     Theorem,
     Verdict,
@@ -101,6 +104,46 @@ class TestTheorem32:
         later = f.with_state(f.tau, f.u, t=0.1)
         with pytest.raises(DomainError):
             check_theorem(Theorem.T3_2, later, gm2, dl_const)
+
+
+@st.composite
+def sub_gamma_cases(draw):
+    """(gm, dl, field) in the T3_2 or T4_2 regime: 1 < gamma < 3 with
+    lambda = 1 or lambda >= alpha(g-1)/(g-3), on gaussian or sine data."""
+    g, a = draw(st.floats(1.1, 2.9)), draw(st.floats(0.0, 3.0))
+    ratio = a * (g - 1.0) / (g - 3.0)
+    lam = draw(st.one_of(st.just(1.0), st.just(ratio), st.floats(ratio, 4.0)))
+    gm, dl = GasModel(g, 1.0), DampingLaw(a, lam)
+    spec = {"preset": draw(st.sampled_from(["gaussian", "sine"])),
+            "tau0": 1.0, "tau_amp": draw(st.floats(-0.5, 0.5)),
+            "u_amp": draw(st.floats(-8.0, 8.0)),
+            "width": draw(st.floats(0.2, 2.0))}
+    return gm, dl, init_field(spec, Grid(n=64, length=10.0), gm, dl)
+
+
+class TestSubGammaSignCriterion:
+    """T3_2 and T4_2 fire exactly when y or q is negative at t = 0, as
+    check_theorem's docstring states; samples whose min(y, q) lies within
+    roundoff (1e-9 of max |y|, |q|) of zero are not decided."""
+
+    @given(case=sub_gamma_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_fires_iff_y_or_q_negative(self, case):
+        gm, dl, f = case
+        try:
+            y, q = f.y(), f.q()
+        except RangeError:  # the time factor at t = 0 leaves double range
+            assume(False)
+        lowest = min(float(np.min(y)), float(np.min(q)))
+        margin = 1e-9 * max(float(np.max(np.abs(y))), float(np.max(np.abs(q))))
+        assume(abs(lowest) > margin)
+        theorem = classify_regime(gm, dl).applicable_theorem
+        assert theorem in (Theorem.T3_2, Theorem.T4_2)
+        v = check_theorem(theorem, f, gm, dl)
+        assert v.fired == (lowest < 0.0)
+        if v.fired:  # and y or q is negative at the witness
+            i = int(np.argmin(np.abs(f.grid.xs - v.witness_x)))
+            assert min(y[i], q[i]) < margin
 
 
 class TestTheorem42:

@@ -36,14 +36,19 @@ def test_convergence_study():
     assert proc.stdout.count("deviation") == 2
 
 
-@pytest.mark.parametrize("args,code,last", [
+@pytest.mark.parametrize("args,code,pole,last", [
     # the steep default data break down on the first step at n=128
-    ((), 1, "the data are under-resolved at n=128: breakdown on the first step "
-            "leaves nothing to trace"),
+    ((), 1, None, "the data are under-resolved at n=128: breakdown on the "
+                  "first step leaves nothing to trace"),
+    # at n=128 the pole (about 0.2066) lies past the last traced time
     (("--gamma", "5", "--lam", "1", "--u-amp", "-3"), 0,
+     "Riccati pole along the trace: none by t=0.196006",
      "observed breakdown precedes the bound: True"),
 ], ids=["under_resolved", "t41"])
-def test_blowup_demo(args, code, last):
+def test_blowup_demo(args, code, pole, last):
     proc = run_script("blowup_demo.py", "--n", "128", *args)
     assert (proc.returncode, proc.stderr) == (code, "")
-    assert proc.stdout.splitlines()[-1] == last
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == last
+    if pole is not None:  # printed before the two bound lines
+        assert lines[-3] == pole
