@@ -336,23 +336,8 @@ def y_variable(gm: GasModel, dl: DampingLaw, phi, grad, t):
 q_variable = y_variable
 
 
-def _riccati_pair(gm: GasModel, dl: DampingLaw, phi, t, mu):
-    g, a, lam = gm.gamma, dl.alpha, dl.lam
-    num0 = (
-        lam * a * (g - 1.0) * (g - 3.0) * (1.0 + t) ** (lam - 1.0)
-        - a * a * (g - 1.0) ** 2
-    )
-    c0 = (
-        num0 / (gm.k_c * (g - 3.0) ** 2 * (1.0 + t) ** (2.0 * lam))
-        * phi ** p_lo(gm) * mu
-    )
-    c2 = (
-        gm.k_c * (g + 1.0) / (2.0 * (g - 1.0))
-        * phi ** (-p_lo(gm)) / mu
-    )
-    return c0, c2
-
-
+# numpy overflows quietly inside; the result is checked for finiteness
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def riccati_coefficients(gm: GasModel, dl: DampingLaw, phi, t):
     """(c0, c2) of the Riccati equation y' = c0 - c2*y**2 along a
     characteristic.  c2 > 0 always; the sign of c0 encodes the regime.
@@ -365,17 +350,26 @@ def riccati_coefficients(gm: GasModel, dl: DampingLaw, phi, t):
     numpy warning, if c0 or c2 is not finite.
     """
     _require_positive("phi", phi)
-    mu = checked_exp(log_time_factor(gm, dl, t))
-    if isinstance(phi, float) and isinstance(mu, float):
-        # Python floats: a product overflows to inf quietly, a power raises
-        try:
-            c0, c2 = _riccati_pair(gm, dl, float(phi), float(t), float(mu))
-        except OverflowError:
-            c0 = c2 = math.inf
+    g, a, lam = gm.gamma, dl.alpha, dl.lam
+    try:  # a Python-float power or division raises instead
+        mu = checked_exp(log_time_factor(gm, dl, t))
+        num0 = (
+            lam * a * (g - 1.0) * (g - 3.0) * (1.0 + t) ** (lam - 1.0)
+            - a * a * (g - 1.0) ** 2
+        )
+        c0 = (
+            num0 / (gm.k_c * (g - 3.0) ** 2 * (1.0 + t) ** (2.0 * lam))
+            * phi ** p_lo(gm) * mu
+        )
+        c2 = (
+            gm.k_c * (g + 1.0) / (2.0 * (g - 1.0))
+            * phi ** (-p_lo(gm)) / mu
+        )
+    except (OverflowError, ZeroDivisionError):
+        c0 = c2 = math.inf
+    if isinstance(c0, float):  # scalars, np.float64 too, skip numpy
         finite = math.isfinite(c0) and math.isfinite(c2)
     else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            c0, c2 = _riccati_pair(gm, dl, phi, t, mu)
         finite = np.isfinite(c0).all() and np.isfinite(c2).all()
     if not finite:
         raise RangeError("Riccati coefficients leave double-precision range")

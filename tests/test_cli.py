@@ -147,6 +147,20 @@ class TestCheck:
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "RangeError"
 
+    def test_sub_gamma_verdict_needs_no_time_factor(self, tmp_path, capsys):
+        # T3_2 compares slopes with a curve free of the time factor, whose
+        # log a(3g-1)/(2(g-3)(1-lam)) is 2.5e9 at t = 0 here; simulate's
+        # ceiling audit needs y and q, which carry it, and exits 3
+        cfg_d = json.loads(json.dumps(BASE))
+        cfg_d["damping"]["lambda"] = 1.0 + 1e-9
+        cfg = write_cfg(tmp_path, cfg_d)
+        assert main(["check", "--config", cfg]) == EXIT_OK
+        v = Verdict.from_dict(json.loads(capsys.readouterr().out))
+        assert (v.theorem.value, v.fired) == ("T3_2", False)
+        out = str(tmp_path / "out")
+        assert main(["simulate", "--config", cfg, "--out", out]) == EXIT_RUNTIME
+        assert json.loads(capsys.readouterr().err)["error"] == "RangeError"
+
 
 class TestSimulate:
     def test_artifacts_and_headers(self, tmp_path):
