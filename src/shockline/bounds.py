@@ -6,11 +6,11 @@ for 1 < gamma < 3 off the lambda gap, and the blow-up threshold
 constants N and N1 for gamma > 3.  Regime hypotheses are decided by
 core.classify_regime; every damping time factor is a power of
 exp(core.log_time_factor), so no formula here forks on the branch.
+Formulas that can leave double range run in core.in_double_range.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -21,24 +21,6 @@ from . import core
 from .core import DampingLaw, GasModel, LambdaSide, Theorem
 from .errors import DomainError, RangeError
 from .fields import FieldState
-
-
-def _in_double_range(fn):
-    """Make fn raise RangeError where its float arithmetic overflows,
-    divides by zero or ends in inf or nan; finite results pass as is."""
-
-    @functools.wraps(fn)
-    def checked(*args, **kwargs):
-        try:
-            val = fn(*args, **kwargs)
-        except (OverflowError, ZeroDivisionError) as e:
-            raise RangeError(f"{fn.__name__} leaves double-precision range "
-                             f"({type(e).__name__})") from e
-        if not math.isfinite(val):
-            raise RangeError(f"{fn.__name__} leaves double-precision range ({val})")
-        return val
-
-    return checked
 
 
 @dataclass(frozen=True)
@@ -71,19 +53,18 @@ class DensityFloor:
     t_min: float
 
 
+@core.in_double_range
+def _c0_tilde(gm: GasModel, c0: float) -> float:
+    base = c0 + c0**gm.theta
+    return max(base, base ** (1.0 / gm.theta))
+
+
 def invariant_region_bound(gm: GasModel, c0: float) -> InitialBound:
     """Invariant-region constant for data with |u0| <= c0, 1/tau0 <= c0;
     RangeError where c0_tilde leaves double range."""
     if not (c0 > 0.0):
         raise DomainError(f"c0 must be positive, got {c0}")
-    try:
-        base = c0 + c0**gm.theta
-        c0_tilde = max(base, base ** (1.0 / gm.theta))
-    except OverflowError:
-        c0_tilde = math.inf
-    if not c0_tilde < math.inf:
-        raise RangeError(f"invariant-region bound for c0 = {c0:.6g} leaves double range")
-    return InitialBound(c0=c0, c0_tilde=c0_tilde)
+    return InitialBound(c0=c0, c0_tilde=_c0_tilde(gm, c0))
 
 
 def certified_initial_bound(field: FieldState) -> InitialBound:
@@ -115,7 +96,7 @@ def _floor_coef(gm: GasModel, ceilings: RiccatiCeilings) -> float:
     return (3.0 - g) / (4.0 * (g - 1.0)) * gm.k_c * (ceilings.y_cap + ceilings.q_cap)
 
 
-@_in_double_range
+@core.in_double_range
 def density_floor_constant(
     gm: GasModel, dl: DampingLaw, ceilings: RiccatiCeilings
 ) -> float:
@@ -125,7 +106,7 @@ def density_floor_constant(
     return bracket ** (-4.0 / (3.0 - gm.gamma))
 
 
-@_in_double_range
+@core.in_double_range
 def density_floor(gm: GasModel, dl: DampingLaw, floor: DensityFloor, t: float) -> float:
     """Time-dependent lower bound on density, valid for t > floor.t_min:
     K0 * t**(-4/(3-g)) * exp(4/(3-g) * log_time_factor(t)), with K0 =
@@ -158,7 +139,7 @@ def initial_phi_term_sup(field: FieldState) -> float:
     return float(np.max(field.phi() ** core.p_lo(field.gas)))
 
 
-@_in_double_range
+@core.in_double_range
 def density_floor_onset(
     gm: GasModel,
     dl: DampingLaw,
@@ -264,7 +245,7 @@ def k3_constant(gm: GasModel, dl: DampingLaw) -> float:
     )
 
 
-@_in_double_range
+@core.in_double_range
 def threshold_N(gm: GasModel, dl: DampingLaw, ib: InitialBound) -> float:
     """Blow-up threshold N for gamma > 3 and lambda outside the gap
     between 1 and alpha(g-1)/(g-3) (the T3_1 regime).
@@ -286,7 +267,7 @@ def threshold_N(gm: GasModel, dl: DampingLaw, ib: InitialBound) -> float:
     return math.sqrt(k3 * ib.c0_tilde ** ((g - 3.0) / 2.0) * lam * (g - 3.0))
 
 
-@_in_double_range
+@core.in_double_range
 def threshold_N1(gm: GasModel, dl: DampingLaw, ib: InitialBound) -> float:
     """Blow-up threshold N1 for the critical branch (the T4_1 regime:
     lambda = 1, gamma > 3, alpha >= (g-3)/(g-1)): N1 = 1/(K1*K5) with

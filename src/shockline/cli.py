@@ -61,7 +61,7 @@ def load_config(path) -> dict:
             cfg = yaml.safe_load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from e
-    except yaml.YAMLError as e:
+    except (yaml.YAMLError, ValueError) as e:  # ValueError: an unreadable scalar
         raise ConfigError(f"config is not valid YAML: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
@@ -78,18 +78,21 @@ def _integer(value, where: str) -> int:
 
 def _require_finite(node, where: str) -> None:
     """Reject inf and nan anywhere in the config, including numbers
-    written as strings, since every number feeds the model."""
+    written as strings and integers that no float can hold, since every
+    number feeds the model."""
     if isinstance(node, dict):
         for key, value in node.items():
             _require_finite(value, f"{where}.{key}")
     elif isinstance(node, list):
         for i, value in enumerate(node):
             _require_finite(value, f"{where}[{i}]")
-    elif isinstance(node, (float, str)):
+    elif isinstance(node, (int, float, str)):
         try:
             value = float(node)
         except ValueError:
             return
+        except OverflowError:  # an int beyond double range
+            value = math.inf
         if not math.isfinite(value):
             raise ConfigError(f"{where} must be finite, got {node!r}")
 

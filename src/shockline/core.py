@@ -8,13 +8,16 @@ branches (decay exponent != 1 and == 1); also the regime map over
 threshold and density floor.
 
 All functions accept scalars or numpy arrays in the field slots and are
-pure; every type here is an immutable value.
+pure; every type here is an immutable value.  in_double_range is the
+package's one guard for formulas that can leave double range.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +26,36 @@ from .errors import DomainError, RangeError, RegimeError
 
 # Largest |log| we are willing to exponentiate before declaring overflow.
 _LOG_CAP = 700.0
+
+
+def _any(op, x, bound) -> bool:
+    """Whether op(entry, bound) holds for any entry of x, a float or an
+    array (a NaN entry compares false, so it never does)."""
+    if isinstance(x, float):  # scalars, np.float64 too, skip numpy
+        return op(x, bound)
+    return op(np.asarray(x), bound).any()
+
+
+def in_double_range(fn):
+    """Make fn raise RangeError, never a warning, where a Python float
+    power or division raises or the result (a float, an array or a tuple
+    of them) is not finite; numpy warnings are off inside fn."""
+    quiet = np.errstate(over="ignore", divide="ignore", invalid="ignore")(fn)
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            val = quiet(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as e:
+            raise RangeError(f"{fn.__name__} leaves double-precision range "
+                             f"({type(e).__name__})") from e
+        for v in val if isinstance(val, tuple) else (val,):
+            # float: scalars, np.float64 too, skip numpy
+            if not (math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()):
+                raise RangeError(f"{fn.__name__} leaves double-precision range")
+        return val
+
+    return checked
 
 
 class Branch(enum.Enum):
@@ -203,11 +236,7 @@ class PointState:
 
 def _require_positive(name: str, x) -> None:
     """DomainError if any entry is nonpositive (a NaN entry is not)."""
-    if isinstance(x, float):  # scalars, np.float64 too, skip numpy
-        bad = x <= 0.0
-    else:
-        bad = np.less_equal(x, 0.0).any()
-    if bad:
+    if _any(operator.le, x, 0.0):
         raise DomainError(f"{name} must be positive")
 
 
@@ -273,11 +302,7 @@ def log_time_factor(gm: GasModel, dl: DampingLaw, t):
     Critical branch: alpha(3g-1)/(2(g-3)) * log(1+t).
     """
     g, a = gm.gamma, dl.alpha
-    if isinstance(t, float):  # scalars, np.float64 too, skip numpy
-        negative = t < 0.0
-    else:
-        negative = np.less(t, 0.0).any()
-    if negative:
+    if _any(operator.lt, t, 0.0):
         raise DomainError("t must be nonnegative")
     if dl.branch is Branch.CRITICAL:
         return a * (3.0 * g - 1.0) / (2.0 * (g - 3.0)) * np.log1p(t)
@@ -291,12 +316,9 @@ def log_time_factor(gm: GasModel, dl: DampingLaw, t):
 def checked_log(log_val):
     """log_val unchanged, after checking that its exponential stays in
     double-precision range; RangeError if any entry is over the cap (a
-    NaN entry is not, and passes)."""
-    if isinstance(log_val, float):  # scalars, np.float64 too, skip numpy
-        over = abs(log_val) > _LOG_CAP
-    else:
-        over = (np.abs(log_val) > _LOG_CAP).any()
-    if over:
+    NaN entry is not, and passes).  The cap is two-sided: a time factor
+    that underflows to 0 is refused as well."""
+    if _any(operator.gt, abs(log_val), _LOG_CAP):
         magnitude = float(np.nanmax(np.abs(log_val)))
         raise RangeError(
             f"exponent of magnitude {magnitude:.6g} exceeds double-precision "
@@ -315,6 +337,7 @@ def initial_decay(gm: GasModel, dl: DampingLaw) -> float:
     return math.exp(-checked_log(log_time_factor(gm, dl, 0.0)))
 
 
+@in_double_range
 def y_variable(gm: GasModel, dl: DampingLaw, phi, grad, t):
     """Decoupled gradient variable: y along forward characteristics with
     grad = A = w_x, and q along backward ones with grad = B = z_x.  With
@@ -336,8 +359,7 @@ def y_variable(gm: GasModel, dl: DampingLaw, phi, grad, t):
 q_variable = y_variable
 
 
-# numpy overflows quietly inside; the result is checked for finiteness
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+@in_double_range
 def riccati_coefficients(gm: GasModel, dl: DampingLaw, phi, t):
     """(c0, c2) of the Riccati equation y' = c0 - c2*y**2 along a
     characteristic.  c2 > 0 always; the sign of c0 encodes the regime.
@@ -346,31 +368,21 @@ def riccati_coefficients(gm: GasModel, dl: DampingLaw, phi, t):
       lam*alpha*(g-1)*(g-3)*(1+t)**(lam-1) - alpha**2*(g-1)**2,
     divided by K_c*(g-3)**2*(1+t)**(2 lam), times phi**((g-3)/(2(g-1)))
     and the time factor.  The critical branch is the lam = 1
-    specialisation with a power-law time factor.  RangeError, with no
-    numpy warning, if c0 or c2 is not finite.
+    specialisation with a power-law time factor.
     """
     _require_positive("phi", phi)
     g, a, lam = gm.gamma, dl.alpha, dl.lam
-    try:  # a Python-float power or division raises instead
-        mu = checked_exp(log_time_factor(gm, dl, t))
-        num0 = (
-            lam * a * (g - 1.0) * (g - 3.0) * (1.0 + t) ** (lam - 1.0)
-            - a * a * (g - 1.0) ** 2
-        )
-        c0 = (
-            num0 / (gm.k_c * (g - 3.0) ** 2 * (1.0 + t) ** (2.0 * lam))
-            * phi ** p_lo(gm) * mu
-        )
-        c2 = (
-            gm.k_c * (g + 1.0) / (2.0 * (g - 1.0))
-            * phi ** (-p_lo(gm)) / mu
-        )
-    except (OverflowError, ZeroDivisionError):
-        c0 = c2 = math.inf
-    if isinstance(c0, float):  # scalars, np.float64 too, skip numpy
-        finite = math.isfinite(c0) and math.isfinite(c2)
-    else:
-        finite = np.isfinite(c0).all() and np.isfinite(c2).all()
-    if not finite:
-        raise RangeError("Riccati coefficients leave double-precision range")
+    mu = checked_exp(log_time_factor(gm, dl, t))
+    num0 = (
+        lam * a * (g - 1.0) * (g - 3.0) * (1.0 + t) ** (lam - 1.0)
+        - a * a * (g - 1.0) ** 2
+    )
+    c0 = (
+        num0 / (gm.k_c * (g - 3.0) ** 2 * (1.0 + t) ** (2.0 * lam))
+        * phi ** p_lo(gm) * mu
+    )
+    c2 = (
+        gm.k_c * (g + 1.0) / (2.0 * (g - 1.0))
+        * phi ** (-p_lo(gm)) / mu
+    )
     return c0, c2

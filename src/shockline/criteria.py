@@ -18,7 +18,7 @@ import numpy as np
 from . import bounds, core
 from .bounds import InitialBound
 from .core import DampingLaw, GasModel, Theorem
-from .errors import DomainError, RangeError
+from .errors import DomainError
 from .fields import FieldState
 
 # strict-inequality margin: floating-point ties must not flip verdicts
@@ -63,7 +63,7 @@ def _scan(field: FieldState, rhs, theorem: Theorem, threshold: float):
     gap = np.minimum(lhs_a - rhs, lhs_b - rhs)
     idx = int(np.argmin(gap))
     lhs = float(min(lhs_a[idx], lhs_b[idx]))
-    rhs_at = float(rhs[idx]) if np.ndim(rhs) else float(rhs)
+    rhs_at = float(rhs[idx])
     fired = lhs < rhs_at - _MARGIN * abs(rhs_at)
     return Verdict(
         fired=bool(fired),
@@ -78,14 +78,6 @@ def _scan(field: FieldState, rhs, theorem: Theorem, threshold: float):
 def _require_t0(field: FieldState):
     if field.t != 0.0:
         raise DomainError("criteria evaluate initial data only (t = 0)")
-
-
-def _require_certified(field: FieldState, ib: InitialBound):
-    sup = bounds.certified_initial_bound(field).c0
-    if sup > ib.c0 * (1.0 + 1e-12):
-        raise DomainError(
-            f"c0 = {ib.c0:.6g} does not certify the field (needs >= {sup:.6g})"
-        )
 
 
 # Each theorem's blow-up threshold constant (see check_theorem).
@@ -119,22 +111,29 @@ def check_theorem(
     threshold_fn = _CRITERIA[theorem]
     _require_t0(field)
     core.require_theorem(gm, dl, theorem, f"criterion {theorem.value}")
-    g = gm.gamma
-    phi = field.phi()
-    kt1 = dl.alpha * (g - 1.0) / (gm.k_c * (g - 3.0))
     threshold = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        rhs = kt1 * phi ** (-2.0 / (g - 1.0))
-        if threshold_fn is not None:
-            if ib is None:
-                ib = bounds.certified_initial_bound(field)
-            _require_certified(field, ib)
-            threshold = threshold_fn(gm, dl, ib)
-            kt2 = threshold * core.initial_decay(gm, dl)
-            rhs = rhs - kt2 * phi ** (-(g + 1.0) / (2.0 * (g - 1.0)))
-    if not np.isfinite(rhs).all():
-        raise RangeError(f"threshold curve of {theorem.value} leaves double range")
+    if threshold_fn is not None:
+        certified = bounds.certified_initial_bound(field)
+        if ib is None:
+            ib = certified
+        elif certified.c0 > ib.c0 * (1.0 + 1e-12):
+            raise DomainError(f"c0 = {ib.c0:.6g} does not certify the field "
+                              f"(needs >= {certified.c0:.6g})")
+        threshold = threshold_fn(gm, dl, ib)
+    rhs = _threshold_curve(gm, dl, field.phi(), threshold_fn is not None, threshold)
     return _scan(field, rhs, theorem, threshold)
+
+
+@core.in_double_range
+def _threshold_curve(gm: GasModel, dl: DampingLaw, phi, time_factor: bool, threshold):
+    """The curve of check_theorem; the Kt2 term only with time_factor."""
+    g = gm.gamma
+    kt1 = dl.alpha * (g - 1.0) / (gm.k_c * (g - 3.0))
+    rhs = kt1 * phi ** (-2.0 / (g - 1.0))
+    if time_factor:
+        kt2 = threshold * core.initial_decay(gm, dl)
+        rhs = rhs - kt2 * phi ** (-(g + 1.0) / (2.0 * (g - 1.0)))
+    return rhs
 
 
 def evaluate(
@@ -146,13 +145,11 @@ def evaluate(
     """Route the field through the applicable theorem checker.
 
     Regimes with no applicable theorem yield a non-firing NONE verdict.
-    When ib is omitted a certified bound is derived from the field
-    itself.
+    When ib is omitted, check_theorem derives a certified bound from the
+    field for the theorems whose threshold needs one.
     """
     _require_t0(field)
     theorem = core.classify_regime(gm, dl).applicable_theorem
-    if ib is None:
-        ib = bounds.certified_initial_bound(field)
     if theorem in _CRITERIA:
         return check_theorem(theorem, field, gm, dl, ib)
     return Verdict(

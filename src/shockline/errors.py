@@ -10,7 +10,8 @@ class DomainError(ShocklineError):
 
 
 class RangeError(ShocklineError):
-    """A result would overflow double precision (log magnitude > 700)."""
+    """A quantity of the model leaves double-precision range (see
+    core.in_double_range)."""
 
 
 class RegimeError(ShocklineError):

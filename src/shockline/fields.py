@@ -199,8 +199,10 @@ def _bump(spec: dict, grid: Grid):
     return (*amps, np.sin(ph), 2.0 * math.pi * periods / length * np.cos(ph))
 
 
+@core.in_double_range
 def profile_arrays(spec: dict, grid: Grid):
-    """Evaluate a named preset on the grid.  Returns (tau0, u0)."""
+    """Evaluate a named preset on the grid.  Returns (tau0, u0); RangeError
+    where either leaves double range."""
     if spec.get("preset") == "constant":
         return (np.full(grid.n, float(spec.get("tau", 1.0))),
                 np.full(grid.n, float(spec.get("u", 0.0))))

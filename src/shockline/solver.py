@@ -46,9 +46,11 @@ BREAKDOWN_CELL_GRADIENT = 0.5  # breakdown when max|u_x| * dx exceeds this
 STAB_COEF = 0.02
 
 
+@core.in_double_range
 def damping_decay(dl: DampingLaw, t1: float, t2: float) -> float:
     """exp(-alpha * int_{t1}^{t2} (1+s)**(-lam) ds), the exact decay of
-    the linear-in-u damping over [t1, t2]."""
+    the linear-in-u damping over [t1, t2]; RangeError where the integral
+    leaves double range (an underflow to 0 is left to step)."""
     if dl.alpha == 0.0:
         return 1.0
     if dl.branch is Branch.CRITICAL:

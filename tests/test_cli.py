@@ -70,6 +70,30 @@ THRESHOLD_OVERFLOWS = {
 SMALL_GRID = {"n": 32, "L": 5.0}
 
 
+def _range_cfg(alpha, lam, profile, t_end):
+    return {
+        "gas": {"gamma": 2.0, "big_k": 1.0},
+        "damping": {"alpha": alpha, "lambda": lam},
+        "grid": {"n": 32, "L": 10.0},
+        "profile": profile,
+        "run": {"t_end": t_end},
+    }
+
+
+GENTLE_SINE = {"preset": "sine", "tau0": 1.0, "u_amp": -0.01, "tau_amp": 0.01}
+# (1+t)**(1-lam) overflows Python float range near t = 10: in the
+# damping decay (RangeError), with alpha = 0 in log_time_factor alone,
+# and (1+t)**lam in y's shift for lambda = 300 (y and q read nan)
+DECAY_OVERFLOWS = _range_cfg(1e-306, -300.0, GENTLE_SINE, 20.0)
+TIME_FACTOR_OVERFLOWS = _range_cfg(0.0, -300.0, GENTLE_SINE, 20.0)
+SHIFT_OVERFLOWS = _range_cfg(0.0, 300.0, GENTLE_SINE, 20.0)
+# the bump's derivative divides by width**2 = 0
+NARROW_GAUSSIAN = _range_cfg(
+    1.0, 0.0, {"preset": "gaussian", "tau0": 1.0, "u_amp": -0.5, "width": 1e-200}, 0.1)
+DECAY_OVERFLOWS_SWEEP = dict(DECAY_OVERFLOWS, sweep={
+    "axes": [{"name": "lambda", "start": -300.0, "stop": -1.0, "count": 2}]})
+
+
 def write_cfg(tmp_path, cfg, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg))
@@ -104,12 +128,23 @@ class TestValidate:
         lambda c: c["outputs"].update(trace=[1]),
         lambda c: c["grid"].update(n=32.9),
         lambda c: c["profile"].update(periods=1.5),
+        lambda c: c["gas"].update(gamma=10**401),  # ints past double range
+        lambda c: c["profile"].update(periods=10**310),
     ])
     def test_fuzzed_invalid_configs(self, tmp_path, capsys, mutate):
         bad = json.loads(json.dumps(BASE))
         mutate(bad)
         cfg = write_cfg(tmp_path, bad)
         assert main(["validate", "--config", cfg]) == EXIT_CONFIG
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+    def test_unreadable_integer_rejected(self, tmp_path, capsys):
+        # past 4300 digits Python refuses to read the int at all
+        text = yaml.safe_dump(BASE).replace("gamma: 2.0", "gamma: " + "1" * 5000)
+        assert "1" * 5000 in text
+        (tmp_path / "cfg.yaml").write_text(text)
+        assert main(["validate", "--config", str(tmp_path / "cfg.yaml")]) \
+            == EXIT_CONFIG
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
     def test_integral_floats_accepted(self, tmp_path, capsys):
@@ -245,6 +280,23 @@ class TestSimulate:
                  (out / "monitors.csv").read_text().splitlines()[1:]]
         assert {f[2] for f in flags} == {flag}  # "-": never audited, never "ok"
 
+    @pytest.mark.parametrize("cfg", [TIME_FACTOR_OVERFLOWS, SHIFT_OVERFLOWS],
+                             ids=["time_factor", "shift"])
+    def test_y_out_of_range_reads_nan(self, tmp_path, cfg):
+        # from the step where y and q leave double range on, their
+        # columns read nan and the ceiling audit counts a violation
+        out = tmp_path / "out"
+        code, err = _run_verb(["simulate", "--config", write_cfg(tmp_path, cfg),
+                               "--out", str(out)])
+        assert (code, err) == (EXIT_OK, "")
+        rows = [row.split(",") for row in
+                (out / "monitors.csv").read_text().splitlines()[1:]]
+        first = next(i for i, row in enumerate(rows) if row[3] == "nan")
+        assert 0 < first and rows[-1][3:5] == ["nan", "nan"]
+        assert [row[5][1] for row in rows[first - 1:first + 1]] == ["C", "c"]
+        summary = (out / "summary.txt").read_text()
+        assert f"ceiling audit: violated at t={rows[first][0]}\n" in summary
+
     def test_summary_written_before_trace(self, tmp_path):
         # the sub-gamma gap config whose cross-check fails after the run
         cfg = write_cfg(tmp_path, GAP_TRACE_FAILS)
@@ -326,6 +378,7 @@ class TestSweep:
         lambda c: c["sweep"].update(budget="x"),
         lambda c: c["sweep"].update(budget=10.5),
         lambda c: c.pop("damping"),  # the lambda axis has nothing to set
+        lambda c: c["sweep"]["axes"][0].update(stop=10**400),
     ])
     def test_malformed_sweep_is_config_error(self, tmp_path, mutate):
         cfg = self.sweep_cfg([{"name": "lambda", "start": 0.5, "stop": 2.5, "count": 3}])
@@ -495,26 +548,46 @@ class TestExitCodeContract:
 class TestStderrSubprocess:
     """The exit-code contract seen from outside: in a fresh interpreter
     with default warning filters, stderr of a failed run is exactly one
-    JSON line (pytest's warning capture hides numpy warnings in process)."""
+    JSON line and that of a successful one is empty (pytest's warning
+    capture hides numpy warnings in process)."""
 
-    @pytest.mark.parametrize("verb,cfg,error", [
-        ("simulate", DECAY_UNDERFLOWS, "RangeError"),
-        ("simulate", GAP_TRACE_FAILS, "ToleranceError"),
-        ("check", THRESHOLD_OVERFLOWS, "RangeError"),
-        ("simulate", THRESHOLD_OVERFLOWS, "RangeError"),
+    @pytest.mark.parametrize("verb,cfg,code,error", [
+        ("simulate", DECAY_UNDERFLOWS, EXIT_RUNTIME, "RangeError"),
+        ("simulate", GAP_TRACE_FAILS, EXIT_RUNTIME, "ToleranceError"),
+        ("check", THRESHOLD_OVERFLOWS, EXIT_RUNTIME, "RangeError"),
+        ("simulate", THRESHOLD_OVERFLOWS, EXIT_RUNTIME, "RangeError"),
+        ("simulate", DECAY_OVERFLOWS, EXIT_RUNTIME, "RangeError"),
+        ("simulate", TIME_FACTOR_OVERFLOWS, EXIT_OK, None),
+        ("simulate", SHIFT_OVERFLOWS, EXIT_OK, None),
+        ("check", NARROW_GAUSSIAN, EXIT_OK, None),
+        ("simulate", NARROW_GAUSSIAN, EXIT_OK, None),
+        ("sweep", DECAY_OVERFLOWS_SWEEP, EXIT_OK, None),
     ], ids=["cfg0-RangeError", "cfg1-ToleranceError", "threshold_overflows-check",
-            "threshold_overflows-simulate"])
-    def test_one_json_line(self, tmp_path, verb, cfg, error):
+            "threshold_overflows-simulate", "decay_overflows-simulate",
+            "time_factor_overflows-simulate", "shift_overflows-simulate",
+            "narrow_gaussian-check", "narrow_gaussian-simulate",
+            "decay_overflows-sweep"])
+    def test_one_json_line(self, tmp_path, verb, cfg, code, error):
         src = str(Path(shockline.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
         env.pop("PYTHONWARNINGS", None)
+        out = tmp_path / "out"
+        jobs = ["--jobs", "1"] if verb == "sweep" else []
         proc = subprocess.run(
             [sys.executable, "-m", "shockline.cli", verb,
-             "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")],
+             "--config", write_cfg(tmp_path, cfg), "--out", str(out), *jobs],
             capture_output=True, text=True, env=env, timeout=60,
         )
-        assert proc.returncode == EXIT_RUNTIME
-        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
-        assert json.loads(proc.stderr)["error"] == error
+        assert proc.returncode == code, proc.stderr
+        if code == EXIT_OK:
+            assert proc.stderr == ""
+        else:
+            assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), \
+                proc.stderr
+            assert json.loads(proc.stderr)["error"] == error
+        if verb == "sweep":  # the lambda = -300 cell fails alone
+            rows = (out / "sweep.csv").read_text().splitlines()[1:]
+            errors = [row.rsplit(",", 1)[1] for row in rows]
+            assert errors[0].startswith("RangeError: damping_decay") and errors[1] == ""

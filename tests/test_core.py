@@ -30,6 +30,7 @@ from shockline import (
 from shockline.core import (
     _require_positive,
     checked_log,
+    in_double_range,
     log_time_factor,
     sound_speed_of_phi,
 )
@@ -328,3 +329,33 @@ class TestGuards:
         # a NaN entry must not hide an over-cap entry next to it
         with pytest.raises(RangeError, match="800"):
             checked_log(np.array([math.nan, 800.0]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_in_double_range(self):
+        # finite results pass as they are; a numpy overflow, in an array
+        # or in a tuple member, and a Python float power that raises are
+        # one RangeError each, with no warning
+        @in_double_range
+        def scale(x, by):
+            return x * by
+
+        @in_double_range
+        def pair(x, by):
+            return x, x * by
+
+        @in_double_range
+        def power(x, p):
+            return x**p
+
+        arr = np.array([1.0, 1e10])
+        assert scale(arr, 1e200) == pytest.approx(arr * 1e200)
+        assert power(10.0, 300.0) == 1e300
+        with pytest.raises(RangeError, match="scale"):
+            scale(arr, 1e300)
+        with pytest.raises(RangeError, match="pair"):
+            pair(arr, 1e300)
+        with pytest.raises(RangeError, match="pair"):
+            pair(np.array([0.0]), math.inf)  # 0 * inf is nan
+        with pytest.raises(RangeError, match="OverflowError") as exc:
+            power(10.0, 400.0)
+        assert isinstance(exc.value.__cause__, OverflowError)
