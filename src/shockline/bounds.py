@@ -165,16 +165,8 @@ def density_floor_onset(
         hi *= 2.0
         if hi > 1e18:
             raise RangeError("density-floor onset did not bracket")
-    lo = 0.0
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent doubles, over 1e-9 apart past 2**23
-            break
-        if _onset_lhs(gm, dl, ceilings, mid) >= phi0_sup:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return core.narrow_bracket(
+        lambda t: _onset_lhs(gm, dl, ceilings, t) >= phi0_sup, 0.0, hi, 1e-9)[1]
 
 
 def make_density_floor(

@@ -58,6 +58,22 @@ def in_double_range(fn):
     return checked
 
 
+def narrow_bracket(pred, lo, hi, atol, rtol=0.0):
+    """Halve [lo, hi] around the first crossing of a monotone pred,
+    false at lo and true at hi, while hi - lo > max(atol, rtol * hi) and
+    lo, hi are not adjacent doubles; returns (lo, hi).  pred is only
+    called strictly inside the bracket."""
+    while hi - lo > max(atol, rtol * hi):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent doubles
+            break
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 class Branch(enum.Enum):
     GENERIC = "generic"    # decay exponent != 1
     CRITICAL = "critical"  # decay exponent == 1

@@ -24,6 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .core import narrow_bracket
 from .errors import (
     CoefficientError,
     DomainError,
@@ -145,13 +146,9 @@ def integrate(prob: RiccatiProblem, t_end: float, tol: float = 1e-9) -> RiccatiO
                 # bisect on the sign of the same step from (t, val); the
                 # upcrossing is transversal, since v' = c2 > 0 at any zero
                 width = max(5e-14, 1e-8 * max(t + h, 1e-3))
-                lo, hi = t, t + h
-                while hi - lo > 0.25 * width:
-                    mid = 0.5 * (lo + hi)
-                    if _dp_step(prob, "v", t, val, mid - t)[0] >= 0.0:
-                        hi = mid
-                    else:
-                        lo = mid
+                lo, hi = narrow_bracket(
+                    lambda mid: _dp_step(prob, "v", t, val, mid - t)[0] >= 0.0,
+                    t, t + h, 0.25 * width)
                 # pad by the target width so the bisection's own
                 # integration error cannot push the pole outside
                 return RiccatiOutcome(
@@ -201,17 +198,14 @@ def _crossing_time(
             hypothesis(probe, *prob.coeffs(probe))
         inc, _ = quad(lambda s: prob.coeffs(s)[1], t, t + dt, epsrel=1e-11, limit=200)
         if acc + inc >= target:
-            lo, hi = t, t + dt
-            while hi - lo > 1e-12 * max(1.0, hi):
-                mid = 0.5 * (lo + hi)
+            def reached(mid):
                 part, _ = quad(
                     lambda s: prob.coeffs(s)[1], t, mid, epsrel=1e-11, limit=200
                 )
-                if acc + part >= target:
-                    hi = mid
-                else:
-                    lo = mid
-            return hi
+                return acc + part >= target
+
+            # atol = rtol = 1e-12 stops at 1e-12 * max(1, hi)
+            return narrow_bracket(reached, t, t + dt, 1e-12, 1e-12)[1]
         acc += inc
         t += dt
     raise NoBoundError(
