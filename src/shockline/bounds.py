@@ -203,28 +203,17 @@ def k2_closed_form(gm: GasModel, dl: DampingLaw) -> float:
 
 
 def k2_integral(gm: GasModel, dl: DampingLaw) -> float:
-    """K2 for lambda <= 0 by adaptive quadrature of
-    int_0^inf exp(-log_time_factor(s)) ds.
-
-    The integrand decays superexponentially for gamma > 3 and
-    1 - lambda >= 1; the tail is truncated where it falls below 1e-16
-    of its initial value.
-    """
-    from scipy.integrate import quad  # imported on use: scipy dominates import time
+    """K2 for lambda <= 0: int_0^inf exp(-log_time_factor(s)) ds, in
+    closed form (1/b) * C**(-1/b) * Gamma(1/b, C), where b = 1 - lambda,
+    C = log_time_factor(0) > 0 for gamma > 3, and Gamma(a, x) is the
+    upper incomplete gamma function."""
+    # imported on use: scipy dominates import time
+    from scipy.special import gamma, gammaincc
     if dl.alpha == 0.0:
         return math.inf
-
-    def integrand(s):
-        return math.exp(-core.log_time_factor(gm, dl, s))
-
-    f0 = integrand(0.0)
-    upper = 1.0
-    while integrand(upper) > 1e-16 * f0:
-        upper *= 2.0
-        if upper > 1e12:
-            break
-    val, _ = quad(integrand, 0.0, upper, epsrel=1e-11, epsabs=0.0, limit=400)
-    return val
+    a = 1.0 / (1.0 - dl.lam)
+    c = core.log_time_factor(gm, dl, 0.0)
+    return a * c ** -a * float(gammaincc(a, c)) * float(gamma(a))
 
 
 def k3_constant(gm: GasModel, dl: DampingLaw) -> float:

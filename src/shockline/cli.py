@@ -401,6 +401,8 @@ def _sweep_cell(payload) -> str:
 
 def cmd_sweep(args) -> int:
     start = time.perf_counter()
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = load_config(args.config)
     sweep_cfg = cfg.pop("sweep", None)
     if not (sweep_cfg and isinstance(sweep_cfg, dict)):
@@ -442,8 +444,9 @@ def cmd_sweep(args) -> int:
         for values in itertools.product(*grids)
     ]
 
-    jobs = args.jobs or os.cpu_count() or 1
-    if jobs > 1 and len(cells) > 1:
+    # the pool forks every worker at once: no more than there are cells
+    jobs = min(args.jobs or os.cpu_count() or 1, len(cells))
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:

@@ -9,7 +9,9 @@ threshold and density floor.
 
 All functions accept scalars or numpy arrays in the field slots and are
 pure; every type here is an immutable value.  in_double_range is the
-package's one guard for formulas that can leave double range.
+package's one guard for formulas that can leave double range, and
+narrow_bracket its one bisection for a first crossing time (the Riccati
+pole bracket, the integral bounds and the density-floor onset).
 """
 
 from __future__ import annotations

@@ -7,6 +7,8 @@ chart v = 1/y (which obeys the regular equation v' = c2 - c0 * v**2)
 once y < -1.  A pole of y is a regular upcrossing of v through zero and
 is reported as a tight time bracket, never as a point; the crossing
 step is bisected with the same Dormand-Prince step from the same start.
+The step runs on plain Python floats, and every crossing time here (the
+pole bracket and the integral bounds) is narrowed by core.narrow_bracket.
 Known miss: the pad of about 1e-8 * t does not cover the error in v over
 a small c2 (y' = -2000 - 1e-3 * y**2, y0 = -1 is bracketed past its pole).
 
@@ -21,8 +23,6 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-import numpy as np
 
 from .core import narrow_bracket
 from .errors import (
@@ -47,10 +47,8 @@ _DP_A = [
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
+_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
 @dataclass
@@ -92,10 +90,8 @@ def _rhs(prob: RiccatiProblem, chart: str, t: float, val: float) -> float:
 def _dp_step(prob, chart, t, val, h):
     """One Dormand-Prince step; returns (val5, err_estimate).
 
-    The stage sums run on Python floats in tableau order; the two
-    solution weights stay numpy dot products, whose summation order
-    fixes the last bits of the result.  They run without numpy warnings:
-    an overflowed or NaN stage is caught by the step-size control.
+    Every sum runs on Python floats in tableau order, so an overflowed
+    or NaN stage raises no warning; the step-size control catches it.
     """
     k = [_rhs(prob, chart, t, val)]
     for c, row in zip(_DP_C[1:], _DP_A[1:]):
@@ -103,9 +99,10 @@ def _dp_step(prob, chart, t, val, h):
         for a, kj in zip(row, k):
             acc += a * kj
         k.append(_rhs(prob, chart, t + c * h, val + h * acc))
-    ks = np.array(k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        b5, b4 = float(_DP_B5 @ ks), float(_DP_B4 @ ks)
+    b5 = b4 = 0.0
+    for w5, w4, kj in zip(_DP_B5, _DP_B4, k):
+        b5 += w5 * kj
+        b4 += w4 * kj
     val5 = val + h * b5
     val4 = val + h * b4
     return val5, abs(val5 - val4)
@@ -124,17 +121,16 @@ def integrate(prob: RiccatiProblem, t_end: float, tol: float = 1e-9) -> RiccatiO
     if not (t_end > prob.t0):
         raise DomainError("t_end must exceed t0")
 
-    t = prob.t0
-    if prob.y0 < -1.0:
-        chart, val = "v", 1.0 / prob.y0
-    else:
-        chart, val = "y", prob.y0
-
+    t, chart, val = prob.t0, "y", float(prob.y0)
     span = t_end - prob.t0
     h = min(1e-2, span / 10.0)
     err_prev = 1.0
     safety, min_h_factor = 0.9, 1e-14
     while t < t_end:
+        if chart == "y" and val < -1.0:
+            chart, val = "v", 1.0 / val
+        elif chart == "v" and val <= -1.0:
+            chart, val = "y", 1.0 / val
         h = min(h, t_end - t)
         val_new, err = _dp_step(prob, chart, t, val, h)
         # error-per-unit-step control: accumulated error over the whole
@@ -158,10 +154,6 @@ def integrate(prob: RiccatiProblem, t_end: float, tol: float = 1e-9) -> RiccatiO
                 )
             t += h
             val = val_new
-            if chart == "y" and val < -1.0:
-                chart, val = "v", 1.0 / val
-            elif chart == "v" and val <= -1.0:
-                chart, val = "y", 1.0 / val
             # PI step-size controller (fourth-order in h under
             # per-unit-step scaling)
             grow = safety * ratio ** -0.25 * err_prev**0.04 if ratio > 0 else 5.0

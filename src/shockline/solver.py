@@ -566,15 +566,13 @@ def read_snapshots(path) -> SnapshotStore:
         gm = GasModel(gamma=gamma, big_k=big_k)
         dl = DampingLaw(alpha=alpha, lam=lam)
         snaps = SnapshotStore(grid=grid, gas=gm, damping=dl)
-        rec_bytes = 8 * (1 + 2 * int(n))
-        while True:
-            buf = fh.read(rec_bytes)
-            if not buf:
-                break
-            if len(buf) != rec_bytes:
-                raise DomainError("snapshot file truncated mid-record")
-            rec = np.frombuffer(buf, dtype="<f8")
-            snaps.times.append(float(rec[0]))
-            snaps.taus.append(rec[1::2].copy())
-            snaps.us.append(rec[2::2].copy())
+        body = fh.read()
+    # checked before any allocation sized by the header's n
+    rec_len = 1 + 2 * int(n)
+    if len(body) % (8 * rec_len):
+        raise DomainError("snapshot file truncated mid-record")
+    for rec in np.frombuffer(body, dtype="<f8").reshape(-1, rec_len) if body else ():
+        snaps.times.append(float(rec[0]))
+        snaps.taus.append(rec[1::2].copy())
+        snaps.us.append(rec[2::2].copy())
     return snaps

@@ -34,6 +34,7 @@ from shockline.bounds import (
     k2_integral,
     k3_constant,
 )
+from shockline.core import log_time_factor
 from shockline.fields import init_field
 
 
@@ -197,6 +198,16 @@ class TestThresholds:
         assert math.isclose(
             k2_closed_form(gm5, dl), (2.0 / 7.0) * math.exp(-3.5), rel_tol=1e-12
         )
+
+    @pytest.mark.parametrize("lam", [-0.5, -3.0])
+    def test_k2_integral_value(self, gm5, lam):
+        # the closed form against direct quadrature of the time factor,
+        # which is below exp(-700) well before s = 50
+        from scipy.integrate import quad
+        dl = DampingLaw(1.0, lam)
+        direct, _ = quad(lambda s: math.exp(-log_time_factor(gm5, dl, s)),
+                         0.0, 50.0, epsabs=0.0, epsrel=1e-12, limit=400)
+        assert math.isclose(k2_integral(gm5, dl), direct, rel_tol=1e-9)
 
     def test_threshold_N_low_branch(self, gm5):
         dl = DampingLaw(1.0, 0.0)

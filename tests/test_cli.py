@@ -379,12 +379,15 @@ class TestSweep:
         lambda c: c["sweep"].update(budget=10.5),
         lambda c: c.pop("damping"),  # the lambda axis has nothing to set
         lambda c: c["sweep"]["axes"][0].update(stop=10**400),
+        lambda c: c.update(jobs="0"),  # "jobs" is taken as the --jobs option
+        lambda c: c.update(jobs="-1"),
     ])
     def test_malformed_sweep_is_config_error(self, tmp_path, mutate):
         cfg = self.sweep_cfg([{"name": "lambda", "start": 0.5, "stop": 2.5, "count": 3}])
         mutate(cfg)
+        jobs = cfg.pop("jobs", "1")
         code, err = _run_verb(["sweep", "--config", write_cfg(tmp_path, cfg),
-                               "--jobs", "1"])
+                               "--jobs", jobs])
         assert code == EXIT_CONFIG
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "ConfigError"
@@ -430,6 +433,39 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "RangeError"
+
+    def test_workers_capped_at_cells(self, tmp_path, monkeypatch, caplog):
+        # a recording stand-in for the pool maps in-process: no process starts
+        workers = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(shockline.cli, "ProcessPoolExecutor", Pool)
+        caplog.set_level(logging.DEBUG, logger="shockline")
+        monkeypatch.setenv("SHOCKLINE_LOG", "INFO")
+        cfg = write_cfg(tmp_path, self.sweep_cfg(
+            [{"name": "alpha", "start": 0.2, "stop": 1.0, "count": 2}]))
+        out8, out1 = tmp_path / "o8", tmp_path / "o1"
+        assert main(["sweep", "--config", cfg, "--out", str(out8), "--jobs", "8"]) \
+            == EXIT_OK
+        assert workers == [2]
+        assert re.fullmatch(r"sweep: 2 cells, 0 error rows, 2 jobs, \S+ s",
+                            caplog.records[-1].getMessage())
+        assert main(["sweep", "--config", cfg, "--out", str(out1), "--jobs", "1"]) \
+            == EXIT_OK
+        assert workers == [2]  # one job runs the cells without a pool
+        assert (out8 / "sweep.csv").read_bytes() == (out1 / "sweep.csv").read_bytes()
 
     def test_sweep_determinism_parallel(self, tmp_path):
         cfg = write_cfg(tmp_path, self.sweep_cfg(

@@ -32,6 +32,7 @@ from shockline.core import (
     checked_log,
     in_double_range,
     log_time_factor,
+    narrow_bracket,
     sound_speed_of_phi,
 )
 
@@ -359,3 +360,44 @@ class TestGuards:
         with pytest.raises(RangeError, match="OverflowError") as exc:
             power(10.0, 400.0)
         assert isinstance(exc.value.__cause__, OverflowError)
+
+
+class TestNarrowBracket:
+    @staticmethod
+    def recording(pred, lo, hi):
+        """pred, asserting that every call lies strictly inside the
+        bracket that the calls so far have left."""
+        bracket = [lo, hi]
+
+        def checked(x):
+            assert bracket[0] < x < bracket[1]
+            val = pred(x)
+            bracket[val] = x  # true moves hi, false moves lo
+            return val
+
+        return checked
+
+    def test_stops_at_adjacent_doubles(self):
+        # past 2**40 adjacent doubles lie 2**-12 apart, far over atol
+        def crossed(t):
+            return t > 2.0**40
+
+        lo, hi = narrow_bracket(self.recording(crossed, 0.0, 2.0**41),
+                                0.0, 2.0**41, atol=1e-9)
+        assert lo < hi == math.nextafter(lo, math.inf)
+        assert not crossed(lo) and crossed(hi)
+
+    def test_rtol_stops_at_rtol_times_hi(self):
+        pred = self.recording(lambda t: t >= 1000.3, 0.0, 2000.0)
+        lo, hi = narrow_bracket(pred, 0.0, 2000.0, atol=0.0, rtol=1e-6)
+        assert lo < 1000.3 <= hi
+        # stopped at the first halving under rtol * hi, not before or after
+        assert hi - lo <= 1e-6 * hi < 2.0 * (hi - lo)
+
+    def test_atol_stops_at_atol(self):
+        pred = self.recording(lambda t: t >= 0.3, 0.0, 1.0)
+        lo, hi = narrow_bracket(pred, 0.0, 1.0, atol=1e-3)
+        assert lo < 0.3 <= hi
+        assert hi - lo <= 1e-3 < 2.0 * (hi - lo)
+        # a bracket already within atol is returned without a call
+        assert narrow_bracket(pytest.fail, 0.0, 1.0, atol=1.0) == (0.0, 1.0)

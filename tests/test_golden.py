@@ -50,7 +50,7 @@ GOLDEN = {
             "monitors.csv": "74ae96c3d1471378af35602483c957ce40d300d5be3f1ba2371b0e9a44ad4ce0",
             "summary.txt": "214b60d21f7578564764794798aae81c9f05c39bcc682f7a663e68404040ea7c",
             "snapshots.bin": "a1d44b2186242126dc77ee9bcf75d5e9c45a8f39cf92293ad60b20435d8d5a18",
-            "trace.csv": "04df5988eeda5ae3eb36c2d77faf8b94c64d1bea7ed7b61cc696b5b1e95064c6",
+            "trace.csv": "a06df9b35db71fdc7f77d6dc77a557283f5e56969cfdb1534c8f6755e52b33be",
         },
     },
     "sweep_gap": {

@@ -3,6 +3,7 @@ snapshot IO."""
 
 import dataclasses
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -515,14 +516,19 @@ class TestSnapshotIO:
             assert np.array_equal(trace_characteristic(reloaded, 7.0, d).xs,
                                   trace_characteristic(res, 7.0, d).xs)
 
-    @pytest.mark.parametrize("size", [0, 5, 8, 40, 60])
+    @pytest.mark.parametrize("size", [0, 5, 8, 40, 60, "n=2**62"])
     def test_truncated_file(self, sine_field, tmp_path, size):
         res = run(sine_field, 0.1, monitors_requested=False)
         for x0 in (0.0, 5.0):
             res.snapshots.grid = Grid(n=128, length=10.0, x0=x0)
             path = tmp_path / "snaps.bin"
             write_snapshots(path, res.snapshots)
-            path.write_bytes(path.read_bytes()[:size])
+            raw = path.read_bytes()
+            if size == "n=2**62":  # records too long for any file to hold
+                raw = raw[:8] + struct.pack("<q", 2**62) + raw[16:]
+            else:
+                raw = raw[:size]
+            path.write_bytes(raw)
             with pytest.raises(DomainError):
                 read_snapshots(path)
 
