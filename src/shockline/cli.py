@@ -360,20 +360,25 @@ def _apply_axis(cfg: dict, name: str, value: float) -> None:
         cfg["gas" if name == "gamma" else "damping"][name] = value
 
 
-def _sweep_cell(payload) -> str:
-    """One sweep row; never raises, failures land in the error column."""
+def _sweep_cell(payload) -> tuple:
+    """(row, accepted steps) of one sweep cell; never raises, failures
+    land in the error column.  The row reads no gradient variable, so
+    the run skips the y/q record."""
     cfg, axes, values = payload
     cell_cfg = copy.deepcopy(cfg)
     for name, v in zip(axes, values):
         _apply_axis(cell_cfg, name, v)
     prefix = ",".join(_fmt(v) for v in values)
+    steps = 0
     try:
         scn = build_scenario(cell_cfg)
         regime = classify_regime(scn["gas"], scn["damping"])
         verdict = _evaluate(scn)
         broke, bracket, floor_violations = "false", "", 0
         if scn["t_end"] > 0.0:
-            result = solver.run(scn["field"], scn["t_end"], cfl=scn["cfl"])
+            result = solver.run(scn["field"], scn["t_end"],
+                                monitors_requested=False, cfl=scn["cfl"])
+            steps = len(result.monitors.ts) - 1
             if result.broke_down:
                 rep = result.outcome
                 broke = "true"
@@ -396,7 +401,7 @@ def _sweep_cell(payload) -> str:
         error = f"{type(e).__name__}: {e}".replace(",", ";")
         error = " ".join(error.splitlines())
         row = ",".join(("", "NONE", "false", "false", "", "0", error))
-    return f"{prefix},{row}"
+    return f"{prefix},{row}", steps
 
 
 def cmd_sweep(args) -> int:
@@ -448,12 +453,14 @@ def cmd_sweep(args) -> int:
     jobs = min(args.jobs or os.cpu_count() or 1, len(cells))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
+            done = list(pool.map(_sweep_cell, cells))
     else:
-        rows = [_sweep_cell(c) for c in cells]
+        done = [_sweep_cell(c) for c in cells]
+    rows, steps = zip(*done)
     log.info(
-        "sweep: %d cells, %d error rows, %d jobs, %.3f s", len(rows),
-        sum(not row.endswith(",") for row in rows), jobs, time.perf_counter() - start)
+        "sweep: %d cells, %d steps, %d error rows, %d jobs, %.3f s", len(rows),
+        sum(steps), sum(not row.endswith(",") for row in rows), jobs,
+        time.perf_counter() - start)
 
     header = ",".join(axes) + "," + SWEEP_HEADER
     text = header + "\n" + "\n".join(rows) + "\n"

@@ -15,6 +15,9 @@ Each audit of an a-priori bound (invariant region, y/q ceilings,
 density floor) is one Audit value in Monitors: a latch that run records
 at every step and whose "violated by t" reading gives the monitors.csv
 flag letter, the summary line and the sweep's floor_violations count.
+Every run records the step times, max|u_x|, min rho and the invariant
+and floor audits; the y/q maxima and the ceiling audit that reads them
+only on request (simulate asks for them, a sweep cell does not).
 
 Tracing reads the snapshots through two periodic cubic splines in x,
 one for tau and one for u, each with every snapshot stacked as a
@@ -150,17 +153,18 @@ class Monitors:
     floor_range_t: Optional[float] = None  # first t whose floor left double range
 
 
-def _prepare_audits(field: FieldState, mon: Monitors) -> tuple:
+def _prepare_audits(field: FieldState, mon: Monitors, gradient: bool) -> tuple:
     """The constants of the audits: (c0_tilde, ceilings, floor or None).
-    Switches mon's ceiling audit on where the regime map grants its
-    hypothesis (an audit left at None is off) and notes the floor's
-    onset in mon; the floor audit comes on at its first check past
-    t_min."""
+    With the gradient record on, switches mon's ceiling audit on where
+    the regime map grants its hypothesis (an audit left at None is off);
+    notes the floor's onset in mon, the floor audit coming on at its
+    first check past t_min.  The ceilings are computed either way: the
+    floor is built on them."""
     gm, dl = field.gas, field.damping
     c0_tilde = bounds.certified_initial_bound(field).c0_tilde
     ceilings = bounds.riccati_ceilings(field)
     regime = core.classify_regime(gm, dl)
-    if regime.has_ceiling:
+    if gradient and regime.has_ceiling:
         mon.ceiling.ok = True
     floor = None
     if regime.has_density_floor:
@@ -174,19 +178,16 @@ def _prepare_audits(field: FieldState, mon: Monitors) -> tuple:
     return c0_tilde, ceilings, floor
 
 
-def _record(mon: Monitors, field: FieldState, max_ux, tau_max, audits: tuple):
+def _record(mon: Monitors, field: FieldState, max_ux, tau_max, audits: tuple,
+            gradient: bool):
+    """One monitors row and one check of each audit that is on; the y/q
+    maxima and the ceiling audit only with the gradient record on."""
     t = field.t
     # 1/x is monotone and correctly rounded: min(1/tau) is 1/max(tau) exactly
     rho_min = 1.0 / tau_max
-    try:
-        y_max, q_max = (float(v) for v in field.yq().max(axis=1))
-    except RangeError:
-        y_max = q_max = math.nan
     mon.ts.append(t)
     mon.max_abs_ux.append(max_ux)
     mon.min_rho.append(rho_min)
-    mon.y_max.append(y_max)
-    mon.q_max.append(q_max)
 
     rho_max = 1.0 / float(field.tau.min())
     u_max = float(np.abs(field.u).max())
@@ -194,9 +195,16 @@ def _record(mon: Monitors, field: FieldState, max_ux, tau_max, audits: tuple):
     region_cap = c0_tilde * 1.02
     mon.invariant.record(rho_max <= region_cap and u_max <= region_cap, t)
 
-    if mon.ceiling.ok is not None:
-        mon.ceiling.record((not math.isnan(y_max)) and y_max <= caps.y_cap * 1.02
-                           and q_max <= caps.q_cap * 1.02, t)
+    if gradient:
+        try:
+            y_max, q_max = (float(v) for v in field.yq().max(axis=1))
+        except RangeError:
+            y_max = q_max = math.nan
+        mon.y_max.append(y_max)
+        mon.q_max.append(q_max)
+        if mon.ceiling.ok is not None:
+            mon.ceiling.record((not math.isnan(y_max)) and y_max <= caps.y_cap * 1.02
+                               and q_max <= caps.q_cap * 1.02, t)
 
     if floor is not None and t > floor.t_min:
         try:
@@ -269,23 +277,28 @@ def run(
     """Advance until t_end or breakdown, recording monitors and
     snapshots.  Breakdown is a recorded outcome, not an exception;
     VacuumError, and RangeError for a state that is not finite,
-    propagate."""
+    propagate.
+
+    Every run records, per accepted state, ts, max_abs_ux and min_rho
+    and checks the invariant-region and density-floor audits.
+    monitors_requested adds the gradient-variable record: y_max, q_max
+    and the ceiling audit that reads them (left off, ceiling.ok stays
+    None and y_max, q_max stay empty)."""
     if not (t_end > field.t):
         raise DomainError("t_end must exceed the field time")
     if not (0.0 < cfl <= DEFAULT_CFL):
         raise DomainError(f"cfl must lie in (0, {DEFAULT_CFL}], got {cfl}")
     max_ux, tau_max = _extremes(field)
     mon = Monitors()
-    audits = _prepare_audits(field, mon) if monitors_requested else None
+    audits = _prepare_audits(field, mon, monitors_requested)
     snaps = SnapshotStore(grid=field.grid, gas=field.gas, damping=field.damping)
     cadence = max(1, field.grid.n // 256)
     snaps.append(field)
-    if monitors_requested:
-        _record(mon, field, max_ux, tau_max, audits)
+    _record(mon, field, max_ux, tau_max, audits, monitors_requested)
 
-    # each state's derived views (c, u_x, tau_x, slopes, y, q) are
-    # computed once and shared by the finiteness and breakdown tests, the
-    # monitors and the next CFL dt
+    # each state's derived views (c, u_x, and with the gradient record
+    # tau_x, slopes, y, q) are computed once and shared by the finiteness
+    # and breakdown tests, the monitors and the next CFL dt
     n_step = 0
     while field.t < t_end:
         dt = cfl * field.grid.dx / float(field.sound().max())
@@ -307,8 +320,7 @@ def run(
         n_step += 1
         if n_step % cadence == 0 or field.t >= t_end:
             snaps.append(field)
-        if monitors_requested:
-            _record(mon, field, max_ux, tau_max, audits)
+        _record(mon, field, max_ux, tau_max, audits, monitors_requested)
     if snaps.times[-1] != field.t:
         snaps.append(field)
     return RunResult(outcome=field, monitors=mon, snapshots=snaps)

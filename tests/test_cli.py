@@ -460,7 +460,7 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(out8), "--jobs", "8"]) \
             == EXIT_OK
         assert workers == [2]
-        assert re.fullmatch(r"sweep: 2 cells, 0 error rows, 2 jobs, \S+ s",
+        assert re.fullmatch(r"sweep: 2 cells, 0 steps, 0 error rows, 2 jobs, \S+ s",
                             caplog.records[-1].getMessage())
         assert main(["sweep", "--config", cfg, "--out", str(out1), "--jobs", "1"]) \
             == EXIT_OK
@@ -500,7 +500,29 @@ class TestLogging:
             r"trace deviation \S+ within tolerance 0\.01",
             lines[0],
         )
-        assert re.fullmatch(r"sweep: 3 cells, 1 error rows, 1 jobs, \S+ s", lines[1])
+        # t_end 0: the cells evaluate the criteria and run no solver
+        assert re.fullmatch(r"sweep: 3 cells, 0 steps, 1 error rows, 1 jobs, \S+ s",
+                            lines[1])
+
+    def test_sweep_line_counts_accepted_steps(self, tmp_path, monkeypatch, caplog):
+        caplog.set_level(logging.DEBUG, logger="shockline")
+        monkeypatch.setenv("SHOCKLINE_LOG", "INFO")
+        real_run, steps = solver.run, []
+
+        def counted(*args, **kwargs):
+            result = real_run(*args, **kwargs)
+            steps.append(len(result.monitors.ts) - 1)
+            return result
+
+        monkeypatch.setattr(solver, "run", counted)
+        sweep = write_cfg(tmp_path, TestSweep().sweep_cfg(
+            [{"name": "gamma", "start": 2.0, "stop": 4.0, "count": 3}], t_end=0.1
+        ), name="sweep.yaml")
+        assert main(["sweep", "--config", sweep, "--out", str(tmp_path / "w"),
+                     "--jobs", "1"]) == EXIT_OK
+        assert len(steps) == 2 and min(steps) > 0
+        assert re.fullmatch(rf"sweep: 3 cells, {sum(steps)} steps, 1 error rows, "
+                            r"1 jobs, \S+ s", caplog.records[-1].getMessage())
 
     def test_trace_over_tolerance_is_logged(self, tmp_path, monkeypatch, caplog):
         # a cross-check past run.tolerances.trace is still exit 0, and says so

@@ -1,7 +1,10 @@
 """Golden outputs: the README promises that identical configs give
 byte-identical outputs, so the sha256 of every file the CLI writes for
 the bundled configs in scripts/configs is pinned here.  Simulate runs
-with snapshots switched on; the sweep config gives sweep.csv.
+with snapshots switched on; the sweep config gives sweep.csv.  The
+bundled sweep has t_end 0 and runs no solver, so a test-local sweep
+(SOLVER_SWEEP) pins the rows that come from runs: breakdown brackets,
+floor audits and the error rows of lambda next to 1.
 
 The digests were recorded on x86-64 Linux with Python 3.11 and numpy
 2.4.  A change that moves any of them changes the numbers the toolkit
@@ -85,3 +88,33 @@ def test_outputs_byte_identical(tmp_path, capsys, config, verb):
     assert written == sorted(GOLDEN[config][verb])
     for name, digest in GOLDEN[config][verb].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+# gamma x lambda at n=64 up to t = 1: gamma 1.5 to 2.5 audit the
+# density floor (past its onset, or with the floor outside double range
+# at some steps), gamma 3 is a config error, gamma 4 to 5 break down at
+# lambda 1, and lambda next to 1 gives RangeError rows from gamma 2 on
+SOLVER_SWEEP = {
+    "gas": {"gamma": 2.0, "big_k": 1.0},
+    "damping": {"alpha": 1.0, "lambda": 0.0},
+    "grid": {"n": 64, "L": 5.0},
+    "profile": {"preset": "gaussian", "tau0": 1.0, "u_amp": -1.5,
+                "tau_amp": 0.1, "width": 0.3},
+    "run": {"t_end": 1.0, "cfl": 0.4},
+    "sweep": {"axes": [
+        {"name": "gamma", "start": 1.5, "stop": 5.0, "count": 8},
+        {"name": "lambda", "start": 0.995, "stop": 1.005, "count": 5},
+    ]},
+}
+SOLVER_SWEEP_DIGEST = "80276f8e31a497bd3a08303b14e43baf50930438a78b9afd6e96bbb6ec0de38a"
+
+
+def test_solver_sweep_byte_identical(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(SOLVER_SWEEP))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out), "--jobs", "1"]) == EXIT_OK
+    capsys.readouterr()
+    data = (out / "sweep.csv").read_bytes()
+    assert b"Traceback" not in data and b"RangeError: exponent" in data
+    assert hashlib.sha256(data).hexdigest() == SOLVER_SWEEP_DIGEST

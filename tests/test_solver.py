@@ -171,6 +171,45 @@ class TestRun:
         res = run(sine_field, 0.5)
         assert not res.broke_down
         assert len(calls) == 2 * len(res.monitors.ts)
+        # with monitors off, u alone: tau_x is read once more, of the
+        # initial state, by the ceilings the density floor is built on
+        # (a fresh copy of that state, whose views are not cached yet)
+        calls.clear()
+        res = run(dataclasses.replace(sine_field), 0.5, monitors_requested=False)
+        assert len(calls) == len(res.monitors.ts) + 1
+
+    @pytest.mark.parametrize("gamma,alpha,lam,spec,n,length,t_end,broke", [
+        # gentle_audit physics: the density floor is audited past t_min
+        (2.0, 1.0, 0.0, {"preset": "sine", "tau0": 1.0, "u_amp": -0.3,
+                         "tau_amp": 0.1}, 64, 10.0, 3.0, False),
+        # the T4_1 sweep cell of sweep_alpha_lambda, run on to breakdown
+        (5.0, 1.0909090909090908, 1.0, {"preset": "gaussian", "tau0": 1.0,
+                                        "u_amp": -1.5, "width": 0.3},
+         128, 5.0, 1.5, True),
+    ])
+    def test_record_without_gradient_matches_full(self, gamma, alpha, lam, spec,
+                                                  n, length, t_end, broke):
+        f = make_field(GasModel(gamma, 1.0), DampingLaw(alpha, lam), spec,
+                       n=n, length=length)
+        full = run(f, t_end)
+        cheap = run(f, t_end, monitors_requested=False)
+        assert full.broke_down is cheap.broke_down is broke
+        if broke:
+            a, b = full.outcome, cheap.outcome
+            assert (a.t, a.t_prev, a.max_abs_ux) == (b.t, b.t_prev, b.max_abs_ux)
+            a, b = a.last_field, b.last_field
+        else:
+            a, b = full.outcome, cheap.outcome
+        assert a.t == b.t
+        assert np.array_equal(a.tau, b.tau) and np.array_equal(a.u, b.u)
+        m, c = full.monitors, cheap.monitors
+        for name in ("ts", "max_abs_ux", "min_rho", "invariant", "floor",
+                     "floor_t_min", "floor_range_t"):
+            assert getattr(m, name) == getattr(c, name), name
+        if not broke:
+            assert m.floor.ok is True and m.floor_t_min < t_end
+        assert len(m.y_max) == len(m.ts) and m.ceiling.ok is not None
+        assert c.y_max == [] and c.q_max == [] and c.ceiling.ok is None
 
     @pytest.mark.parametrize("name", ["u", "tau"])
     def test_nonfinite_initial_state(self, sine_field, name):
