@@ -1,6 +1,7 @@
 """Riccati integrator vs closed-form oracles, blow-up brackets, and
 integral upper bounds."""
 
+import hashlib
 import math
 import warnings
 
@@ -214,3 +215,46 @@ class TestRandomizedOracleAgreement:
                 assert abs(out.y_end - exact) / scale <= 1e-7
                 n_global += 1
         assert n_blowup > 5 and n_global > 5
+
+
+def outcome_problems():
+    """A fixed-seed problem set for the outcome digest: constant and
+    (1+t)**p coefficients, y0 of both signs (below -1 it starts in the
+    inverse chart), t_end from 0.01 to 30 and three tolerances, then one
+    problem whose step size underflows."""
+    rng = np.random.default_rng(20201)
+    for i in range(240):
+        c0, c2, y0 = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0), rng.uniform(-4.0, 4.0)
+        p0, p2 = rng.uniform(-1.5, 1.5, size=2) if i % 2 else (0.0, 0.0)
+        t_end = 10.0 ** rng.uniform(-2.0, math.log10(30.0))
+        tol = (1e-9, 1e-10, 1e-11)[i % 3]
+
+        def source(t, c0=float(c0), c2=float(c2), p0=float(p0), p2=float(p2)):
+            return c0 * (1.0 + t) ** p0, c2 * (1.0 + t) ** p2
+
+        yield RiccatiProblem(source, float(y0)), float(t_end), tol
+    yield const_problem(1.0, 1e300, 1e10), 1.0, 1e-9
+
+
+def outcome_line(prob, t_end, tol):
+    try:
+        out = integrate(prob, t_end, tol=tol)
+    except ToleranceError as e:
+        return f"ToleranceError: {e}"
+    return f"{out.kind.value} {out.y_end!r} {out.t_star_lo!r} {out.t_star_hi!r}"
+
+
+# sha256 of the outcome lines of outcome_problems, recorded on x86-64
+# Linux with Python 3.11; a change to the stepper that moves any kind,
+# end value, bracket or error message moves it
+OUTCOME_DIGEST = "9e3e2d113376dc71489907818c2932ad31bdfa652be295a42dfe89f21dbf8c29"
+
+
+class TestOutcomeDigest:
+    def test_outcomes_pinned(self):
+        lines = [outcome_line(*p) for p in outcome_problems()]
+        kinds = [line.split()[0] for line in lines]
+        assert kinds.count("global") > 50 and kinds.count("blowup") > 50
+        assert kinds[-1] == "ToleranceError:"
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == OUTCOME_DIGEST
