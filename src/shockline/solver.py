@@ -154,19 +154,21 @@ class Monitors:
 
 
 def _prepare_audits(field: FieldState, mon: Monitors, gradient: bool) -> tuple:
-    """The constants of the audits: (c0_tilde, ceilings, floor or None).
-    With the gradient record on, switches mon's ceiling audit on where
-    the regime map grants its hypothesis (an audit left at None is off);
-    notes the floor's onset in mon, the floor audit coming on at its
-    first check past t_min.  The ceilings are computed either way: the
-    floor is built on them."""
+    """The constants of the audits: (c0_tilde, ceilings or None, floor or
+    None).  With the gradient record on, switches mon's ceiling audit on
+    where the regime map grants its hypothesis (an audit left at None is
+    off); notes the floor's onset in mon, the floor audit coming on at
+    its first check past t_min.  The ceilings are computed only for the
+    ceiling audit or for a regime with a density floor, which is built
+    on them, so a RangeError in a ceiling nothing reads ends no run."""
     gm, dl = field.gas, field.damping
     c0_tilde = bounds.certified_initial_bound(field).c0_tilde
-    ceilings = bounds.riccati_ceilings(field)
     regime = core.classify_regime(gm, dl)
     if gradient and regime.has_ceiling:
         mon.ceiling.ok = True
-    floor = None
+    ceilings = floor = None
+    if mon.ceiling.ok or regime.has_density_floor:
+        ceilings = bounds.riccati_ceilings(field)
     if regime.has_density_floor:
         try:
             floor = bounds.make_density_floor(

@@ -344,6 +344,34 @@ class TestSweep:
             cfg["sweep"]["budget"] = budget
         return cfg
 
+    def test_unread_ceilings_give_result_rows(self, tmp_path):
+        # gamma 4 at lambda just above 1 audits neither ceiling nor floor,
+        # though its y/q time factor leaves double range: the cells break
+        # down instead of ending in RangeError rows, and simulate records
+        # nan y/q maxima with exit 0
+        cfg = self.sweep_cfg(
+            [{"name": "lambda", "start": 1.0025, "stop": 1.005, "count": 2}],
+            t_end=1.0)
+        cfg["gas"]["gamma"] = 4.0
+        cfg["profile"] = {"preset": "gaussian", "tau0": 1.0, "u_amp": -1.5,
+                          "tau_amp": 0.1, "width": 0.3}
+        path = write_cfg(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", path, "--out", str(out),
+                     "--jobs", "1"]) == EXIT_OK
+        for row in (out / "sweep.csv").read_text().splitlines()[1:]:
+            cells = row.split(",")
+            assert cells[1] == "super/generic_gap" and cells[4] == "true"
+            assert cells[-1] == ""
+        cfg.pop("sweep")
+        cfg["damping"]["lambda"] = 1.0025
+        cfg["outputs"] = {"monitors": True}
+        path = write_cfg(tmp_path, cfg, name="sim.yaml")
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "s")]) \
+            == EXIT_OK
+        rows = (tmp_path / "s" / "monitors.csv").read_text().splitlines()[1:]
+        assert rows and all(r.endswith(",nan,nan,R--") for r in rows)
+
     def test_lambda_axis_regime_flip(self, tmp_path):
         cfg = write_cfg(tmp_path, self.sweep_cfg(
             [{"name": "lambda", "start": 0.5, "stop": 2.5, "count": 9}]
