@@ -196,10 +196,9 @@ def monitors_csv(mon: solver.Monitors) -> str:
 
 def trace_csv(trace: solver.CharTrace, report: solver.CrossValidationReport) -> str:
     lines = [TRACE_HEADER]
-    for t, x, phi, y_or_q, y_int in zip(trace.times, trace.xs, trace.phi,
-                                        trace.y_or_q, report.y_integrated):
-        dev = abs(y_int - y_or_q) / report.scale
-        lines.append(",".join(map(_fmt, (t, x, phi, y_or_q, y_int, dev))))
+    for row in zip(trace.times, trace.xs, trace.phi, trace.y_or_q,
+                   report.y_integrated, report.deviations):
+        lines.append(",".join(map(_fmt, row)))
     return "\n".join(lines) + "\n"
 
 

@@ -7,8 +7,10 @@ chart v = 1/y (which obeys the regular equation v' = c2 - c0 * v**2)
 once y < -1.  A pole of y is a regular upcrossing of v through zero and
 is reported as a tight time bracket, never as a point; the crossing
 step is bisected with the same Dormand-Prince step from the same start.
-The step runs on plain Python floats, and every crossing time here (the
-pole bracket and the integral bounds) is narrowed by core.narrow_bracket.
+The step runs on plain Python floats and reads the coefficients once
+per distinct stage time, handing those at t + h on to the next step.
+Every crossing time here (the pole bracket and the integral bounds) is
+narrowed by core.narrow_bracket.
 Known miss: the pad of about 1e-8 * t does not cover the error in v over
 a small c2 (y' = -2000 - 1e-3 * y**2, y0 = -1 is bracketed past its pole).
 
@@ -80,32 +82,37 @@ class RiccatiOutcome:
     t_star_hi: Optional[float] = None
 
 
-def _rhs(prob: RiccatiProblem, chart: str, t: float, val: float) -> float:
-    c0, c2 = prob.coeffs(t)
+def _rhs(chart: str, coeffs: tuple, val: float) -> float:
+    c0, c2 = coeffs
     if chart == "y":
         return c0 - c2 * val * val
     return c2 - c0 * val * val
 
 
-def _dp_step(prob, chart, t, val, h):
-    """One Dormand-Prince step; returns (val5, err_estimate).
+def _dp_step(prob, chart, t, val, h, cf):
+    """One Dormand-Prince step from t, with cf the coefficients at t;
+    returns (val5, err_estimate, coefficients at t + h).
 
-    Every sum runs on Python floats in tableau order, so an overflowed
-    or NaN stage raises no warning; the step-size control catches it.
+    Each stage time is read once: stage 7 reuses stage 6's coefficients
+    at t + 1.0 * h, which is the next step's t.  Every sum runs on Python
+    floats in tableau order, so an overflowed or NaN stage raises no
+    warning; the step-size control catches it.
     """
-    k = [_rhs(prob, chart, t, val)]
+    k = [_rhs(chart, cf, val)]
+    c_prev = 0.0
     for c, row in zip(_DP_C[1:], _DP_A[1:]):
+        if c != c_prev:
+            cf, c_prev = prob.coeffs(t + c * h), c
         acc = 0.0
         for a, kj in zip(row, k):
             acc += a * kj
-        k.append(_rhs(prob, chart, t + c * h, val + h * acc))
+        k.append(_rhs(chart, cf, val + h * acc))
     b5 = b4 = 0.0
     for w5, w4, kj in zip(_DP_B5, _DP_B4, k):
         b5 += w5 * kj
         b4 += w4 * kj
     val5 = val + h * b5
-    val4 = val + h * b4
-    return val5, abs(val5 - val4)
+    return val5, abs(val5 - (val + h * b4)), cf
 
 
 def integrate(prob: RiccatiProblem, t_end: float, tol: float = 1e-9) -> RiccatiOutcome:
@@ -122,6 +129,7 @@ def integrate(prob: RiccatiProblem, t_end: float, tol: float = 1e-9) -> RiccatiO
         raise DomainError("t_end must exceed t0")
 
     t, chart, val = prob.t0, "y", float(prob.y0)
+    cf = prob.coeffs(t)  # at t; a rejected step and a chart switch keep it
     span = t_end - prob.t0
     h = min(1e-2, span / 10.0)
     err_prev = 1.0
@@ -132,7 +140,7 @@ def integrate(prob: RiccatiProblem, t_end: float, tol: float = 1e-9) -> RiccatiO
         elif chart == "v" and val <= -1.0:
             chart, val = "y", 1.0 / val
         h = min(h, t_end - t)
-        val_new, err = _dp_step(prob, chart, t, val, h)
+        val_new, err, cf_new = _dp_step(prob, chart, t, val, h, cf)
         # error-per-unit-step control: accumulated error over the whole
         # span stays at the order of tol
         scale = tol * (1.0 + max(abs(val), abs(val_new))) * (h / span)
@@ -143,7 +151,7 @@ def integrate(prob: RiccatiProblem, t_end: float, tol: float = 1e-9) -> RiccatiO
                 # upcrossing is transversal, since v' = c2 > 0 at any zero
                 width = max(5e-14, 1e-8 * max(t + h, 1e-3))
                 lo, hi = narrow_bracket(
-                    lambda mid: _dp_step(prob, "v", t, val, mid - t)[0] >= 0.0,
+                    lambda mid: _dp_step(prob, "v", t, val, mid - t, cf)[0] >= 0.0,
                     t, t + h, 0.25 * width)
                 # pad by the target width so the bisection's own
                 # integration error cannot push the pole outside
@@ -152,8 +160,7 @@ def integrate(prob: RiccatiProblem, t_end: float, tol: float = 1e-9) -> RiccatiO
                     t_star_lo=max(t, lo - 0.5 * width),
                     t_star_hi=hi + 0.5 * width,
                 )
-            t += h
-            val = val_new
+            t, val, cf = t + h, val_new, cf_new
             # PI step-size controller (fourth-order in h under
             # per-unit-step scaling)
             grow = safety * ratio ** -0.25 * err_prev**0.04 if ratio > 0 else 5.0

@@ -21,8 +21,8 @@ only on request (simulate asks for them, a sweep cell does not).
 
 Tracing reads the snapshots through two periodic cubic splines in x,
 one for tau and one for u, each with every snapshot stacked as a
-column, and is linear in t between the two snapshots that bracket t.
-The trace evaluates only those two columns, from scipy's spline
+column, and walks the snapshot intervals in order, linear in t inside
+each.  The trace evaluates only the interval's two columns, from scipy's spline
 coefficients and in scipy's evaluation order (periodic map, half-open
 interval search, evaluate_poly1's power sum), so each value is the one
 PPoly.__call__ gives, bit for bit.
@@ -339,7 +339,6 @@ class Direction(enum.Enum):
 
 @dataclass
 class CharTrace:
-    direction: Direction
     times: np.ndarray
     xs: np.ndarray
     phi: np.ndarray
@@ -424,56 +423,50 @@ def trace_characteristic(
     sign = 1.0 if direction is Direction.FORWARD else -1.0
     wrap = grid.wrap
 
-    def bracket(t: float):
-        """Snapshot interval k holding t and the linear weight of k + 1."""
-        k = bisect.bisect_right(times, t) - 1
-        k = min(max(k, 0), len(times) - 2)
-        return k, (t - times[k]) / (times[k + 1] - times[k])
-
     def blend(which: int, i: int, s: float, k: int, w: float, nu: int = 0):
         """Spline `which` at offset s in interval i, linear in t between
         snapshots k and k + 1 with weight w on k + 1."""
         return ((1.0 - w) * _cubic(coeffs(which, i, k), s, nu)
                 + w * _cubic(coeffs(which, i, k + 1), s, nu))
 
-    def speed(t: float, x: float) -> float:
-        k, w = bracket(t)
+    def tau_at(k: int, w: float, x: float):
+        """(interval i, offset s, tau) at x, weight w in interval k."""
         i, s = locate(wrap(x))
         tau = blend(0, i, s, k, w)
         if tau <= 0.0:
             raise TraceError("interpolated tau became nonpositive on the path")
-        return sign * core.sound_speed(gm, tau)
+        return i, s, tau
 
-    def sample(t: float, x: float):
-        k, w = bracket(t)
-        i, s = locate(wrap(x))
-        tau, taux = blend(0, i, s, k, w), blend(0, i, s, k, w, 1)
-        ux = blend(1, i, s, k, w, 1)
-        if tau <= 0.0:
-            raise TraceError("interpolated tau became nonpositive on the path")
+    def speed(k: int, t: float, x: float) -> float:
+        w = (t - times[k]) / (times[k + 1] - times[k])
+        return sign * core.sound_speed(gm, tau_at(k, w, x)[2])
+
+    def sample(t: float, k: int, w: float, x: float):
+        i, s, tau = tau_at(k, w, x)
+        taux, ux = blend(0, i, s, k, w, 1), blend(1, i, s, k, w, 1)
         phi = core.phi_of_tau(gm, tau)
         a_w, b_z = core.riemann_slopes(core.sound_speed(gm, tau), ux, taux)
         grad = a_w if direction is Direction.FORWARD else b_z
         return phi, float(core.y_variable(gm, dl, phi, grad, t))
 
     x = wrap(float(x_start))
-    rows = []  # (t, x, phi, y or q) at each snapshot time
+    # (t, x, phi, y or q) at each snapshot time, past the first read at
+    # the end (weight 1) of the interval before it
+    rows = [(times[0], wrap(x), *sample(times[0], 0, 0.0, x))]
     substeps = 4
-    for k in range(len(times)):
-        rows.append((times[k], wrap(x), *sample(times[k], x)))
-        if k == len(times) - 1:
-            break
+    for k in range(len(times) - 1):
         t_a, t_b = times[k], times[k + 1]
         h = (t_b - t_a) / substeps
         t = t_a
         for _ in range(substeps):
-            k1 = speed(t, x)
-            k2 = speed(t + 0.5 * h, x + 0.5 * h * k1)
-            k3 = speed(t + 0.5 * h, x + 0.5 * h * k2)
-            k4 = speed(min(t + h, t_b), x + h * k3)
+            k1 = speed(k, t, x)
+            k2 = speed(k, t + 0.5 * h, x + 0.5 * h * k1)
+            k3 = speed(k, t + 0.5 * h, x + 0.5 * h * k2)
+            k4 = speed(k, min(t + h, t_b), x + h * k3)
             x += h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
             t += h
-    return CharTrace(direction, *(np.array(col) for col in zip(*rows)))
+        rows.append((t_b, wrap(x), *sample(t_b, k, 1.0, x)))
+    return CharTrace(*(np.array(col) for col in zip(*rows)))
 
 
 # ---------------------------------------------------------------------
@@ -485,7 +478,7 @@ class CrossValidationReport:
     deviation: float
     within_tol: bool
     y_integrated: np.ndarray
-    scale: float  # max |field-sampled value|, or 1 if that is 0
+    deviations: np.ndarray  # per row, normalized as deviation
 
 
 def cross_validate_riccati(
@@ -494,22 +487,17 @@ def cross_validate_riccati(
     """Integrate the Riccati equation with coefficients interpolated
     along the trace and compare against the field-sampled values.
 
-    The deviation is the max absolute difference normalized by the max
-    absolute field-sampled value.
+    Each row's deviation is the absolute difference over the max
+    absolute field-sampled value (1 if that is 0); deviation is their max.
     """
     if len(trace.times) < 2:
         raise TraceError("trace too short to cross-validate")
     t_knots = trace.times
     phi_knots = trace.phi
 
-    memo = {}  # pure in t; Dormand-Prince stages 6, 7 and the next 1 share a t
-
     def coeff_source(t: float):
-        if t not in memo:
-            phi = float(np.interp(t, t_knots, phi_knots))
-            c0, c2 = core.riccati_coefficients(gm, dl, phi, t)
-            memo[t] = float(c0), float(c2)
-        return memo[t]
+        return core.riccati_coefficients(
+            gm, dl, float(np.interp(t, t_knots, phi_knots)), t)
 
     # integrate knot to knot so comparison points are hit exactly,
     # never interpolated off the adaptive trajectory
@@ -526,11 +514,11 @@ def cross_validate_riccati(
             )
         y_int[k + 1] = out.y_end
     scale = float(np.max(np.abs(trace.y_or_q)))
-    scale = scale if scale > 0.0 else 1.0
-    deviation = float(np.max(np.abs(y_int - trace.y_or_q))) / scale
+    deviations = np.abs(y_int - trace.y_or_q) / (scale if scale > 0.0 else 1.0)
+    deviation = float(deviations.max())
     return CrossValidationReport(
         deviation=deviation, within_tol=deviation <= tol, y_integrated=y_int,
-        scale=scale,
+        deviations=deviations,
     )
 
 

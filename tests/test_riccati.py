@@ -132,6 +132,24 @@ class TestIntegrate:
         with pytest.raises(CoefficientError):
             integrate(prob, 1.0)
 
+    @pytest.mark.parametrize("c0,c2,y0,t_end", [
+        (1.0, 1.0, 0.5, 5.0),    # stays in the y chart
+        (-1.0, 1.0, 0.0, 1.0),   # y = -tan(t) passes -1: switches to v
+        (4.0, 1.0, -1.5, 3.0),   # starts in v, switches back to y
+    ])
+    def test_reads_each_coefficient_time_once(self, c0, c2, y0, t_end):
+        # the step's last two stages and the next step's first share a
+        # time; the coefficients there are read once and passed on
+        seen = []
+
+        def source(t):
+            seen.append(t)
+            return c0, c2
+
+        out = integrate(RiccatiProblem(source, y0), t_end)
+        assert out.kind is OutcomeKind.GLOBAL
+        assert len(seen) > 100 and len(seen) == len(set(seen))
+
     def test_overflowing_stages_are_silent(self):
         # c2 * y**2 overflows at every stage: each step is rejected until
         # the step size underflows, and numpy must not warn on the way

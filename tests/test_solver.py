@@ -338,6 +338,11 @@ class TestTrace:
         tr = trace_characteristic(res, 2.5, Direction.FORWARD)
         rep = cross_validate_riccati(tr, gm2, dl_const, 0.01)
         assert rep.deviation <= 0.01
+        # per row and overall, both normalized by the largest |y|
+        diff = np.abs(rep.y_integrated - tr.y_or_q)
+        scale = np.max(np.abs(tr.y_or_q))
+        assert np.array_equal(rep.deviations, diff / scale)
+        assert rep.deviation == np.max(diff) / scale
 
 
 def frame_trace(run_output, x_start, direction):
@@ -403,9 +408,9 @@ def frame_trace(run_output, x_start, direction):
     return np.array(out).T
 
 
-def memo_free_riccati(trace, gm, dl):
-    """cross_validate_riccati's knot-to-knot integration, every
-    coefficient evaluated afresh."""
+def knot_to_knot_riccati(trace, gm, dl):
+    """cross_validate_riccati's knot-to-knot integration, written out
+    on its own."""
     def coeff_source(t):
         c0, c2 = core.riccati_coefficients(
             gm, dl, float(np.interp(t, trace.times, trace.phi)), t)
@@ -435,6 +440,9 @@ class TestStackedTrace:
     # cadence 2, x0 != 0, ends in breakdown at t = 0.166
     @example(n=520, x0=5.0, gamma=2.0, alpha=1.0, lam=0.0, u_amp=-6.0,
              t_end=0.4, x_start=9.5)
+    # one accepted step, two snapshots: one interval, its end at weight 1
+    @example(n=16, x0=0.0, gamma=2.0, alpha=1.0, lam=0.0, u_amp=-0.5,
+             t_end=0.05, x_start=3.0)
     @settings(max_examples=12, deadline=None)
     def test_matches_per_frame_splines(self, n, x0, gamma, alpha, lam, u_amp,
                                        t_end, x_start):
@@ -456,13 +464,13 @@ class TestStackedTrace:
             for got, want in zip((tr.times, tr.xs, tr.phi, tr.y_or_q), expected):
                 assert np.array_equal(got, want)
             try:
-                y_free = memo_free_riccati(tr, gm, dl)
+                y_knots = knot_to_knot_riccati(tr, gm, dl)
             except TraceError:
                 with pytest.raises(TraceError):
                     cross_validate_riccati(tr, gm, dl, 0.01)
                 continue
             assert np.array_equal(cross_validate_riccati(tr, gm, dl, 0.01).y_integrated,
-                                  y_free)
+                                  y_knots)
 
 
 class TestSnapshotSplines:
