@@ -136,22 +136,15 @@ def _threshold_curve(gm: GasModel, dl: DampingLaw, phi, time_factor: bool, thres
     return rhs
 
 
-def evaluate(
-    field: FieldState,
-    gm: GasModel,
-    dl: DampingLaw,
-    ib: Optional[InitialBound] = None,
-) -> Verdict:
-    """Route the field through the applicable theorem checker.
-
-    Regimes with no applicable theorem yield a non-firing NONE verdict.
-    When ib is omitted, check_theorem derives a certified bound from the
-    field for the theorems whose threshold needs one.
-    """
+def evaluate(field: FieldState, gm: GasModel, dl: DampingLaw) -> Verdict:
+    """Route the field through the applicable theorem checker, which
+    derives a certified bound from the field where its threshold needs
+    one.  Regimes with no applicable theorem yield a non-firing NONE
+    verdict."""
     _require_t0(field)
     theorem = core.classify_regime(gm, dl).applicable_theorem
     if theorem in _CRITERIA:
-        return check_theorem(theorem, field, gm, dl, ib)
+        return check_theorem(theorem, field, gm, dl)
     return Verdict(
         fired=False, theorem=Theorem.NONE, witness_x=None, lhs=None, rhs=None,
         threshold=0.0,

@@ -22,10 +22,11 @@ only on request (simulate asks for them, a sweep cell does not).
 Tracing reads the snapshots through two periodic cubic splines in x,
 one for tau and one for u, each with every snapshot stacked as a
 column, and walks the snapshot intervals in order, linear in t inside
-each.  The trace evaluates only the interval's two columns, from scipy's spline
-coefficients and in scipy's evaluation order (periodic map, half-open
-interval search, evaluate_poly1's power sum), so each value is the one
-PPoly.__call__ gives, bit for bit.
+each.  It evaluates only the interval's two columns, from scipy's
+spline coefficients and in scipy's evaluation order (periodic map,
+half-open interval search, evaluate_poly1's power sum), so each value
+is the one PPoly.__call__ gives, bit for bit.  The Riccati cross-check
+restarts at every trace row, so each comparison point is hit exactly.
 """
 
 from __future__ import annotations
