@@ -410,7 +410,7 @@ def frame_trace(run_output, x_start, direction):
 
 def knot_to_knot_riccati(trace, gm, dl):
     """cross_validate_riccati's knot-to-knot integration, written out
-    on its own."""
+    independently as the reference it is compared against."""
     def coeff_source(t):
         c0, c2 = core.riccati_coefficients(
             gm, dl, float(np.interp(t, trace.times, trace.phi)), t)
