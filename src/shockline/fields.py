@@ -44,10 +44,12 @@ class Grid:
     def xs(self) -> np.ndarray:
         return self.x0 + self.dx * np.arange(self.n)
 
-    def wrap(self, x):
-        """Map x into [x0, x0 + length); a float stays a float (Python's
-        float % rounds as np.mod does)."""
-        return self.x0 + (x - self.x0) % self.length
+    def wrap(self, x: float) -> float:
+        """Map x into [x0, x0 + length) (Python's float % rounds as
+        np.mod does).  A remainder that rounds up to length, as for x
+        just below x0, maps to x0, as x0 + length itself does."""
+        r = (x - self.x0) % self.length
+        return self.x0 + (r if r < self.length else 0.0)
 
 
 def pad(f: np.ndarray) -> np.ndarray:
