@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -403,6 +402,17 @@ def _sweep_cell(payload) -> tuple:
     return f"{prefix},{row}", steps
 
 
+def _steps_solver(cfg: dict) -> bool:
+    """Whether the sweep's cells run the solver: the template's run.t_end,
+    read as build_scenario reads it (no axis sets it), is positive and
+    finite.  Otherwise every cell only evaluates the criteria or is an
+    error row."""
+    try:
+        return 0.0 < float(dict(cfg.get("run", {})).get("t_end", 0.0)) < math.inf
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def cmd_sweep(args) -> int:
     start = time.perf_counter()
     if args.jobs is not None and args.jobs < 1:
@@ -448,9 +458,14 @@ def cmd_sweep(args) -> int:
         for values in itertools.product(*grids)
     ]
 
-    # the pool forks every worker at once: no more than there are cells
-    jobs = min(args.jobs or os.cpu_count() or 1, len(cells))
+    # a pool only for cells that step the solver: a criteria-only cell
+    # costs less than the hand-off to a worker, let alone its start-up;
+    # the pool forks every worker at once, so no more than there are cells
+    jobs = 1
+    if _steps_solver(cfg):
+        jobs = min(args.jobs or os.cpu_count() or 1, len(cells))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # on use: only sweeps fork
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             done = list(pool.map(_sweep_cell, cells))
     else:

@@ -463,7 +463,8 @@ class TestSweep:
         assert json.loads(err)["error"] == "RangeError"
 
     def test_workers_capped_at_cells(self, tmp_path, monkeypatch, caplog):
-        # a recording stand-in for the pool maps in-process: no process starts
+        # a recording stand-in for the pool maps in-process: no process
+        # starts; t_end > 0, so the cells step the solver and get a pool
         workers = []
 
         class Pool:
@@ -479,21 +480,62 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(shockline.cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
         caplog.set_level(logging.DEBUG, logger="shockline")
         monkeypatch.setenv("SHOCKLINE_LOG", "INFO")
         cfg = write_cfg(tmp_path, self.sweep_cfg(
-            [{"name": "alpha", "start": 0.2, "stop": 1.0, "count": 2}]))
+            [{"name": "alpha", "start": 0.2, "stop": 1.0, "count": 2}], t_end=0.05))
         out8, out1 = tmp_path / "o8", tmp_path / "o1"
         assert main(["sweep", "--config", cfg, "--out", str(out8), "--jobs", "8"]) \
             == EXIT_OK
         assert workers == [2]
-        assert re.fullmatch(r"sweep: 2 cells, 0 steps, 0 error rows, 2 jobs, \S+ s",
+        assert re.fullmatch(r"sweep: 2 cells, [1-9]\d* steps, 0 error rows, 2 jobs, \S+ s",
                             caplog.records[-1].getMessage())
         assert main(["sweep", "--config", cfg, "--out", str(out1), "--jobs", "1"]) \
             == EXIT_OK
         assert workers == [2]  # one job runs the cells without a pool
         assert (out8 / "sweep.csv").read_bytes() == (out1 / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("t_end", [0.0, None, -1.0, "x", 1e400])
+    def test_criteria_only_cells_run_in_process(self, tmp_path, monkeypatch, caplog,
+                                                t_end):
+        # cells that run no solver (t_end 0 or absent) or are all error
+        # rows (t_end negative, not a number, not finite) get no pool
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a criteria-only sweep started a pool")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", NoPool)
+        caplog.set_level(logging.DEBUG, logger="shockline")
+        monkeypatch.setenv("SHOCKLINE_LOG", "INFO")
+        cfg = self.sweep_cfg([{"name": "lambda", "start": 0.5, "stop": 2.5, "count": 3}])
+        if t_end is None:
+            cfg.pop("run")
+        else:
+            cfg["run"]["t_end"] = t_end
+        path = write_cfg(tmp_path, cfg)
+        out2, out1 = tmp_path / "o2", tmp_path / "o1"
+        assert main(["sweep", "--config", path, "--out", str(out2), "--jobs", "2"]) \
+            == EXIT_OK
+        assert re.fullmatch(r"sweep: 3 cells, 0 steps, \d error rows, 1 jobs, \S+ s",
+                            caplog.records[-1].getMessage())
+        assert main(["sweep", "--config", path, "--out", str(out1), "--jobs", "1"]) \
+            == EXIT_OK
+        assert (out2 / "sweep.csv").read_bytes() == (out1 / "sweep.csv").read_bytes()
+        errors = [r.split(",")[-1] for r in
+                  (out1 / "sweep.csv").read_text().splitlines()[1:]]
+        assert all((e == "") == (t_end in (0.0, None)) for e in errors)
+
+    def test_cli_import_loads_no_pool(self):
+        # check and simulate never fork: the pool's modules load on use
+        src = str(Path(shockline.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sys, shockline.cli; "
+                "sys.exit('concurrent.futures.process' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=60).returncode == 0
 
     def test_sweep_determinism_parallel(self, tmp_path):
         cfg = write_cfg(tmp_path, self.sweep_cfg(
