@@ -26,7 +26,8 @@ each.  It evaluates only the interval's two columns, from scipy's
 spline coefficients and in scipy's evaluation order (periodic map,
 half-open interval search, evaluate_poly1's power sum), so each value
 is the one PPoly.__call__ gives, bit for bit.  The Riccati cross-check
-restarts at every trace row, so each comparison point is hit exactly.
+restarts at every trace row, so each comparison point is hit exactly,
+and reads phi between rows by np.interp's scalar rule on floats.
 """
 
 from __future__ import annotations
@@ -474,6 +475,19 @@ def trace_characteristic(
 # Riccati cross-validation along a trace
 # ---------------------------------------------------------------------
 
+def _interp(t: float, xs: list, fs: list) -> float:
+    """np.interp(t, xs, fs) for one float t and float lists, by its
+    scalar rule: the interval from a right bisection; a knot's value on
+    a knot hit, and the end knot's past either end; otherwise the slope
+    times the offset plus the left value, in that order of operations."""
+    j = bisect.bisect_right(xs, t) - 1
+    if j < 0:
+        return fs[0]
+    if j == len(xs) - 1 or xs[j] == t:
+        return fs[j]
+    return (fs[j + 1] - fs[j]) / (xs[j + 1] - xs[j]) * (t - xs[j]) + fs[j]
+
+
 @dataclass
 class CrossValidationReport:
     deviation: float
@@ -488,17 +502,19 @@ def cross_validate_riccati(
     """Integrate the Riccati equation with coefficients interpolated
     along the trace and compare against the field-sampled values.
 
+    phi between trace rows is linear in t, read on Python floats by
+    np.interp's scalar rule (_interp), so each value is np.interp's bit
+    for bit without a numpy call per Dormand-Prince stage.
+
     Each row's deviation is the absolute difference over the max
     absolute field-sampled value (1 if that is 0); deviation is their max.
     """
     if len(trace.times) < 2:
         raise TraceError("trace too short to cross-validate")
-    t_knots = trace.times
-    phi_knots = trace.phi
+    t_knots, phi_knots = trace.times.tolist(), trace.phi.tolist()
 
     def coeff_source(t: float):
-        return core.riccati_coefficients(
-            gm, dl, float(np.interp(t, t_knots, phi_knots)), t)
+        return core.riccati_coefficients(gm, dl, _interp(t, t_knots, phi_knots), t)
 
     # integrate knot to knot so comparison points are hit exactly,
     # never interpolated off the adaptive trajectory
@@ -506,9 +522,9 @@ def cross_validate_riccati(
     y_int[0] = float(trace.y_or_q[0])
     for k in range(len(t_knots) - 1):
         prob = riccati.RiccatiProblem(
-            coeff_source=coeff_source, y0=float(y_int[k]), t0=float(t_knots[k])
+            coeff_source=coeff_source, y0=float(y_int[k]), t0=t_knots[k]
         )
-        out = riccati.integrate(prob, float(t_knots[k + 1]), tol=1e-10)
+        out = riccati.integrate(prob, t_knots[k + 1], tol=1e-10)
         if out.kind is riccati.OutcomeKind.BLOWUP:
             raise TraceError(
                 "integrated gradient variable blew up inside the trace window"

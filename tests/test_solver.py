@@ -16,6 +16,7 @@ from shockline import VacuumError, core, fields, riccati, solver
 from shockline.fields import ddx4, init_field
 from shockline.solver import (
     BreakdownReport,
+    _interp,
     Direction,
     cross_validate_riccati,
     damping_decay,
@@ -424,6 +425,38 @@ def knot_to_knot_riccati(trace, gm, dl):
             raise TraceError("blow-up inside the trace window")
         y.append(out.y_end)
     return np.array(y)
+
+
+@st.composite
+def knots_and_values(draw):
+    """Strictly increasing knots and a value at each."""
+    xs = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=12,
+                              unique=True)))
+    return xs, draw(st.lists(st.floats(-1e6, 1e6), min_size=len(xs),
+                             max_size=len(xs)))
+
+
+class TestInterp:
+    """The cross-check's phi lookup on floats against np.interp, bit for
+    bit (the sign of a zero too)."""
+
+    @given(knots=knots_and_values(),
+           weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    @example(knots=([0.0, 0.1, 0.30000000000000004, 1.0], [0.5, -0.0, 3.0, 3.0]),
+             weights=[0.5, 1e-3, 1.0 - 1e-3])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_np_interp(self, knots, weights):
+        xs, fs = knots
+        # past both ends, inside every interval, on every knot and one
+        # ulp either side of it
+        points = [xs[0] - 1.0, xs[-1] + 1.0]
+        for a, b in zip(xs[:-1], xs[1:]):
+            points += [a + w * (b - a) for w in weights]
+        for x in xs:
+            points += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+        for t in points:
+            want = float(np.interp(t, np.array(xs), np.array(fs)))
+            assert _interp(t, xs, fs).hex() == want.hex(), t
 
 
 class TestStackedTrace:
