@@ -46,10 +46,10 @@ class Grid:
 
     def wrap(self, x: float) -> float:
         """Map x into [x0, x0 + length) (Python's float % rounds as
-        np.mod does).  A remainder that rounds up to length, as for x
-        just below x0, maps to x0, as x0 + length itself does."""
-        r = (x - self.x0) % self.length
-        return self.x0 + (r if r < self.length else 0.0)
+        np.mod does).  A point that rounds onto x0 + length, as x just
+        below x0 can, maps to x0, as x0 + length itself does."""
+        w = self.x0 + (x - self.x0) % self.length
+        return w if w < self.x0 + self.length else self.x0
 
 
 def pad(f: np.ndarray) -> np.ndarray:

@@ -33,22 +33,26 @@ class TestGrid:
         assert math.isclose(g.wrap(9.5), 1.5)
         assert math.isclose(g.wrap(0.5), 8.5)
 
-    @pytest.mark.parametrize("x0,x", [
-        (0.0, -1e-17), (0.0, -4.013384886133855e-74), (0.0, 10.0),
-        (2.0, math.nextafter(2.0, 0.0)), (-2.5, math.nextafter(-2.5, -math.inf)),
+    @pytest.mark.parametrize("x0,length,x", [
+        (0.0, 10.0, -1e-17), (0.0, 10.0, -4.013384886133855e-74), (0.0, 10.0, 10.0),
+        (2.0, 10.0, math.nextafter(2.0, 0.0)),
+        (-2.5, 10.0, math.nextafter(-2.5, -math.inf)),
+        # the remainder stays below the length, x0 + remainder rounds up
+        (8.900225798255171, 1.1732536879511608, 8.90022579825517),
     ])
-    def test_wrap_just_below_x0_is_x0(self, x0, x):
-        # the remainder rounds up to the length: x0, as wrap(x0 + length)
-        g = Grid(n=16, length=10.0, x0=x0)
+    def test_wrap_onto_period_end_is_x0(self, x0, length, x):
+        # x rounds onto x0 + length: x0, as wrap(x0 + length)
+        g = Grid(n=16, length=length, x0=x0)
         assert g.wrap(x) == x0
 
-    @given(x=st.floats(-1e6, 1e6), length=st.floats(1e-3, 1e3))
+    @given(x=st.floats(-1e6, 1e6), length=st.floats(1e-3, 1e3),
+           x0=st.floats(-1e3, 1e3))
     @settings(max_examples=200, deadline=None)
-    def test_wrap_in_period_and_idempotent(self, x, length):
+    def test_wrap_in_period(self, x, length, x0):
+        assert x0 <= Grid(n=16, length=length, x0=x0).wrap(x) < x0 + length
+        # at x0 = 0, wrap(x) is the remainder itself, so wrap is idempotent
         g = Grid(n=16, length=length)
-        w = g.wrap(x)
-        assert 0.0 <= w < length
-        assert g.wrap(w) == w
+        assert g.wrap(g.wrap(x)) == g.wrap(x)
 
     @pytest.mark.parametrize("n,L", [(8, 1.0), (16, 0.0), (16, -1.0)])
     def test_validation(self, n, L):
