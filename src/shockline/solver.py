@@ -26,8 +26,7 @@ each.  It evaluates only the interval's two columns, from scipy's
 spline coefficients and in scipy's evaluation order (periodic map,
 half-open interval search, evaluate_poly1's power sum), so each value
 is the one PPoly.__call__ gives, bit for bit.  The Riccati cross-check
-restarts at every trace row, so each comparison point is hit exactly,
-and reads phi between rows by np.interp's scalar rule on floats.
+restarts at every trace row, so each comparison point is hit exactly.
 """
 
 from __future__ import annotations
