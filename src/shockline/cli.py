@@ -62,6 +62,8 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config: {e}") from e
     except (yaml.YAMLError, ValueError) as e:  # ValueError: an unreadable scalar
         raise ConfigError(f"config is not valid YAML: {e}") from e
+    except RecursionError:
+        raise ConfigError("config nests too deeply to read") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
     return cfg
@@ -78,22 +80,30 @@ def _integer(value, where: str) -> int:
 def _require_finite(node, where: str) -> None:
     """Reject inf and nan anywhere in the config, including numbers
     written as strings and integers that no float can hold, since every
-    number feeds the model."""
-    if isinstance(node, dict):
-        for key, value in node.items():
-            _require_finite(value, f"{where}.{key}")
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            _require_finite(value, f"{where}[{i}]")
-    elif isinstance(node, (int, float, str)):
-        try:
-            value = float(node)
-        except ValueError:
-            return
-        except OverflowError:  # an int beyond double range
-            value = math.inf
-        if not math.isfinite(value):
-            raise ConfigError(f"{where} must be finite, got {node!r}")
+    number feeds the model.  A config too deep to walk, as one holding
+    an alias to itself is, is rejected too."""
+    def walk(node, where):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, f"{where}.{key}")
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                walk(value, f"{where}[{i}]")
+        elif isinstance(node, (int, float, str)):
+            try:
+                value = float(node)
+            except ValueError:
+                return
+            except OverflowError:  # an int beyond double range
+                value = math.inf
+            if not math.isfinite(value):
+                raise ConfigError(f"{where} must be finite, got {node!r}")
+
+    try:
+        walk(node, where)
+    except RecursionError:
+        raise ConfigError(
+            f"{where} nests too deeply or refers to itself") from None
 
 
 def build_scenario(cfg: dict) -> dict:
@@ -115,10 +125,13 @@ def build_scenario(cfg: dict) -> dict:
             lam=float(_need(damp_cfg, "lambda", "damping")),
         )
         grid_cfg = _need(cfg, "grid", "scenario")
+        if "x0" in grid_cfg:  # the domain starts at 0; x0 only relabelled it
+            raise ConfigError(
+                "grid.x0 is no longer supported: the domain is [0, L); "
+                "subtract x0 from profile.center and outputs.trace.x_start")
         grid = Grid(
             n=_integer(_need(grid_cfg, "n", "grid"), "grid.n"),
             length=float(_need(grid_cfg, "L", "grid")),
-            x0=float(grid_cfg.get("x0", 0.0)),
         )
         profile = dict(_need(cfg, "profile", "scenario"))
         if profile.get("preset") not in PRESETS:
@@ -155,7 +168,7 @@ def build_scenario(cfg: dict) -> dict:
                     f"got {direction!r}"
                 )
             outputs["trace"] = {
-                "x_start": float(trace_req.get("x_start", grid.x0)),
+                "x_start": float(trace_req.get("x_start", 0.0)),
                 "direction": solver.Direction(direction),
             }
     except DomainError as e:
@@ -527,7 +540,7 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError, RegimeError) as e:
         sys.stderr.write(_error_json(e))
         return EXIT_CONFIG
-    except (ShocklineError, OSError) as e:
+    except (ShocklineError, OSError, MemoryError) as e:
         sys.stderr.write(_error_json(e))
         return EXIT_RUNTIME
 

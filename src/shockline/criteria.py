@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from . import bounds, core
-from .bounds import InitialBound
 from .core import DampingLaw, GasModel, Theorem
 from .errors import DomainError
 from .fields import FieldState
@@ -90,8 +89,7 @@ _CRITERIA = {
 
 
 def check_theorem(
-    theorem: Theorem, field: FieldState, gm: GasModel, dl: DampingLaw,
-    ib: Optional[InitialBound] = None,
+    theorem: Theorem, field: FieldState, gm: GasModel, dl: DampingLaw
 ) -> Verdict:
     """Check one theorem's criterion on initial data; RegimeError unless
     (gm, dl) lies in its regime.  Fires where a Riemann-invariant slope
@@ -101,8 +99,8 @@ def check_theorem(
     (gamma > 3, lambda = 1, alpha >= (g-3)/(g-1)):
         Kt1 * phi**(-2/(g-1)) - Kt2 * phi**(-(g+1)/(2(g-1))), with
         Kt1 = alpha(g-1)/(K_c(g-3)) and Kt2 the threshold N (T3_1) or
-        N1 (T4_1) times exp(-log_time_factor(0)), on data certified by
-        ib (derived from the field when omitted);
+        N1 (T4_1) times exp(-log_time_factor(0)), both at the bound
+        bounds.certified_initial_bound derives from the field;
     T3_2 (1 < gamma < 3, lambda >= alpha(g-1)/(g-3), generic branch)
     and T4_2 (1 < gamma < 3, lambda = 1):
         Kt1 * phi**(-2/(g-1)) = -alpha(g-1)/(K_c(3-g)) * phi**(-2/(g-1)),
@@ -113,13 +111,7 @@ def check_theorem(
     core.require_theorem(gm, dl, theorem, f"criterion {theorem.value}")
     threshold = 0.0
     if threshold_fn is not None:
-        certified = bounds.certified_initial_bound(field)
-        if ib is None:
-            ib = certified
-        elif certified.c0 > ib.c0 * (1.0 + 1e-12):
-            raise DomainError(f"c0 = {ib.c0:.6g} does not certify the field "
-                              f"(needs >= {certified.c0:.6g})")
-        threshold = threshold_fn(gm, dl, ib)
+        threshold = threshold_fn(gm, dl, bounds.certified_initial_bound(field))
     rhs = _threshold_curve(gm, dl, field.phi(), threshold_fn is not None, threshold)
     return _scan(field, rhs, theorem, threshold)
 

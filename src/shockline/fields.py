@@ -24,11 +24,10 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic mesh: nodes x_i = x0 + i*dx, i = 0..n-1."""
+    """Uniform periodic mesh: nodes x_i = i*dx, i = 0..n-1."""
 
     n: int
     length: float
-    x0: float = 0.0
 
     def __post_init__(self):
         if self.n < 16:
@@ -42,14 +41,14 @@ class Grid:
 
     @property
     def xs(self) -> np.ndarray:
-        return self.x0 + self.dx * np.arange(self.n)
+        return self.dx * np.arange(self.n)
 
     def wrap(self, x: float) -> float:
-        """Map x into [x0, x0 + length) (Python's float % rounds as
-        np.mod does).  A point that rounds onto x0 + length, as x just
-        below x0 can, maps to x0, as x0 + length itself does."""
-        w = self.x0 + (x - self.x0) % self.length
-        return w if w < self.x0 + self.length else self.x0
+        """Map x into [0, length) (Python's float % rounds as np.mod
+        does).  A point whose remainder rounds onto length, as x just
+        below 0 can, maps to 0, as length itself does."""
+        w = x % self.length
+        return w if w < self.length else 0.0
 
 
 def pad(f: np.ndarray) -> np.ndarray:
@@ -184,7 +183,7 @@ def _bump(spec: dict, grid: Grid):
     preset, x, length = spec.get("preset"), grid.xs, grid.length
     amps = float(spec.get("tau_amp", 0.0)), float(spec.get("u_amp", 0.0))
     if preset == "gaussian":
-        center = float(spec.get("center", grid.x0 + 0.5 * length))
+        center = float(spec.get("center", 0.5 * length))
         width = float(spec.get("width", 0.1 * length))
         if width <= 0.0:
             raise DomainError("gaussian width must be positive")
@@ -197,7 +196,7 @@ def _bump(spec: dict, grid: Grid):
     periods = int(spec.get("periods", 1))
     if periods < 1:
         raise DomainError("sine preset needs at least one full period")
-    ph = 2.0 * math.pi * periods * (x - grid.x0) / length
+    ph = 2.0 * math.pi * periods * x / length
     return (*amps, np.sin(ph), 2.0 * math.pi * periods / length * np.cos(ph))
 
 

@@ -273,8 +273,9 @@ def oracle_pole_time(c0_const: float, c2_const: float, y0: float) -> Optional[fl
         return -shift / k
     m = math.sqrt(-c0_const / c2_const)
     k = math.sqrt(-c0_const * c2_const)
-    delta = math.atan(-y0 / m)
-    return (0.5 * math.pi - delta) / k
+    if y0 < 0.0:  # pi/2 - atan(-y0/m) without the cancellation for -y0 >> m
+        return math.atan(m / -y0) / k
+    return (0.5 * math.pi - math.atan(-y0 / m)) / k
 
 
 def closed_form_oracle(c0_const: float, c2_const: float, y0: float, t: float):

@@ -324,8 +324,6 @@ def run(
         if n_step % cadence == 0 or field.t >= t_end:
             snaps.append(field)
         _record(mon, field, max_ux, tau_max, audits, monitors_requested)
-    if snaps.times[-1] != field.t:
-        snaps.append(field)
     return RunResult(outcome=field, monitors=mon, snapshots=snaps)
 
 
@@ -352,7 +350,7 @@ def _periodic_spline(grid: Grid, rows: list):
     from scipy.interpolate import CubicSpline  # on use, as quad in bounds
     ys = np.array(rows)
     return CubicSpline(
-        np.append(grid.xs, grid.x0 + grid.length),
+        np.append(grid.xs, grid.length),
         np.concatenate((ys, ys[:, :1]), axis=1).T,
         bc_type="periodic",
     )
@@ -364,7 +362,8 @@ class _SnapshotSplines:
 
     Reading the coefficients here gives PPoly.__call__'s numbers bit for
     bit without its per-call array set-up: the same periodic map
-    x0 + (x - x0) % (x_n - x0), the same half-open interval search (the
+    x0 + (x - x0) % (x_n - x0), which with the first knot x0 at 0 is
+    x % x_n, the same half-open interval search (the
     last interval closed, a point past it NaN) and evaluate_poly1's
     power sum.  The coefficients of one column on one interval are
     extracted on first use.
@@ -374,13 +373,12 @@ class _SnapshotSplines:
         tau_spl = _periodic_spline(grid, snaps.taus)
         self.splines = (tau_spl, _periodic_spline(grid, snaps.us))
         self.knots = tau_spl.x.tolist()
-        self.period = self.knots[-1] - self.knots[0]
         self._coeffs = {}
 
     def locate(self, x: float):
         """(interval i, offset x - x_i) of x under the periodic map."""
         knots = self.knots
-        xp = knots[0] + (x - knots[0]) % self.period
+        xp = x % knots[-1]
         if xp < knots[-1]:
             i = bisect.bisect_right(knots, xp) - 1
             return i, xp - knots[i]
@@ -542,25 +540,18 @@ def cross_validate_riccati(
 # snapshot binary dump
 # ---------------------------------------------------------------------
 
-# magic + int64 n + five float64 parameters (L, gamma, K, alpha, lam);
-# SHKL2 appends a float64 x0 and is written only for a grid with x0 != 0
-_SHKL1, _SHKL2 = b"SHKL1\x00\x00\x00", b"SHKL2\x00\x00\x00"
-_HEADERS = {_SHKL1: struct.Struct("<8sq5d"), _SHKL2: struct.Struct("<8sq6d")}
-_MAGIC_LEN = 8
+# magic + int64 n + five float64 parameters (L, gamma, K, alpha, lam)
+_MAGIC = b"SHKL1\x00\x00\x00"
+_HEADER = struct.Struct("<8sq5d")
 
 
 def write_snapshots(path, snaps: SnapshotStore) -> None:
-    """Binary dump: 56-byte SHKL1 header (64-byte SHKL2 with x0 when
-    x0 != 0) then one record per snapshot, each a float64 time followed
-    by interleaved per-cell (tau, u) float64."""
+    """Binary dump: 56-byte header then one record per snapshot, each a
+    float64 time followed by interleaved per-cell (tau, u) float64."""
     grid, gm, dl = snaps.grid, snaps.gas, snaps.damping
-    head = [grid.n, grid.length, gm.gamma, gm.big_k, dl.alpha, dl.lam]
-    magic = _SHKL1
-    if grid.x0 != 0.0:
-        magic = _SHKL2
-        head.append(grid.x0)
     with open(path, "wb") as fh:
-        fh.write(_HEADERS[magic].pack(magic, *head))
+        fh.write(_HEADER.pack(_MAGIC, grid.n, grid.length, gm.gamma, gm.big_k,
+                              dl.alpha, dl.lam))
         for t, tau, u in zip(snaps.times, snaps.taus, snaps.us):
             rec = np.empty(1 + 2 * grid.n)
             rec[0] = t
@@ -570,17 +561,15 @@ def write_snapshots(path, snaps: SnapshotStore) -> None:
 
 
 def read_snapshots(path) -> SnapshotStore:
-    """Inverse of write_snapshots; reads both header versions."""
+    """Inverse of write_snapshots."""
     with open(path, "rb") as fh:
-        magic = fh.read(_MAGIC_LEN)
-        header = _HEADERS.get(magic)
-        if header is None:
+        head = fh.read(_HEADER.size)
+        if head[:len(_MAGIC)] != _MAGIC:
             raise DomainError("bad snapshot magic")
-        head = magic + fh.read(header.size - _MAGIC_LEN)
-        if len(head) != header.size:
+        if len(head) != _HEADER.size:
             raise DomainError("snapshot file truncated in header")
-        _, n, length, gamma, big_k, alpha, lam, *x0 = header.unpack(head)
-        grid = Grid(n=int(n), length=length, x0=x0[0] if x0 else 0.0)
+        _, n, length, gamma, big_k, alpha, lam = _HEADER.unpack(head)
+        grid = Grid(n=int(n), length=length)
         gm = GasModel(gamma=gamma, big_k=big_k)
         dl = DampingLaw(alpha=alpha, lam=lam)
         snaps = SnapshotStore(grid=grid, gas=gm, damping=dl)

@@ -679,6 +679,27 @@ class TestStderrSubprocess:
     JSON line and that of a successful one is empty (pytest's warning
     capture hides numpy warnings in process)."""
 
+    def run_fresh(self, verb, config, out):
+        """The CLI's exit code and stderr in a fresh interpreter, after
+        checking that stderr is one JSON line on failure, empty otherwise."""
+        src = str(Path(shockline.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        env.pop("PYTHONWARNINGS", None)
+        jobs = ["--jobs", "1"] if verb == "sweep" else []
+        proc = subprocess.run(
+            [sys.executable, "-m", "shockline.cli", verb,
+             "--config", config, "--out", str(out), *jobs],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        if proc.returncode == EXIT_OK:
+            assert proc.stderr == ""
+            return proc.returncode, None
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), \
+            proc.stderr
+        return proc.returncode, json.loads(proc.stderr)
+
     @pytest.mark.parametrize("verb,cfg,code,error", [
         ("simulate", DECAY_UNDERFLOWS, EXIT_RUNTIME, "RangeError"),
         ("simulate", GAP_TRACE_FAILS, EXIT_RUNTIME, "ToleranceError"),
@@ -696,26 +717,68 @@ class TestStderrSubprocess:
             "narrow_gaussian-check", "narrow_gaussian-simulate",
             "decay_overflows-sweep"])
     def test_one_json_line(self, tmp_path, verb, cfg, code, error):
-        src = str(Path(shockline.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        env.pop("PYTHONWARNINGS", None)
         out = tmp_path / "out"
-        jobs = ["--jobs", "1"] if verb == "sweep" else []
-        proc = subprocess.run(
-            [sys.executable, "-m", "shockline.cli", verb,
-             "--config", write_cfg(tmp_path, cfg), "--out", str(out), *jobs],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == code, proc.stderr
-        if code == EXIT_OK:
-            assert proc.stderr == ""
-        else:
-            assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), \
-                proc.stderr
-            assert json.loads(proc.stderr)["error"] == error
+        got, err = self.run_fresh(verb, write_cfg(tmp_path, cfg), out)
+        assert got == code, err
+        assert (err or {}).get("error") == error
         if verb == "sweep":  # the lambda = -300 cell fails alone
             rows = (out / "sweep.csv").read_text().splitlines()[1:]
             errors = [row.rsplit(",", 1)[1] for row in rows]
             assert errors[0].startswith("RangeError: damping_decay") and errors[1] == ""
+
+    @pytest.mark.parametrize("verb,text,code,error,words", [
+        ("validate", "gas: " + "[" * 2000 + "]" * 2000 + "\n",
+         EXIT_CONFIG, "ConfigError", "nests too deeply"),
+        ("validate", "gas: &x [*x]\n", EXIT_CONFIG, "ConfigError", "refers to itself"),
+        ("sweep", "sweep: &s\n  axes: [{name: lambda, start: 0.5, stop: 1.5, count: 2}]"
+                  "\n  again: *s\n", EXIT_CONFIG, "ConfigError", "refers to itself"),
+        # 2**57 eight-byte nodes: beyond any x86-64 address space, refused at once
+        ("validate", "grid: {n: 144115188075855872, L: 10.0}\n",
+         EXIT_RUNTIME, "MemoryError", "allocate"),
+    ], ids=["deep-nesting", "self-alias", "self-alias-sweep", "grid-too-large"])
+    def test_config_past_the_interpreter(self, tmp_path, verb, text, code, error,
+                                         words):
+        # the YAML text above replaces or adds its section of BASE
+        cfg = {k: v for k, v in BASE.items() if not text.startswith(k + ":")}
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg) + text)
+        got, err = self.run_fresh(verb, str(path), tmp_path / "out")
+        assert (got, err["error"]) == (code, error)
+        assert words in err["message"]
+
+
+def test_grid_x0_is_config_error(tmp_path):
+    cfg = json.loads(json.dumps(BASE))
+    cfg["grid"]["x0"] = 5.0
+    code, err = _run_verb(["validate", "--config", write_cfg(tmp_path, cfg)])
+    assert code == EXIT_CONFIG
+    assert err.count("\n") == 1
+    err = json.loads(err)
+    assert err["error"] == "ConfigError"
+    assert "grid.x0" in err["message"] and "profile.center" in err["message"]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_config_blocks():
+    """The YAML blocks of the README's `### Scenario config (YAML)`
+    section: the scenario, then the sweep section."""
+    section = README.read_text().split("### Scenario config (YAML)\n", 1)[1]
+    return re.findall(r"```yaml\n(.*?)```", section.split("\n### ", 1)[0], re.S)
+
+
+def test_readme_scenario_block_validates(tmp_path, capsys):
+    scenario, _ = readme_config_blocks()
+    (tmp_path / "cfg.yaml").write_text(scenario)
+    assert main(["validate", "--config", str(tmp_path / "cfg.yaml")]) == EXIT_OK
+
+
+def test_readme_sweep_block_runs(tmp_path):
+    scenario, sweep = readme_config_blocks()
+    cfg = yaml.safe_load(scenario + sweep)
+    cfg["run"]["t_end"] = 0
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) \
+        == EXIT_OK
+    assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 21

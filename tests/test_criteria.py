@@ -21,9 +21,7 @@ from shockline import (
     check_theorem,
     classify_regime,
     evaluate,
-    invariant_region_bound,
 )
-from shockline.bounds import certified_initial_bound
 from shockline.fields import init_field
 
 
@@ -161,44 +159,33 @@ class TestTheorem42:
 class TestTheorem31:
     def test_fires_on_steep_data(self, gm5, dl_const):
         f = steep_field(gm5, dl_const, u_amp=-3.0, n=512, length=5.0, width=0.1)
-        ib = certified_initial_bound(f)
-        v = check_theorem(Theorem.T3_1, f, gm5, dl_const, ib)
+        v = check_theorem(Theorem.T3_1, f, gm5, dl_const)
         assert v.fired and v.theorem is Theorem.T3_1
         assert v.threshold > 0.0
 
     def test_quiet_on_gentle_data(self, gm5, dl_const):
         f = steep_field(gm5, dl_const, u_amp=-0.1, n=512, length=5.0, width=0.5)
-        ib = certified_initial_bound(f)
-        v = check_theorem(Theorem.T3_1, f, gm5, dl_const, ib)
+        v = check_theorem(Theorem.T3_1, f, gm5, dl_const)
         assert not v.fired
-
-    def test_uncertified_bound_rejected(self, gm5, dl_const):
-        f = steep_field(gm5, dl_const, u_amp=-3.0, n=512, length=5.0, width=0.1)
-        ib = invariant_region_bound(gm5, 0.5)  # sup|u| = 3 > 0.5
-        with pytest.raises(DomainError):
-            check_theorem(Theorem.T3_1, f, gm5, dl_const, ib)
 
     def test_gap_regime_rejected(self, gm5):
         dl = DampingLaw(1.0, 1.5)
         f = steep_field(gm5, dl, u_amp=-3.0, n=512, length=5.0, width=0.1)
-        ib = certified_initial_bound(f)
         with pytest.raises(RegimeError):
-            check_theorem(Theorem.T3_1, f, gm5, dl, ib)
+            check_theorem(Theorem.T3_1, f, gm5, dl)
 
 
 class TestTheorem41:
     def test_fires_on_steep_data(self, gm5, dl_crit):
         f = steep_field(gm5, dl_crit, u_amp=-3.0, n=512, length=5.0, width=0.1)
-        ib = certified_initial_bound(f)
-        v = check_theorem(Theorem.T4_1, f, gm5, dl_crit, ib)
+        v = check_theorem(Theorem.T4_1, f, gm5, dl_crit)
         assert v.fired and v.theorem is Theorem.T4_1
 
     def test_weak_damping_rejected(self, gm5):
         dl = DampingLaw(0.3, 1.0)
         f = steep_field(gm5, dl, u_amp=-3.0, n=512, length=5.0, width=0.1)
-        ib = certified_initial_bound(f)
         with pytest.raises(RegimeError):
-            check_theorem(Theorem.T4_1, f, gm5, dl, ib)
+            check_theorem(Theorem.T4_1, f, gm5, dl)
 
 
 class TestEvaluate:

@@ -42,6 +42,12 @@ class TestOracle:
         assert math.isclose(closed_form_oracle(-1.0, 1.0, 0.0, 1.0), -math.tan(1.0),
                             rel_tol=1e-14)
 
+    def test_tangent_pole_far_below(self):
+        # -y0 >> m: pi/2 - atan(-y0/m) would cancel to 1.4e-7 relative;
+        # the pole is atan(m/-y0)/k with m = k = 1e-3
+        assert math.isclose(oracle_pole_time(-1e-6, 1.0, -1e6),
+                            math.atan(1e-9) / 1e-3, rel_tol=1e-15)
+
     def test_tanh_family_global(self):
         # c0 = c2 = 1, |y0| < 1: y -> 1, never blows up
         assert oracle_pole_time(1.0, 1.0, 0.5) is None
