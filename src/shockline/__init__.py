@@ -39,7 +39,6 @@ from .core import (
 )
 from .criteria import (
     Verdict,
-    check_theorem,
     evaluate,
 )
 from .errors import (

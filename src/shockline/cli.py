@@ -176,9 +176,8 @@ def build_scenario(cfg: dict) -> dict:
     except (TypeError, ValueError) as e:
         raise ConfigError(f"malformed numeric field: {e}") from e
     return {
-        "gas": gm, "damping": dl, "grid": grid, "profile": profile,
-        "field": field, "t_end": t_end, "cfl": cfl, "trace_tol": trace_tol,
-        "outputs": outputs,
+        "gas": gm, "damping": dl, "field": field, "t_end": t_end, "cfl": cfl,
+        "trace_tol": trace_tol, "outputs": outputs,
     }
 
 
@@ -362,11 +361,15 @@ SWEEP_HEADER = (
 
 def _apply_axis(cfg: dict, name: str, value: float) -> None:
     """Set the config key the axis is named after; steepness instead
-    scales the profile amplitudes (steepness 1 is the template)."""
+    scales the profile amplitudes (steepness 1 is the template), so it
+    needs at least one to scale."""
     if name == "steepness":
-        for key in ("u_amp", "tau_amp"):
-            if key in cfg["profile"]:
-                cfg["profile"][key] = cfg["profile"][key] * value
+        amps = [key for key in ("u_amp", "tau_amp") if key in cfg["profile"]]
+        if not amps:
+            raise ConfigError(
+                "a steepness axis needs profile.u_amp or profile.tau_amp to scale")
+        for key in amps:
+            cfg["profile"][key] = cfg["profile"][key] * value
     else:
         cfg["gas" if name == "gamma" else "damping"][name] = value
 

@@ -74,26 +74,15 @@ def _scan(field: FieldState, rhs, theorem: Theorem, threshold: float):
     )
 
 
-def _require_t0(field: FieldState):
-    if field.t != 0.0:
-        raise DomainError("criteria evaluate initial data only (t = 0)")
+# The blow-up threshold constant of each super-gamma theorem (see evaluate).
+_THRESHOLDS = {Theorem.T3_1: bounds.threshold_N, Theorem.T4_1: bounds.threshold_N1}
 
 
-# Each theorem's blow-up threshold constant (see check_theorem).
-_CRITERIA = {
-    Theorem.T3_1: bounds.threshold_N,
-    Theorem.T3_2: None,
-    Theorem.T4_1: bounds.threshold_N1,
-    Theorem.T4_2: None,
-}
-
-
-def check_theorem(
-    theorem: Theorem, field: FieldState, gm: GasModel, dl: DampingLaw
-) -> Verdict:
-    """Check one theorem's criterion on initial data; RegimeError unless
-    (gm, dl) lies in its regime.  Fires where a Riemann-invariant slope
-    is below the theorem's threshold curve:
+def evaluate(field: FieldState, gm: GasModel, dl: DampingLaw) -> Verdict:
+    """Check the criterion of the theorem the regime map assigns to
+    (gm, dl) on initial data; regimes with no applicable theorem yield a
+    non-firing NONE verdict.  Fires where a Riemann-invariant slope is
+    below the theorem's threshold curve:
 
     T3_1 (gamma > 3, generic branch outside the lambda gap) and T4_1
     (gamma > 3, lambda = 1, alpha >= (g-3)/(g-1)):
@@ -106,9 +95,15 @@ def check_theorem(
         Kt1 * phi**(-2/(g-1)) = -alpha(g-1)/(K_c(3-g)) * phi**(-2/(g-1)),
         equivalently where y or q is negative at t = 0.
     """
-    threshold_fn = _CRITERIA[theorem]
-    _require_t0(field)
-    core.require_theorem(gm, dl, theorem, f"criterion {theorem.value}")
+    if field.t != 0.0:
+        raise DomainError("criteria evaluate initial data only (t = 0)")
+    theorem = core.classify_regime(gm, dl).applicable_theorem
+    if theorem is Theorem.NONE:
+        return Verdict(
+            fired=False, theorem=Theorem.NONE, witness_x=None, lhs=None, rhs=None,
+            threshold=0.0,
+        )
+    threshold_fn = _THRESHOLDS.get(theorem)
     threshold = 0.0
     if threshold_fn is not None:
         threshold = threshold_fn(gm, dl, bounds.certified_initial_bound(field))
@@ -118,7 +113,7 @@ def check_theorem(
 
 @core.in_double_range
 def _threshold_curve(gm: GasModel, dl: DampingLaw, phi, time_factor: bool, threshold):
-    """The curve of check_theorem; the Kt2 term only with time_factor."""
+    """The curve of evaluate; the Kt2 term only with time_factor."""
     g = gm.gamma
     kt1 = dl.alpha * (g - 1.0) / (gm.k_c * (g - 3.0))
     rhs = kt1 * phi ** (-2.0 / (g - 1.0))
@@ -126,18 +121,3 @@ def _threshold_curve(gm: GasModel, dl: DampingLaw, phi, time_factor: bool, thres
         kt2 = threshold * core.initial_decay(gm, dl)
         rhs = rhs - kt2 * phi ** (-(g + 1.0) / (2.0 * (g - 1.0)))
     return rhs
-
-
-def evaluate(field: FieldState, gm: GasModel, dl: DampingLaw) -> Verdict:
-    """Route the field through the applicable theorem checker, which
-    derives a certified bound from the field where its threshold needs
-    one.  Regimes with no applicable theorem yield a non-firing NONE
-    verdict."""
-    _require_t0(field)
-    theorem = core.classify_regime(gm, dl).applicable_theorem
-    if theorem in _CRITERIA:
-        return check_theorem(theorem, field, gm, dl)
-    return Verdict(
-        fired=False, theorem=Theorem.NONE, witness_x=None, lhs=None, rhs=None,
-        threshold=0.0,
-    )

@@ -46,9 +46,10 @@ class Grid:
     def wrap(self, x: float) -> float:
         """Map x into [0, length) (Python's float % rounds as np.mod
         does).  A point whose remainder rounds onto length, as x just
-        below 0 can, maps to 0, as length itself does."""
+        below 0 can, maps to 0, as length itself does; NaN and +-inf
+        map to NaN."""
         w = x % self.length
-        return w if w < self.length else 0.0
+        return 0.0 if w == self.length else w
 
 
 def pad(f: np.ndarray) -> np.ndarray:

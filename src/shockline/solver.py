@@ -432,8 +432,8 @@ def trace_characteristic(
         """(interval i, offset s, tau) at x, weight w in interval k."""
         i, s = locate(wrap(x))
         tau = blend(0, i, s, k, w)
-        if tau <= 0.0:
-            raise TraceError("interpolated tau became nonpositive on the path")
+        if not tau > 0.0:  # a non-finite start point reads a NaN tau
+            raise TraceError("interpolated tau became nonpositive or NaN on the path")
         return i, s, tau
 
     def speed(k: int, t: float, x: float) -> float:
@@ -578,7 +578,10 @@ def read_snapshots(path) -> SnapshotStore:
     rec_len = 1 + 2 * int(n)
     if len(body) % (8 * rec_len):
         raise DomainError("snapshot file truncated mid-record")
-    for rec in np.frombuffer(body, dtype="<f8").reshape(-1, rec_len) if body else ():
+    recs = np.frombuffer(body, dtype="<f8").reshape(-1, rec_len)
+    if not np.isfinite(recs).all():
+        raise DomainError("snapshot file holds a non-finite value")
+    for rec in recs:
         snaps.times.append(float(rec[0]))
         snaps.taus.append(rec[1::2].copy())
         snaps.us.append(rec[2::2].copy())

@@ -386,6 +386,31 @@ class TestSweep:
         assert "super/generic_gap" in regimes
         assert regimes[-1] == "super/generic_high"
 
+    def test_steepness_axis_scales_both_amplitudes(self, tmp_path):
+        # each cell's verdict is check's on the template with u_amp and
+        # tau_amp both scaled by the axis value
+        cfg = self.sweep_cfg(
+            [{"name": "steepness", "start": 0.5, "stop": 8.0, "count": 4}])
+        cfg["gas"]["gamma"] = 2.0
+        cfg["profile"] = {"preset": "gaussian", "tau0": 1.0, "u_amp": -1.0,
+                          "tau_amp": 0.1, "width": 0.5}
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out",
+                     str(out), "--jobs", "1"]) == EXIT_OK
+        rows = [r.split(",") for r in (out / "sweep.csv").read_text().splitlines()[1:]]
+        assert [float(r[0]) for r in rows] == [0.5, 3.0, 5.5, 8.0]
+        cfg.pop("sweep")
+        expected = []
+        for k in (0.5, 3.0, 5.5, 8.0):
+            cfg["profile"].update(u_amp=-1.0 * k, tau_amp=0.1 * k)
+            path = write_cfg(tmp_path, cfg, name="check.yaml")
+            check = tmp_path / f"check{k}"
+            assert main(["check", "--config", path, "--out", str(check)]) == EXIT_OK
+            verdict = json.loads((check / "verdict.json").read_text())
+            expected.append(str(verdict["fired"]).lower())
+        assert [r[3] for r in rows] == expected
+        assert expected[0] == "false" and expected[-1] == "true"
+
     def test_budget_enforced(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, self.sweep_cfg(
             [{"name": "alpha", "start": 0.0, "stop": 1.0, "count": 10},
@@ -409,6 +434,10 @@ class TestSweep:
         lambda c: c["sweep"]["axes"][0].update(stop=10**400),
         lambda c: c.update(jobs="0"),  # "jobs" is taken as the --jobs option
         lambda c: c.update(jobs="-1"),
+        # a steepness axis over a profile with no amplitude to scale
+        lambda c: c.update(sweep={"axes": [{"name": "steepness", "start": 0.5,
+                                            "stop": 2.0, "count": 3}]},
+                           profile={"preset": "constant", "tau": 1.0, "u": 0.0}),
     ])
     def test_malformed_sweep_is_config_error(self, tmp_path, mutate):
         cfg = self.sweep_cfg([{"name": "lambda", "start": 0.5, "stop": 2.5, "count": 3}])

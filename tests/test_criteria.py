@@ -15,10 +15,8 @@ from shockline import (
     Grid,
     LambdaSide,
     RangeError,
-    RegimeError,
     Theorem,
     Verdict,
-    check_theorem,
     classify_regime,
     evaluate,
 )
@@ -70,7 +68,7 @@ class TestClassifyRegime:
 class TestTheorem32:
     def test_fires_on_steep_data(self, gm2, dl_const):
         f = steep_field(gm2, dl_const, u_amp=-6.0)
-        v = check_theorem(Theorem.T3_2, f, gm2, dl_const)
+        v = evaluate(f, gm2, dl_const)
         assert v.fired and v.theorem is Theorem.T3_2
         assert v.witness_x is not None
         # rhs at tau ~ 1 is -alpha(g-1)/(K_c(3-g)) * phi**(-2) = -2
@@ -78,30 +76,24 @@ class TestTheorem32:
 
     def test_quiet_on_gentle_data(self, gm2, dl_const):
         f = steep_field(gm2, dl_const, u_amp=-0.5)
-        v = check_theorem(Theorem.T3_2, f, gm2, dl_const)
+        v = evaluate(f, gm2, dl_const)
+        assert v.theorem is Theorem.T3_2
         assert not v.fired and v.witness_x is None
 
     def test_equivalence_with_y_sign(self, gm2, dl_const):
         # fired iff min(y0, q0) < 0, across a ramp of amplitudes
         for amp in (-0.5, -1.5, -2.5, -4.0, -8.0):
             f = steep_field(gm2, dl_const, u_amp=amp)
-            v = check_theorem(Theorem.T3_2, f, gm2, dl_const)
+            v = evaluate(f, gm2, dl_const)
+            assert v.theorem is Theorem.T3_2
             neg = min(float(np.min(f.y())), float(np.min(f.q()))) < 0.0
             assert v.fired == neg, f"amp={amp}"
-
-    def test_wrong_regime(self, gm2, gm5, dl_const, dl_crit):
-        with pytest.raises(RegimeError):
-            check_theorem(Theorem.T3_2,
-                          steep_field(gm5, dl_const, -1.0), gm5, dl_const)
-        with pytest.raises(RegimeError):
-            check_theorem(Theorem.T3_2,
-                          steep_field(gm2, dl_crit, -1.0), gm2, dl_crit)
 
     def test_requires_initial_time(self, gm2, dl_const):
         f = steep_field(gm2, dl_const, -1.0)
         later = f.with_state(f.tau, f.u, t=0.1)
         with pytest.raises(DomainError):
-            check_theorem(Theorem.T3_2, later, gm2, dl_const)
+            evaluate(later, gm2, dl_const)
 
 
 @st.composite
@@ -121,7 +113,7 @@ def sub_gamma_cases(draw):
 
 class TestSubGammaSignCriterion:
     """T3_2 and T4_2 fire exactly when y or q is negative at t = 0, as
-    check_theorem's docstring states; samples whose min(y, q) lies within
+    evaluate's docstring states; samples whose min(y, q) lies within
     roundoff (1e-9 of max |y|, |q|) of zero are not decided."""
 
     @given(case=sub_gamma_cases())
@@ -137,7 +129,8 @@ class TestSubGammaSignCriterion:
         assume(abs(lowest) > margin)
         theorem = classify_regime(gm, dl).applicable_theorem
         assert theorem in (Theorem.T3_2, Theorem.T4_2)
-        v = check_theorem(theorem, f, gm, dl)
+        v = evaluate(f, gm, dl)
+        assert v.theorem is theorem
         assert v.fired == (lowest < 0.0)
         if v.fired:  # and y or q is negative at the witness
             i = int(np.argmin(np.abs(f.grid.xs - v.witness_x)))
@@ -147,45 +140,28 @@ class TestSubGammaSignCriterion:
 class TestTheorem42:
     def test_fires_on_steep_data(self, gm2, dl_crit):
         f = steep_field(gm2, dl_crit, u_amp=-6.0)
-        v = check_theorem(Theorem.T4_2, f, gm2, dl_crit)
+        v = evaluate(f, gm2, dl_crit)
         assert v.fired and v.theorem is Theorem.T4_2
-
-    def test_wrong_regime(self, gm2, dl_const):
-        with pytest.raises(RegimeError):
-            check_theorem(Theorem.T4_2,
-                          steep_field(gm2, dl_const, -6.0), gm2, dl_const)
 
 
 class TestTheorem31:
     def test_fires_on_steep_data(self, gm5, dl_const):
         f = steep_field(gm5, dl_const, u_amp=-3.0, n=512, length=5.0, width=0.1)
-        v = check_theorem(Theorem.T3_1, f, gm5, dl_const)
+        v = evaluate(f, gm5, dl_const)
         assert v.fired and v.theorem is Theorem.T3_1
         assert v.threshold > 0.0
 
     def test_quiet_on_gentle_data(self, gm5, dl_const):
         f = steep_field(gm5, dl_const, u_amp=-0.1, n=512, length=5.0, width=0.5)
-        v = check_theorem(Theorem.T3_1, f, gm5, dl_const)
-        assert not v.fired
-
-    def test_gap_regime_rejected(self, gm5):
-        dl = DampingLaw(1.0, 1.5)
-        f = steep_field(gm5, dl, u_amp=-3.0, n=512, length=5.0, width=0.1)
-        with pytest.raises(RegimeError):
-            check_theorem(Theorem.T3_1, f, gm5, dl)
+        v = evaluate(f, gm5, dl_const)
+        assert not v.fired and v.theorem is Theorem.T3_1
 
 
 class TestTheorem41:
     def test_fires_on_steep_data(self, gm5, dl_crit):
         f = steep_field(gm5, dl_crit, u_amp=-3.0, n=512, length=5.0, width=0.1)
-        v = check_theorem(Theorem.T4_1, f, gm5, dl_crit)
+        v = evaluate(f, gm5, dl_crit)
         assert v.fired and v.theorem is Theorem.T4_1
-
-    def test_weak_damping_rejected(self, gm5):
-        dl = DampingLaw(0.3, 1.0)
-        f = steep_field(gm5, dl, u_amp=-3.0, n=512, length=5.0, width=0.1)
-        with pytest.raises(RegimeError):
-            check_theorem(Theorem.T4_1, f, gm5, dl)
 
 
 class TestEvaluate:

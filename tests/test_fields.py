@@ -40,6 +40,10 @@ class TestGrid:
         # x rounds onto the period's end: its start, as wrap(length)
         assert Grid(n=16, length=length).wrap(x) == start
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_wrap_non_finite_is_nan(self, x):
+        assert math.isnan(Grid(n=16, length=10.0).wrap(x))
+
     @given(x=st.floats(-1e6, 1e6), length=st.floats(1e-3, 1e3))
     @settings(max_examples=200, deadline=None)
     def test_wrap_in_period(self, x, length):

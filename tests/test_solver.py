@@ -336,6 +336,29 @@ class TestTrace:
         assert rep.deviation < 1e-6
         assert rep.within_tol
 
+    @pytest.mark.parametrize("x_start", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_refused(self, sine_field, x_start):
+        res = run(sine_field, 0.1, monitors_requested=False)
+        for direction in Direction:
+            with pytest.raises(TraceError):
+                trace_characteristic(res, x_start, direction)
+
+    def test_cross_validation_needs_two_rows(self, gm2, dl_const):
+        one = np.array([0.0])
+        tr = solver.CharTrace(times=one, xs=one, phi=one + 1.0, y_or_q=one - 1.0)
+        with pytest.raises(TraceError, match="too short"):
+            cross_validate_riccati(tr, gm2, dl_const, 0.01)
+
+    def test_cross_validation_pole_inside_window(self, gm2, dl_const):
+        # y' = c0 - c2 y**2 with c0 < 0 and y0 = -1e3 reaches its pole
+        # near t = 1/(c2 * 1e3), well before the second row at t = 1
+        c0, c2 = core.riccati_coefficients(gm2, dl_const, 1.0, 0.0)
+        assert c0 < 0.0 and 1.0 / (c2 * 1e3) < 0.1
+        tr = solver.CharTrace(times=np.array([0.0, 1.0]), xs=np.zeros(2),
+                              phi=np.ones(2), y_or_q=np.array([-1e3, -1e3]))
+        with pytest.raises(TraceError, match="blew up inside the trace window"):
+            cross_validate_riccati(tr, gm2, dl_const, 0.01)
+
     def test_cross_validation_nontrivial(self, gm2, dl_const, sine_field):
         res = run(sine_field, 0.8, monitors_requested=False)
         tr = trace_characteristic(res, 2.5, Direction.FORWARD)
@@ -375,8 +398,8 @@ def frame_trace(run_output, x_start, direction):
         k, w = bracket(t)
         xw = float(grid.wrap(x))
         tau = (1.0 - w) * float(frames[k][0](xw)) + w * float(frames[k + 1][0](xw))
-        if tau <= 0.0:
-            raise TraceError("interpolated tau became nonpositive on the path")
+        if not tau > 0.0:
+            raise TraceError("interpolated tau became nonpositive or NaN on the path")
         return sign * float(core.sound_speed(gm, tau))
 
     def sample(t, x):
@@ -385,8 +408,8 @@ def frame_trace(run_output, x_start, direction):
         va, vb = (np.array([float(s(xw)) for s in frames[j]]
                            + [float(s(xw, 1)) for s in frames[j]]) for j in (k, k + 1))
         tau, u, taux, ux = (1.0 - w) * va + w * vb
-        if tau <= 0.0:
-            raise TraceError("interpolated tau became nonpositive on the path")
+        if not tau > 0.0:
+            raise TraceError("interpolated tau became nonpositive or NaN on the path")
         phi = float(core.phi_of_tau(gm, tau))
         a_w, b_z = core.riemann_slopes(float(core.sound_speed(gm, tau)), ux, taux)
         grad = a_w if direction is Direction.FORWARD else b_z
@@ -587,6 +610,18 @@ class TestSnapshotIO:
             raw = raw[:size]
         path.write_bytes(raw)
         with pytest.raises(DomainError):
+            read_snapshots(path)
+
+    @pytest.mark.parametrize("where", ["time", "tau", "u"])
+    def test_non_finite_record_refused(self, sine_field, tmp_path, where):
+        snaps = run(sine_field, 0.1, monitors_requested=False).snapshots
+        if where == "time":
+            snaps.times[-1] = math.inf
+        else:
+            getattr(snaps, where + "s")[1][3] = math.nan
+        path = tmp_path / "snaps.bin"
+        write_snapshots(path, snaps)
+        with pytest.raises(DomainError, match="non-finite"):
             read_snapshots(path)
 
     def test_bad_magic(self, tmp_path):
