@@ -22,11 +22,14 @@ only on request (simulate asks for them, a sweep cell does not).
 Tracing reads the snapshots through two periodic cubic splines in x,
 one for tau and one for u, each with every snapshot stacked as a
 column, and walks the snapshot intervals in order, linear in t inside
-each.  It evaluates only the interval's two columns, from scipy's
-spline coefficients and in scipy's evaluation order (periodic map,
-half-open interval search, evaluate_poly1's power sum), so each value
-is the one PPoly.__call__ gives, bit for bit.  The Riccati cross-check
-restarts at every trace row, so each comparison point is hit exactly.
+each.  The spline coefficients of both fields come from one numpy
+solve (_periodic_coeffs) that repeats scipy's CubicSpline construction
+step by step, so they equal scipy's bit for bit without importing it.
+The trace evaluates only the interval's two columns, in scipy's
+evaluation order (periodic map, half-open interval search,
+evaluate_poly1's power sum), so each value is the one PPoly.__call__
+gives, bit for bit.  The Riccati cross-check restarts at every trace
+row, so each comparison point is hit exactly.
 """
 
 from __future__ import annotations
@@ -344,21 +347,92 @@ class CharTrace:
     y_or_q: np.ndarray
 
 
-def _periodic_spline(grid: Grid, rows: list):
-    """Periodic CubicSpline in x with snapshot row k as column k of y;
-    each column is solved on its own, as a spline of that row alone."""
-    from scipy.interpolate import CubicSpline  # on use, as quad in bounds
-    ys = np.array(rows)
-    return CubicSpline(
-        np.append(grid.xs, grid.length),
-        np.concatenate((ys, ys[:, :1]), axis=1).T,
-        bc_type="periodic",
-    )
+@core.in_double_range
+def _periodic_coeffs(grid: Grid, rows) -> np.ndarray:
+    """Coefficients, highest power first and of shape (4, n, S), of the
+    periodic cubic splines in x through the S rows of `rows` (row k is
+    column k), bit for bit those of scipy 1.17's
+    CubicSpline(bc_type="periodic"), whose steps this follows in its
+    order of operations (de Boor, A Practical Guide to Splines, ch. IV);
+    RangeError where one leaves double range.
+
+    The knot slopes solve a cyclic system.  Like scipy, this condenses it
+    to a tridiagonal one of n - 1 unknowns, solved for the data and, as a
+    second right-hand side, for the corner terms, then recovers the last
+    slope from both.  The tridiagonal solve is LAPACK dgtsv's (which
+    scipy's solve_banded calls), one numpy operation per row across all
+    columns; dgtsv treats columns apart, so the corner right-hand side
+    is one more column of the same solve.  On the uniform grid the
+    diagonal stays between 3.7 dx and 4 dx against off-diagonals of dx,
+    so dgtsv never swaps rows: its row-swap branch is not ported, and a
+    system that would need it is refused (DomainError).  Without swaps
+    dgtsv's second superdiagonal is zero, and its back-substitution term
+    0 * B[i + 2] is left out: it could only turn a numerator of -0.0
+    into +0.0, and a numerator is -0.0 only where two neighbouring
+    slopes underflow to -0.0 (knot values a subnormal step apart on a
+    grid with dx >= 2).
+
+    The element-wise steps hold one spline per array row, x along it;
+    the solve holds one knot per row.  The layout changes no value.
+    """
+    n = grid.n
+    dx = np.diff(np.append(grid.xs, grid.length))
+    ys = np.asarray(rows)
+    cols = ys.shape[0]
+    slope = np.diff(np.concatenate((ys, ys[:, :1]), axis=1)) / dx
+    # b[i] = 3 (dx[i] slope[i-1] + dx[i-1] slope[i]), indices mod n
+    dx_prev = np.roll(dx, 1)
+    b = 3 * (dx * np.roll(slope, 1, axis=1) + dx_prev * slope)
+
+    # the condensed system: unknown and equation n - 1 moved to the
+    # corner terms, whose right-hand side is the last column
+    m = n - 1
+    diag = (2 * (dx_prev + dx))[:m].tolist()
+    upper = dx_prev[:m - 1].tolist()
+    lower = dx[1:m].tolist()
+    sol = np.empty((m, cols + 1))
+    sol[:, :cols] = b[:, :m].T
+    sol[:, cols] = 0.0
+    sol[0, cols] = -dx[0]
+    sol[-1, cols] = -dx[-3]
+    sol_rows = list(sol)
+    for i in range(m - 1):
+        if not abs(diag[i]) >= abs(lower[i]):
+            raise DomainError("periodic spline system needs a row swap")
+        fact = lower[i] / diag[i]
+        diag[i + 1] -= fact * upper[i]
+        sol_rows[i + 1] -= fact * sol_rows[i]
+    sol_rows[-1] /= diag[-1]
+    for i in range(m - 2, -1, -1):
+        row = sol_rows[i]
+        row -= upper[i] * sol_rows[i + 1]
+        row /= diag[i]
+    s1, s2 = sol[:, :cols], sol[:, cols]
+
+    s_m1 = ((b[:, -1] - dx[-2] * s1[0] - dx[-1] * s1[-1])
+            / (2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]))
+    s = np.empty((cols, n + 1))
+    s[:, :-2] = (s1 + s_m1 * s2[:, None]).T
+    s[:, -2] = s_m1
+    s[:, -1] = s[:, 0]
+    # CubicHermiteSpline's form: t / dx, (slope - s) / dx - t, s, y
+    c = np.empty((4, cols, n))
+    t = s[:, :-1] + s[:, 1:]
+    t -= 2 * slope
+    t /= dx
+    np.divide(t, dx, out=c[0])
+    np.subtract(slope, s[:, :-1], out=c[1])
+    c[1] /= dx
+    c[1] -= t
+    c[2] = s[:, :-1]
+    c[3] = ys
+    return c.transpose(0, 2, 1)
 
 
 class _SnapshotSplines:
-    """Periodic cubic splines in x of tau and u, snapshot k as column k
-    (_periodic_spline), read one column at one point.
+    """Periodic cubic splines in x of tau and u, snapshot k as column k,
+    their coefficients built for both fields in one _periodic_coeffs
+    call and read one column at one point.
 
     Reading the coefficients here gives PPoly.__call__'s numbers bit for
     bit without its per-call array set-up: the same periodic map
@@ -366,13 +440,18 @@ class _SnapshotSplines:
     x % x_n, the same half-open interval search (the
     last interval closed, a point past it NaN) and evaluate_poly1's
     power sum.  The coefficients of one column on one interval are
-    extracted on first use.
+    extracted on first use.  A snapshot holding NaN or inf is refused
+    with TraceError, as no spline through it exists.
     """
 
     def __init__(self, grid: Grid, snaps: SnapshotStore):
-        tau_spl = _periodic_spline(grid, snaps.taus)
-        self.splines = (tau_spl, _periodic_spline(grid, snaps.us))
-        self.knots = tau_spl.x.tolist()
+        ys = np.array(snaps.taus + snaps.us)
+        if not np.isfinite(ys).all():
+            raise TraceError("a stored snapshot holds a non-finite tau or u")
+        frames = len(snaps.taus)
+        c = _periodic_coeffs(grid, ys)
+        self.columns = (c[:, :, :frames], c[:, :, frames:])
+        self.knots = np.append(grid.xs, grid.length).tolist()
         self._coeffs = {}
 
     def locate(self, x: float):
@@ -391,7 +470,7 @@ class _SnapshotSplines:
         key = (which, i, k)
         cf = self._coeffs.get(key)
         if cf is None:
-            cf = self._coeffs[key] = self.splines[which].c[:, i, k].tolist()
+            cf = self._coeffs[key] = self.columns[which][:, i, k].tolist()
         return cf
 
 

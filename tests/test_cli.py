@@ -566,6 +566,31 @@ class TestSweep:
         assert subprocess.run([sys.executable, "-c", code], env=env,
                               timeout=60).returncode == 0
 
+    def test_traced_simulate_check_and_sweep_load_no_scipy(self, tmp_path):
+        # scipy serves only the integral bounds: a traced simulate, check
+        # and a criteria-only sweep at lambda = 0 never import it
+        sweep = write_cfg(tmp_path, self.sweep_cfg(
+            [{"name": "alpha", "start": 0.2, "stop": 1.0, "count": 3}]), "sweep.yaml")
+        cfg = write_cfg(tmp_path, BASE)
+        verbs = [["simulate", "--config", cfg, "--out", str(tmp_path / "sim")],
+                 ["check", "--config", cfg],
+                 ["sweep", "--config", sweep, "--out", str(tmp_path / "sw")]]
+        src = str(Path(shockline.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import json, sys\n"
+                "from shockline.cli import main\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    code = main(argv)\n"
+                "    scipy = [m for m in sys.modules if m.startswith('scipy')]\n"
+                "    print(json.dumps([argv[0], code, scipy[:3]]), file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(verbs)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        got = [json.loads(line) for line in proc.stderr.splitlines()]
+        assert got == [[verb[0], EXIT_OK, []] for verb in verbs]
+
     def test_sweep_determinism_parallel(self, tmp_path):
         cfg = write_cfg(tmp_path, self.sweep_cfg(
             [{"name": "alpha", "start": 0.2, "stop": 1.0, "count": 4}],

@@ -343,6 +343,22 @@ class TestTrace:
             with pytest.raises(TraceError):
                 trace_characteristic(res, x_start, direction)
 
+    @pytest.mark.parametrize("where,value", [("us", math.nan), ("taus", math.inf)])
+    def test_non_finite_snapshot_refused(self, sine_field, where, value):
+        # a hand-built store: run itself never keeps a non-finite state
+        res = run(sine_field, 0.1, monitors_requested=False)
+        getattr(res.snapshots, where)[1][7] = value
+        for direction in Direction:
+            with pytest.raises(TraceError, match="non-finite"):
+                trace_characteristic(res, 2.5, direction)
+
+    def test_spline_out_of_range_refused(self, sine_field):
+        # finite knot values whose slopes overflow
+        res = run(sine_field, 0.1, monitors_requested=False)
+        res.snapshots.us[1][::2] = 1.7e308
+        with pytest.raises(RangeError, match="_periodic_coeffs"):
+            trace_characteristic(res, 2.5, Direction.FORWARD)
+
     def test_cross_validation_needs_two_rows(self, gm2, dl_const):
         one = np.array([0.0])
         tr = solver.CharTrace(times=one, xs=one, phi=one + 1.0, y_or_q=one - 1.0)
@@ -530,49 +546,84 @@ class TestStackedTrace:
                                   y_knots)
 
 
+def scipy_periodic_spline(grid, ys):
+    """scipy's periodic CubicSpline in x through each row of ys, row k
+    as column k: the construction _periodic_coeffs repeats."""
+    from scipy.interpolate import CubicSpline
+
+    return CubicSpline(np.append(grid.xs, grid.length),
+                       np.concatenate((ys, ys[:, :1]), axis=1).T, bc_type="periodic")
+
+
 class TestSnapshotSplines:
-    """The column reader of the stacked splines against PPoly.__call__,
-    value and slope, compared bit for bit (the sign of a zero too)."""
+    """The in-house spline coefficients against scipy's CubicSpline, and
+    the column reader against PPoly.__call__, value and slope, compared
+    bit for bit (the sign of a zero too)."""
 
     @given(
-        n=st.integers(16, 64),
+        n=st.integers(16, 1100),
         length=st.sampled_from([10.0, 7.3]),
-        frames=st.integers(2, 4),
+        cols=st.integers(1, 200),
+        zero_every=st.integers(1, 9),
         seed=st.integers(0, 2**32 - 1),
         offsets=st.lists(st.floats(1e-12, 40.0), min_size=1, max_size=4),
         fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
     )
+    @example(n=129, length=10.0, cols=159, zero_every=5, seed=0, offsets=[1.0],
+             fractions=[0.5])
+    @example(n=65, length=7.3, cols=7, zero_every=1, seed=1, offsets=[1.0],
+             fractions=[0.5])
+    @example(n=1025, length=10.0, cols=40, zero_every=9, seed=2, offsets=[1.0],
+             fractions=[0.5])
     @settings(max_examples=25, deadline=None)
-    def test_matches_ppoly(self, n, length, frames, seed, offsets, fractions):
+    def test_matches_ppoly(self, n, length, cols, zero_every, seed, offsets, fractions):
         rng = np.random.default_rng(seed)
         grid = Grid(n=n, length=length)
+        ys = rng.normal(0.0, 1.0, (cols, n))
+        ys[:, ::zero_every] = -0.0  # scipy's sum starts at +0.0: -0.0 reads +0.0
+        spl = scipy_periodic_spline(grid, ys)
+        c = solver._periodic_coeffs(grid, ys)
+        assert c.shape == spl.c.shape and c.tobytes() == spl.c.tobytes()
+
+        # the reader on the first frames as tau, the last as u
+        frames = min(cols, 3)
         gm, dl = GasModel(2.0, 1.0), DampingLaw(1.0, 0.0)
-        us = rng.normal(0.0, 1.0, (frames, n))
-        us[:, ::5] = -0.0  # scipy's sum starts at +0.0: a knot value -0.0 reads +0.0
         snaps = solver.SnapshotStore(
             grid=grid, gas=gm, damping=dl, times=list(range(frames)),
-            taus=list(rng.uniform(0.5, 1.5, (frames, n))), us=list(us),
+            taus=list(ys[:frames]), us=list(ys[cols - frames:]),
         )
         splines = solver._SnapshotSplines(grid, snaps)
         knots = splines.knots
+        assert knots == spl.x.tolist()
         xs = (knots  # every breakpoint, L included
               + [-d for d in offsets] + [length + d for d in offsets]
               + [f * length for f in fractions])
-        for which, spl in enumerate(splines.splines):
-            for nu in (0, 1):
-                want = spl(np.array(xs), nu)
-                for x, row in zip(xs, want):
-                    i, s = splines.locate(x)
+        for nu in (0, 1):
+            want = spl(np.array(xs), nu)
+            for x, row in zip(xs, want):
+                i, s = splines.locate(x)
+                for which, first in ((0, 0), (1, cols - frames)):
                     got = np.array([solver._cubic(splines.coeffs(which, i, k), s, nu)
                                     for k in range(frames)])
-                    assert got.tobytes() == row.tobytes(), (x, which, nu, got, row)
+                    assert got.tobytes() == row[first:first + frames].tobytes(), \
+                        (x, which, nu, got, row)
 
     def test_nan_point(self, sine_field):
         res = run(sine_field, 0.05, monitors_requested=False)
         splines = solver._SnapshotSplines(sine_field.grid, res.snapshots)
         i, s = splines.locate(math.nan)
         assert math.isnan(solver._cubic(splines.coeffs(0, i, 0), s))
-        assert np.isnan(splines.splines[0](math.nan)).all()
+        spl = scipy_periodic_spline(sine_field.grid, np.array(res.snapshots.taus))
+        assert np.isnan(spl(math.nan)).all()
+
+    def test_row_swap_refused(self, monkeypatch):
+        # knots uneven enough that dgtsv would swap rows
+        grid = Grid(n=16, length=10.0)
+        xs = grid.xs.copy()
+        xs[1:3] = 0.01, 0.02  # two short intervals before a long one
+        monkeypatch.setattr(Grid, "xs", property(lambda self: xs))
+        with pytest.raises(DomainError, match="row swap"):
+            solver._periodic_coeffs(grid, np.ones((1, 16)))
 
 
 class TestSnapshotIO:
