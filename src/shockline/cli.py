@@ -11,6 +11,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import itertools
 import json
@@ -307,23 +308,36 @@ def cmd_simulate(args) -> int:
     lap("build")
     verdict = _evaluate(scn)
     lap("criteria")
-    result = solver.run(scn["field"], scn["t_end"], cfl=scn["cfl"])
-    lap("run")
     outputs = scn["outputs"]
     out_dir = Path(args.out) if args.out else Path(".")
+    field, trace_req = scn["field"], outputs.get("trace")
+    # only the trace reads the whole history: without one, snapshots.bin
+    # is written as the run goes, or no record is kept at all
+    want_snaps = outputs.get("snapshots", False)
+    stream = want_snaps and not trace_req
+    if stream:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        sink = solver.SnapshotWriter(
+            out_dir / "snapshots.bin", field.grid, field.gas, field.damping)
+    else:
+        sink = contextlib.nullcontext(None if trace_req else solver.DiscardSnapshots())
+    with sink as snapshots:
+        result = solver.run(field, scn["t_end"], cfl=scn["cfl"], snapshots=snapshots)
+    lap("run")
+    written = result.snapshots.bytes if stream else None
     if outputs.get("verdict", True):
         _write(out_dir, "verdict.json", verdict_json(verdict))
     if outputs.get("monitors", True):
         _write(out_dir, "monitors.csv", monitors_csv(result.monitors))
-    if outputs.get("snapshots", False):
+    if want_snaps and trace_req:
         out_dir.mkdir(parents=True, exist_ok=True)
-        solver.write_snapshots(out_dir / "snapshots.bin", result.snapshots)
+        written = solver.write_snapshots(out_dir / "snapshots.bin", result.snapshots)
     # the run's own outputs are on disk before the trace, which can fail
     summary = summary_text(scn, verdict, result)
     if outputs.get("summary", True):
         _write(out_dir, "summary.txt", summary)
     lap("write")
-    trace_req, trace_note = outputs.get("trace"), ""
+    trace_note = ""
     if trace_req:
         trace = solver.trace_characteristic(
             result, trace_req["x_start"], trace_req["direction"])
@@ -338,12 +352,15 @@ def cmd_simulate(args) -> int:
     sys.stdout.write(summary)
     lap("write")
     dts = np.diff(result.monitors.ts)
+    snap_note = (f", {result.snapshots.records} snapshot records"
+                 f"{' kept in memory for the trace' if trace_req else ''}, "
+                 + (f"{written} bytes written" if written is not None else "none written"))
     log.info(
         "simulate: %d steps, dt %s, %s at t=%.6g, %.3f s (%s)%s", dts.size,
         f"{dts.min():.6g}..{dts.max():.6g}" if dts.size else "-",
         "breakdown" if result.broke_down else "completed", result.outcome.t,
         clock[-1] - clock[0], ", ".join(f"{k} {s:.3f}" for k, s in phases.items()),
-        trace_note)
+        trace_note + snap_note)
     return EXIT_OK
 
 
@@ -376,8 +393,8 @@ def _apply_axis(cfg: dict, name: str, value: float) -> None:
 
 def _sweep_cell(payload) -> tuple:
     """(row, accepted steps) of one sweep cell; never raises, failures
-    land in the error column.  The row reads no gradient variable, so
-    the run skips the y/q record."""
+    land in the error column.  The row reads no gradient variable and no
+    snapshot, so the run skips the y/q record and keeps no snapshots."""
     cfg, axes, values = payload
     cell_cfg = copy.deepcopy(cfg)
     for name, v in zip(axes, values):
@@ -390,8 +407,8 @@ def _sweep_cell(payload) -> tuple:
         verdict = _evaluate(scn)
         broke, bracket, floor_violations = "false", "", 0
         if scn["t_end"] > 0.0:
-            result = solver.run(scn["field"], scn["t_end"],
-                                monitors_requested=False, cfl=scn["cfl"])
+            result = solver.run(scn["field"], scn["t_end"], monitors_requested=False,
+                                cfl=scn["cfl"], snapshots=solver.DiscardSnapshots())
             steps = len(result.monitors.ts) - 1
             if result.broke_down:
                 rep = result.outcome

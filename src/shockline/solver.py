@@ -19,12 +19,19 @@ Every run records the step times, max|u_x|, min rho and the invariant
 and floor audits; the y/q maxima and the ceiling audit that reads them
 only on request (simulate asks for them, a sweep cell does not).
 
+run hands each snapshot record (one every max(1, n // 256) steps, plus
+the first and last state) to the sink named by its snapshots argument:
+an in-memory SnapshotStore by default, which the trace reads; a
+SnapshotWriter, which streams snapshots.bin as the run goes; or
+DiscardSnapshots, which keeps none.
+
 Tracing reads the snapshots through two periodic cubic splines in x,
 one for tau and one for u, each with every snapshot stacked as a
 column, and walks the snapshot intervals in order, linear in t inside
-each.  The spline coefficients of both fields come from one numpy
-solve (_periodic_coeffs) that repeats scipy's CubicSpline construction
-step by step, so they equal scipy's bit for bit without importing it.
+each.  The knot slopes of both fields come from one numpy solve
+(_periodic_slopes) that repeats scipy's CubicSpline construction step
+by step; the cubic of an interval is formed from them on first use, so
+the coefficients equal scipy's bit for bit without importing it.
 The trace evaluates only the interval's two columns, in scipy's
 evaluation order (periodic map, half-open interval search,
 evaluate_poly1's power sum), so each value is the one PPoly.__call__
@@ -37,8 +44,10 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+import os
 import struct
 from dataclasses import dataclass, field as dc_field
+from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
@@ -248,7 +257,8 @@ class BreakdownReport:
 
 @dataclass
 class SnapshotStore:
-    """Append-only (t, tau, u) record at the snapshot cadence."""
+    """Snapshot sink that keeps every (t, tau, u) record in memory, for
+    a reader that needs the whole history (the trace)."""
 
     grid: Grid
     gas: GasModel
@@ -257,17 +267,32 @@ class SnapshotStore:
     taus: list = dc_field(default_factory=list)
     us: list = dc_field(default_factory=list)
 
+    @property
+    def records(self) -> int:
+        return len(self.times)
+
     def append(self, f: FieldState):
         self.times.append(f.t)
         self.taus.append(f.tau.copy())
         self.us.append(f.u.copy())
 
 
+class DiscardSnapshots:
+    """Snapshot sink that keeps nothing but the count of records, for a
+    run whose snapshots nothing reads."""
+
+    def __init__(self):
+        self.records = 0
+
+    def append(self, f: FieldState):
+        self.records += 1
+
+
 @dataclass
 class RunResult:
     outcome: Union[FieldState, BreakdownReport]
     monitors: Monitors
-    snapshots: SnapshotStore
+    snapshots: Union[SnapshotStore, SnapshotWriter, DiscardSnapshots]
 
     @property
     def broke_down(self) -> bool:
@@ -279,11 +304,18 @@ def run(
     t_end: float,
     monitors_requested: bool = True,
     cfl: float = DEFAULT_CFL,
+    snapshots=None,
 ) -> RunResult:
     """Advance until t_end or breakdown, recording monitors and
     snapshots.  Breakdown is a recorded outcome, not an exception;
     VacuumError, and RangeError for a state that is not finite,
     propagate.
+
+    snapshots is the sink of the snapshot records, one every
+    max(1, n // 256) steps plus the first and last state: a new
+    SnapshotStore when omitted, a SnapshotWriter to stream them to a
+    file, or DiscardSnapshots when nothing reads them.  It is the
+    result's snapshots.
 
     Every run records, per accepted state, ts, max_abs_ux and min_rho
     and checks the invariant-region and density-floor audits.
@@ -297,9 +329,11 @@ def run(
     max_ux, tau_max = _extremes(field)
     mon = Monitors()
     audits = _prepare_audits(field, mon, monitors_requested)
-    snaps = SnapshotStore(grid=field.grid, gas=field.gas, damping=field.damping)
+    if snapshots is None:
+        snapshots = SnapshotStore(grid=field.grid, gas=field.gas, damping=field.damping)
     cadence = max(1, field.grid.n // 256)
-    snaps.append(field)
+    snapshots.append(field)
+    snap_t = field.t  # the time of the last record appended
     _record(mon, field, max_ux, tau_max, audits, monitors_requested)
 
     # each state's derived views (c, u_x, and with the gradient record
@@ -312,22 +346,23 @@ def run(
         new = step(field, dt)
         max_ux, tau_max = _extremes(new)
         if max_ux * new.grid.dx > BREAKDOWN_CELL_GRADIENT:
-            # the last resolved state closes out the snapshot store
-            if snaps.times[-1] != field.t:
-                snaps.append(field)
+            # the last resolved state closes out the snapshot records
+            if snap_t != field.t:
+                snapshots.append(field)
             return RunResult(
                 outcome=BreakdownReport(
                     t=new.t, t_prev=field.t, max_abs_ux=max_ux, last_field=field,
                 ),
                 monitors=mon,
-                snapshots=snaps,
+                snapshots=snapshots,
             )
         field = new
         n_step += 1
         if n_step % cadence == 0 or field.t >= t_end:
-            snaps.append(field)
+            snapshots.append(field)
+            snap_t = field.t
         _record(mon, field, max_ux, tau_max, audits, monitors_requested)
-    return RunResult(outcome=field, monitors=mon, snapshots=snaps)
+    return RunResult(outcome=field, monitors=mon, snapshots=snapshots)
 
 
 # ---------------------------------------------------------------------
@@ -348,13 +383,14 @@ class CharTrace:
 
 
 @core.in_double_range
-def _periodic_coeffs(grid: Grid, rows) -> np.ndarray:
-    """Coefficients, highest power first and of shape (4, n, S), of the
-    periodic cubic splines in x through the S rows of `rows` (row k is
-    column k), bit for bit those of scipy 1.17's
+def _periodic_slopes(grid: Grid, rows) -> tuple:
+    """(knot slopes, secant slopes), of shapes (S, n + 1) and (S, n), of
+    the periodic cubic splines in x through the S rows of `rows` (row k
+    is column k), bit for bit those of scipy 1.17's
     CubicSpline(bc_type="periodic"), whose steps this follows in its
     order of operations (de Boor, A Practical Guide to Splines, ch. IV);
-    RangeError where one leaves double range.
+    RangeError where one leaves double range.  _SnapshotSplines.coeffs
+    forms the cubic of one interval from them.
 
     The knot slopes solve a cyclic system.  Like scipy, this condenses it
     to a tridiagonal one of n - 1 unknowns, solved for the data and, as a
@@ -411,27 +447,16 @@ def _periodic_coeffs(grid: Grid, rows) -> np.ndarray:
 
     s_m1 = ((b[:, -1] - dx[-2] * s1[0] - dx[-1] * s1[-1])
             / (2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]))
-    s = np.empty((cols, n + 1))
-    s[:, :-2] = (s1 + s_m1 * s2[:, None]).T
-    s[:, -2] = s_m1
-    s[:, -1] = s[:, 0]
-    # CubicHermiteSpline's form: t / dx, (slope - s) / dx - t, s, y
-    c = np.empty((4, cols, n))
-    t = s[:, :-1] + s[:, 1:]
-    t -= 2 * slope
-    t /= dx
-    np.divide(t, dx, out=c[0])
-    np.subtract(slope, s[:, :-1], out=c[1])
-    c[1] /= dx
-    c[1] -= t
-    c[2] = s[:, :-1]
-    c[3] = ys
-    return c.transpose(0, 2, 1)
+    s = np.empty((n + 1, cols))  # knot-major like the solve, returned as a view
+    s[:-2] = s1 + s_m1 * s2[:, None]
+    s[-2] = s_m1
+    s[-1] = s[0]
+    return s.T, slope
 
 
 class _SnapshotSplines:
     """Periodic cubic splines in x of tau and u, snapshot k as column k,
-    their coefficients built for both fields in one _periodic_coeffs
+    their knot slopes solved for both fields in one _periodic_slopes
     call and read one column at one point.
 
     Reading the coefficients here gives PPoly.__call__'s numbers bit for
@@ -439,19 +464,22 @@ class _SnapshotSplines:
     x0 + (x - x0) % (x_n - x0), which with the first knot x0 at 0 is
     x % x_n, the same half-open interval search (the
     last interval closed, a point past it NaN) and evaluate_poly1's
-    power sum.  The coefficients of one column on one interval are
-    extracted on first use.  A snapshot holding NaN or inf is refused
-    with TraceError, as no spline through it exists.
+    power sum.  The cubic of one column on one interval is formed on
+    first use, as CubicHermiteSpline forms it, so a trace pays only for
+    the intervals along its path.  A snapshot holding NaN or inf is
+    refused with TraceError, as no spline through it exists.
     """
 
     def __init__(self, grid: Grid, snaps: SnapshotStore):
         ys = np.array(snaps.taus + snaps.us)
         if not np.isfinite(ys).all():
             raise TraceError("a stored snapshot holds a non-finite tau or u")
-        frames = len(snaps.taus)
-        c = _periodic_coeffs(grid, ys)
-        self.columns = (c[:, :, :frames], c[:, :, frames:])
-        self.knots = np.append(grid.xs, grid.length).tolist()
+        self.frames = len(snaps.taus)
+        self.ys = ys
+        self.slopes, self.secants = _periodic_slopes(grid, ys)
+        knots = np.append(grid.xs, grid.length)
+        self.knots = knots.tolist()
+        self.dx = np.diff(knots).tolist()
         self._coeffs = {}
 
     def locate(self, x: float):
@@ -466,11 +494,20 @@ class _SnapshotSplines:
 
     def coeffs(self, which: int, i: int, k: int):
         """Cubic coefficients, highest power first, of spline `which`
-        (0 tau, 1 u), column k, on interval i."""
+        (0 tau, 1 u), column k, on interval i; RangeError where one
+        leaves double range."""
         key = (which, i, k)
         cf = self._coeffs.get(key)
         if cf is None:
-            cf = self._coeffs[key] = self.columns[which][:, i, k].tolist()
+            col = k + which * self.frames
+            s0, m, h = self.slopes.item(col, i), self.secants.item(col, i), self.dx[i]
+            # CubicHermiteSpline's form, t / dx, (m - s) / dx - t, s, y,
+            # with t = (s + s_next - 2 m) / dx
+            t = (s0 + self.slopes.item(col, i + 1) - 2 * m) / h
+            cf = [t / h, (m - s0) / h - t, s0, self.ys.item(col, i)]
+            if not (math.isfinite(cf[0]) and math.isfinite(cf[1])):
+                raise RangeError("spline coefficients leave double-precision range")
+            self._coeffs[key] = cf
         return cf
 
 
@@ -624,23 +661,60 @@ _MAGIC = b"SHKL1\x00\x00\x00"
 _HEADER = struct.Struct("<8sq5d")
 
 
-def write_snapshots(path, snaps: SnapshotStore) -> None:
-    """Binary dump: 56-byte header then one record per snapshot, each a
-    float64 time followed by interleaved per-cell (tau, u) float64."""
-    grid, gm, dl = snaps.grid, snaps.gas, snaps.damping
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, grid.n, grid.length, gm.gamma, gm.big_k,
-                              dl.alpha, dl.lam))
+class SnapshotWriter:
+    """Snapshot sink that writes snapshots.bin as the records arrive: a
+    56-byte header (magic, int64 n, float64 L, gamma, K, alpha, lambda),
+    then one record per snapshot, a float64 time followed by interleaved
+    per-cell (tau, u) float64, all little-endian.
+
+    The bytes go to path + ".part" beside path, which replaces path when
+    the writer is closed with no exception pending and is removed when
+    one is, so a failed run leaves no file.  Use it as a context manager
+    around the run; records counts the records, bytes the bytes written.
+    """
+
+    def __init__(self, path, grid: Grid, gas: GasModel, damping: DampingLaw):
+        self.path = Path(path)
+        self._part = self.path.with_name(self.path.name + ".part")
+        self._fh = open(self._part, "wb")
+        self.records = 0
+        self.bytes = self._fh.write(_HEADER.pack(
+            _MAGIC, grid.n, grid.length, gas.gamma, gas.big_k,
+            damping.alpha, damping.lam))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *exc):
+        try:
+            self._fh.close()
+            if exc_type is None:
+                os.replace(self._part, self.path)
+        finally:
+            self._part.unlink(missing_ok=True)
+
+    def record(self, t: float, tau: np.ndarray, u: np.ndarray):
+        rec = np.empty(1 + 2 * tau.size)
+        rec[0] = t
+        rec[1::2] = tau
+        rec[2::2] = u
+        self.bytes += self._fh.write(rec.astype("<f8", copy=False))
+        self.records += 1
+
+    def append(self, f: FieldState):
+        self.record(f.t, f.tau, f.u)
+
+
+def write_snapshots(path, snaps: SnapshotStore) -> int:
+    """Write a store in SnapshotWriter's format; returns the bytes written."""
+    with SnapshotWriter(path, snaps.grid, snaps.gas, snaps.damping) as writer:
         for t, tau, u in zip(snaps.times, snaps.taus, snaps.us):
-            rec = np.empty(1 + 2 * grid.n)
-            rec[0] = t
-            rec[1::2] = tau
-            rec[2::2] = u
-            fh.write(rec.astype("<f8").tobytes())
+            writer.record(t, tau, u)
+    return writer.bytes
 
 
 def read_snapshots(path) -> SnapshotStore:
-    """Inverse of write_snapshots."""
+    """Inverse of SnapshotWriter: an in-memory SnapshotStore."""
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if head[:len(_MAGIC)] != _MAGIC:

@@ -25,6 +25,7 @@ from shockline.cli import (
     EXIT_RUNTIME,
     MONITOR_HEADER,
     TRACE_HEADER,
+    build_scenario,
     main,
 )
 
@@ -322,6 +323,43 @@ class TestSimulate:
         v = Verdict.from_dict(json.loads((out / "verdict.json").read_text()))
         assert v.fired is True
 
+    def test_failed_run_leaves_no_snapshots(self, tmp_path, capsys, monkeypatch):
+        # streamed snapshots.bin: a run whose state stops being finite
+        # after some records were written exits 3 and leaves no file
+        real_step, calls = solver.step, []
+
+        def poisoned(field, dt):
+            calls.append(dt)
+            new = real_step(field, dt)
+            return new.with_state(new.tau, new.u * np.nan, new.t) if len(calls) > 2 else new
+
+        monkeypatch.setattr(solver, "step", poisoned)
+        cfg_d = json.loads(json.dumps(BASE))
+        cfg_d["outputs"].pop("trace")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg_d),
+                     "--out", str(out)]) == EXIT_RUNTIME
+        assert json.loads(capsys.readouterr().err)["error"] == "RangeError"
+        assert len(calls) == 3 and list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("trace", [True, False], ids=["traced", "streamed"])
+    def test_snapshots_match_the_run(self, tmp_path, trace):
+        # streamed or dumped after a traced run, snapshots.bin holds the
+        # records of the run's in-memory store, byte for byte
+        cfg_d = json.loads(json.dumps(BASE))
+        cfg_d["grid"]["n"] = 512
+        if not trace:
+            cfg_d["outputs"].pop("trace")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg_d),
+                     "--out", str(out)]) == EXIT_OK
+        assert (out / "trace.csv").exists() == trace
+        scn = build_scenario(cfg_d)
+        store = solver.run(scn["field"], scn["t_end"], cfl=scn["cfl"]).snapshots
+        solver.write_snapshots(tmp_path / "store.bin", store)
+        assert (out / "snapshots.bin").read_bytes() == \
+            (tmp_path / "store.bin").read_bytes()
+
     def test_determinism(self, tmp_path):
         cfg = write_cfg(tmp_path, BASE)
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -491,6 +529,23 @@ class TestSweep:
         assert err.count("\n") == 1
         assert json.loads(err)["error"] == "RangeError"
 
+    def test_cells_keep_no_snapshots(self, tmp_path, monkeypatch):
+        # the row reads no snapshot: each cell's run discards them
+        real_run, sinks = solver.run, []
+
+        def spy(*args, **kwargs):
+            sinks.append(kwargs.get("snapshots"))
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "run", spy)
+        cfg = write_cfg(tmp_path, self.sweep_cfg(
+            [{"name": "alpha", "start": 0.2, "stop": 1.0, "count": 3}], t_end=0.05))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--jobs", "1"]) == EXIT_OK
+        assert len(sinks) == 3
+        assert all(isinstance(sink, solver.DiscardSnapshots) and sink.records > 1
+                   for sink in sinks)
+
     def test_workers_capped_at_cells(self, tmp_path, monkeypatch, caplog):
         # a recording stand-in for the pool maps in-process: no process
         # starts; t_end > 0, so the cells step the solver and get a pool
@@ -621,7 +676,8 @@ class TestLogging:
         assert re.fullmatch(
             r"simulate: \d+ steps, dt \S+\.\.\S+, completed at t=0\.3, \S+ s "
             r"\(build \S+, criteria \S+, run \S+, trace \S+, write \S+\), "
-            r"trace deviation \S+ within tolerance 0\.01",
+            r"trace deviation \S+ within tolerance 0\.01, "
+            r"\d+ snapshot records kept in memory for the trace, \d+ bytes written",
             lines[0],
         )
         # t_end 0: the cells evaluate the criteria and run no solver
@@ -658,7 +714,29 @@ class TestLogging:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) \
             == EXIT_OK
         [line] = [r.getMessage() for r in caplog.records if r.name == "shockline"]
-        assert re.search(r", trace deviation \S+ over tolerance 1e-12$", line)
+        assert re.search(r", trace deviation \S+ over tolerance 1e-12, \d+ snapshot", line)
+
+    @pytest.mark.parametrize("snapshots", [True, False])
+    def test_untraced_line_ends_with_snapshots(self, tmp_path, monkeypatch, caplog,
+                                               snapshots):
+        caplog.set_level(logging.DEBUG, logger="shockline")
+        monkeypatch.setenv("SHOCKLINE_LOG", "INFO")
+        cfg_d = json.loads(json.dumps(BASE))
+        cfg_d["outputs"].pop("trace")
+        cfg_d["outputs"]["snapshots"] = snapshots
+        out = tmp_path / "s"
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg_d),
+                     "--out", str(out)]) == EXIT_OK
+        [line] = [r.getMessage() for r in caplog.records if r.name == "shockline"]
+        records, written = re.search(
+            r"write \S+\), (\d+) snapshot records, (\d+ bytes|none) written$",
+            line).groups()
+        if snapshots:
+            size = (out / "snapshots.bin").stat().st_size
+            assert written == f"{size} bytes"
+            assert size == 56 + int(records) * 8 * (1 + 2 * BASE["grid"]["n"])
+        else:
+            assert written == "none" and not (out / "snapshots.bin").exists()
 
     def test_unknown_level_falls_back(self, tmp_path, monkeypatch, caplog):
         caplog.set_level(logging.DEBUG, logger="shockline")

@@ -18,6 +18,8 @@ from shockline.solver import (
     BreakdownReport,
     _interp,
     Direction,
+    DiscardSnapshots,
+    SnapshotWriter,
     cross_validate_riccati,
     damping_decay,
     read_snapshots,
@@ -356,7 +358,7 @@ class TestTrace:
         # finite knot values whose slopes overflow
         res = run(sine_field, 0.1, monitors_requested=False)
         res.snapshots.us[1][::2] = 1.7e308
-        with pytest.raises(RangeError, match="_periodic_coeffs"):
+        with pytest.raises(RangeError, match="_periodic_slopes"):
             trace_characteristic(res, 2.5, Direction.FORWARD)
 
     def test_cross_validation_needs_two_rows(self, gm2, dl_const):
@@ -548,7 +550,8 @@ class TestStackedTrace:
 
 def scipy_periodic_spline(grid, ys):
     """scipy's periodic CubicSpline in x through each row of ys, row k
-    as column k: the construction _periodic_coeffs repeats."""
+    as column k: the construction _periodic_slopes and
+    _SnapshotSplines.coeffs repeat."""
     from scipy.interpolate import CubicSpline
 
     return CubicSpline(np.append(grid.xs, grid.length),
@@ -556,9 +559,9 @@ def scipy_periodic_spline(grid, ys):
 
 
 class TestSnapshotSplines:
-    """The in-house spline coefficients against scipy's CubicSpline, and
-    the column reader against PPoly.__call__, value and slope, compared
-    bit for bit (the sign of a zero too)."""
+    """The in-house spline coefficients, formed on first use, against
+    scipy's CubicSpline, and the column reader against PPoly.__call__,
+    value and slope, compared bit for bit (the sign of a zero too)."""
 
     @given(
         n=st.integers(16, 1100),
@@ -582,17 +585,21 @@ class TestSnapshotSplines:
         ys = rng.normal(0.0, 1.0, (cols, n))
         ys[:, ::zero_every] = -0.0  # scipy's sum starts at +0.0: -0.0 reads +0.0
         spl = scipy_periodic_spline(grid, ys)
-        c = solver._periodic_coeffs(grid, ys)
-        assert c.shape == spl.c.shape and c.tobytes() == spl.c.tobytes()
 
-        # the reader on the first frames as tau, the last as u
-        frames = min(cols, 3)
+        # the first half of the columns as tau, the rest as u
+        frames = (cols + 1) // 2
         gm, dl = GasModel(2.0, 1.0), DampingLaw(1.0, 0.0)
         snaps = solver.SnapshotStore(
             grid=grid, gas=gm, damping=dl, times=list(range(frames)),
-            taus=list(ys[:frames]), us=list(ys[cols - frames:]),
+            taus=list(ys[:frames]), us=list(ys[frames:]),
         )
         splines = solver._SnapshotSplines(grid, snaps)
+        columns = [(0, k) for k in range(frames)] + [(1, k) for k in range(cols - frames)]
+        c = np.array([[splines.coeffs(which, i, k) for i in range(n)]
+                      for which, k in columns]).transpose(2, 1, 0)
+        assert c.shape == spl.c.shape and c.tobytes() == spl.c.tobytes()
+
+        # the reader on up to three columns of each field
         knots = splines.knots
         assert knots == spl.x.tolist()
         xs = (knots  # every breakpoint, L included
@@ -602,10 +609,10 @@ class TestSnapshotSplines:
             want = spl(np.array(xs), nu)
             for x, row in zip(xs, want):
                 i, s = splines.locate(x)
-                for which, first in ((0, 0), (1, cols - frames)):
+                for which, first, count in ((0, 0, frames), (1, frames, cols - frames)):
                     got = np.array([solver._cubic(splines.coeffs(which, i, k), s, nu)
-                                    for k in range(frames)])
-                    assert got.tobytes() == row[first:first + frames].tobytes(), \
+                                    for k in range(min(count, 3))])
+                    assert got.tobytes() == row[first:first + len(got)].tobytes(), \
                         (x, which, nu, got, row)
 
     def test_nan_point(self, sine_field):
@@ -623,10 +630,79 @@ class TestSnapshotSplines:
         xs[1:3] = 0.01, 0.02  # two short intervals before a long one
         monkeypatch.setattr(Grid, "xs", property(lambda self: xs))
         with pytest.raises(DomainError, match="row swap"):
-            solver._periodic_coeffs(grid, np.ones((1, 16)))
+            solver._periodic_slopes(grid, np.ones((1, 16)))
+
+    def test_coefficient_out_of_range_refused(self):
+        # knot values alternating in sign: the knot and secant slopes are
+        # finite, the leading coefficient of every interval is not
+        grid = Grid(n=64, length=10.0)
+        ys = np.where(np.arange(64) % 2, 1e306, -1e306)
+        gm, dl = GasModel(2.0, 1.0), DampingLaw(1.0, 0.0)
+        snaps = solver.SnapshotStore(grid=grid, gas=gm, damping=dl, times=[0.0],
+                                     taus=[ys], us=[ys])
+        splines = solver._SnapshotSplines(grid, snaps)
+        for which in (0, 1):
+            with pytest.raises(RangeError, match="coefficients"):
+                splines.coeffs(which, 5, 0)
 
 
 class TestSnapshotIO:
+    @pytest.mark.parametrize("spec,n,t_end,records", [
+        # cadence 2; completes, the last record at t_end
+        ({"preset": "sine", "tau0": 1.0, "u_amp": -0.1}, 512, 0.1, None),
+        # cadence 3; breaks down after 169 steps, closed out by the last
+        # resolved state, which the cadence skipped
+        ({"preset": "gaussian", "tau0": 1.0, "u_amp": -6.0, "width": 0.5},
+         768, 0.4, 58),
+        # breaks down on the first step: the initial record only
+        ({"preset": "gaussian", "tau0": 1.0, "u_amp": -6.0, "width": 0.2},
+         64, 0.4, 1),
+    ], ids=["completed", "breakdown", "first_step_breakdown"])
+    def test_streamed_equals_dumped(self, gm2, dl_const, tmp_path, spec, n, t_end,
+                                    records):
+        f = make_field(gm2, dl_const, spec, n=n)
+        store = run(f, t_end).snapshots
+        if records is None:
+            assert store.times[-1] == t_end and store.records > 2
+        else:
+            assert store.records == records
+        dumped, streamed = tmp_path / "dumped.bin", tmp_path / "streamed.bin"
+        assert write_snapshots(dumped, store) == dumped.stat().st_size
+        with SnapshotWriter(streamed, f.grid, f.gas, f.damping) as writer:
+            res = run(f, t_end, snapshots=writer)
+        assert res.snapshots is writer and writer.records == store.records
+        assert writer.bytes == streamed.stat().st_size
+        assert streamed.read_bytes() == dumped.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dumped.bin",
+                                                              "streamed.bin"]
+
+    def test_discarded_records_are_counted(self, sine_field):
+        store = run(sine_field, 0.3).snapshots
+        res = run(sine_field, 0.3, snapshots=DiscardSnapshots())
+        assert res.snapshots.records == store.records
+
+    def test_failed_run_leaves_no_file(self, sine_field, tmp_path, monkeypatch):
+        # a run that raises after some records were written: the partial
+        # file is removed and an earlier snapshots.bin is left as it was
+        path = tmp_path / "snapshots.bin"
+        path.write_bytes(b"earlier")
+        real_step, calls = solver.step, []
+
+        def failing(field, dt):
+            calls.append(dt)
+            if len(calls) == 4:
+                raise VacuumError("tau reached zero")
+            return real_step(field, dt)
+
+        monkeypatch.setattr(solver, "step", failing)
+        with pytest.raises(VacuumError):
+            with SnapshotWriter(path, sine_field.grid, sine_field.gas,
+                                sine_field.damping) as writer:
+                run(sine_field, 0.3, snapshots=writer)
+        assert writer.records == 4
+        assert [p.name for p in tmp_path.iterdir()] == ["snapshots.bin"]
+        assert path.read_bytes() == b"earlier"
+
     def test_roundtrip(self, sine_field, tmp_path):
         res = run(sine_field, 0.3, monitors_requested=False)
         path = tmp_path / "snaps.bin"
