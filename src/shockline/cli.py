@@ -478,7 +478,8 @@ def cmd_sweep(args) -> int:
             axes.append(name)
             spans.append((lo, hi, count))
         budget = _integer(sweep_cfg.get("budget", SWEEP_BUDGET_DEFAULT), "sweep.budget")
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        # OverflowError: a steepness axis scaling an integer no double holds
         raise ConfigError(f"malformed sweep: {type(e).__name__}: {e}") from e
     n_cells = math.prod(count for _, _, count in spans)
     if n_cells > budget:

@@ -131,7 +131,10 @@ class FieldState:
         return core.phi_of_tau(self.gas, self.tau)
 
     @_per_state
+    @core.in_double_range
     def sound(self) -> np.ndarray:
+        """c at every node; RangeError where it leaves double range.
+        The CFL step, the slopes and the criteria all read this view."""
         return core.sound_speed(self.gas, self.tau)
 
     # -- derived gradient views (4th-order FD) -----------------------

@@ -28,15 +28,12 @@ DiscardSnapshots, which keeps none.
 Tracing reads the snapshots through two periodic cubic splines in x,
 one for tau and one for u, each with every snapshot stacked as a
 column, and walks the snapshot intervals in order, linear in t inside
-each.  The knot slopes of both fields come from one numpy solve
-(_periodic_slopes) that repeats scipy's CubicSpline construction step
-by step; the cubic of an interval is formed from them on first use, so
-the coefficients equal scipy's bit for bit without importing it.
-The trace evaluates only the interval's two columns, in scipy's
-evaluation order (periodic map, half-open interval search,
-evaluate_poly1's power sum), so each value is the one PPoly.__call__
-gives, bit for bit.  The Riccati cross-check restarts at every trace
-row, so each comparison point is hit exactly.
+each.  The knot slopes of both fields come from one circulant solve
+(_periodic_slopes), an FFT along x for every column at once; the
+cubic of an interval is formed from them on first use, and the trace
+evaluates only the interval's two columns at each point.  The Riccati
+cross-check restarts at every trace row, so each comparison point is
+hit exactly.
 """
 
 from __future__ import annotations
@@ -383,75 +380,26 @@ class CharTrace:
 
 
 @core.in_double_range
-def _periodic_slopes(grid: Grid, rows) -> tuple:
+def _periodic_slopes(grid: Grid, ys: np.ndarray) -> tuple:
     """(knot slopes, secant slopes), of shapes (S, n + 1) and (S, n), of
-    the periodic cubic splines in x through the S rows of `rows` (row k
-    is column k), bit for bit those of scipy 1.17's
-    CubicSpline(bc_type="periodic"), whose steps this follows in its
-    order of operations (de Boor, A Practical Guide to Splines, ch. IV);
-    RangeError where one leaves double range.  _SnapshotSplines.coeffs
-    forms the cubic of one interval from them.
+    the periodic cubic splines in x through the S rows of ys (row k is
+    column k); RangeError where one leaves double range.
+    _SnapshotSplines.coeffs forms the cubic of one interval from them.
 
-    The knot slopes solve a cyclic system.  Like scipy, this condenses it
-    to a tridiagonal one of n - 1 unknowns, solved for the data and, as a
-    second right-hand side, for the corner terms, then recovers the last
-    slope from both.  The tridiagonal solve is LAPACK dgtsv's (which
-    scipy's solve_banded calls), one numpy operation per row across all
-    columns; dgtsv treats columns apart, so the corner right-hand side
-    is one more column of the same solve.  On the uniform grid the
-    diagonal stays between 3.7 dx and 4 dx against off-diagonals of dx,
-    so dgtsv never swaps rows: its row-swap branch is not ported, and a
-    system that would need it is refused (DomainError).  Without swaps
-    dgtsv's second superdiagonal is zero, and its back-substitution term
-    0 * B[i + 2] is left out: it could only turn a numerator of -0.0
-    into +0.0, and a numerator is -0.0 only where two neighbouring
-    slopes underflow to -0.0 (knot values a subnormal step apart on a
-    grid with dx >= 2).
-
-    The element-wise steps hold one spline per array row, x along it;
-    the solve holds one knot per row.  The layout changes no value.
+    A continuous second derivative at every knot of the uniform grid is
+    s[i-1] + 4 s[i] + s[i+1] = 3 (y[i+1] - y[i-1]) / dx, indices mod n
+    (de Boor, A Practical Guide to Splines, ch. IV).  The matrix is
+    circulant, so the discrete Fourier transform along x diagonalises it
+    (P. J. Davis, Circulant Matrices): mode k of the right-hand side is
+    divided by 4 + 2 cos(2 pi k / n), which is at least 2, for every row
+    at once.
     """
-    n = grid.n
-    dx = np.diff(np.append(grid.xs, grid.length))
-    ys = np.asarray(rows)
-    cols = ys.shape[0]
-    slope = np.diff(np.concatenate((ys, ys[:, :1]), axis=1)) / dx
-    # b[i] = 3 (dx[i] slope[i-1] + dx[i-1] slope[i]), indices mod n
-    dx_prev = np.roll(dx, 1)
-    b = 3 * (dx * np.roll(slope, 1, axis=1) + dx_prev * slope)
-
-    # the condensed system: unknown and equation n - 1 moved to the
-    # corner terms, whose right-hand side is the last column
-    m = n - 1
-    diag = (2 * (dx_prev + dx))[:m].tolist()
-    upper = dx_prev[:m - 1].tolist()
-    lower = dx[1:m].tolist()
-    sol = np.empty((m, cols + 1))
-    sol[:, :cols] = b[:, :m].T
-    sol[:, cols] = 0.0
-    sol[0, cols] = -dx[0]
-    sol[-1, cols] = -dx[-3]
-    sol_rows = list(sol)
-    for i in range(m - 1):
-        if not abs(diag[i]) >= abs(lower[i]):
-            raise DomainError("periodic spline system needs a row swap")
-        fact = lower[i] / diag[i]
-        diag[i + 1] -= fact * upper[i]
-        sol_rows[i + 1] -= fact * sol_rows[i]
-    sol_rows[-1] /= diag[-1]
-    for i in range(m - 2, -1, -1):
-        row = sol_rows[i]
-        row -= upper[i] * sol_rows[i + 1]
-        row /= diag[i]
-    s1, s2 = sol[:, :cols], sol[:, cols]
-
-    s_m1 = ((b[:, -1] - dx[-2] * s1[0] - dx[-1] * s1[-1])
-            / (2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]))
-    s = np.empty((n + 1, cols))  # knot-major like the solve, returned as a view
-    s[:-2] = s1 + s_m1 * s2[:, None]
-    s[-2] = s_m1
-    s[-1] = s[0]
-    return s.T, slope
+    n, dx = grid.n, grid.dx
+    y_next, y_prev = np.roll(ys, -1, axis=1), np.roll(ys, 1, axis=1)
+    rhs = 3.0 * (y_next - y_prev) / dx
+    symbol = 4.0 + 2.0 * np.cos(2.0 * np.pi / n * np.arange(n // 2 + 1))
+    s = np.fft.irfft(np.fft.rfft(rhs, axis=1) / symbol, n, axis=1)
+    return np.concatenate((s, s[:, :1]), axis=1), (y_next - ys) / dx
 
 
 class _SnapshotSplines:
@@ -459,15 +407,12 @@ class _SnapshotSplines:
     their knot slopes solved for both fields in one _periodic_slopes
     call and read one column at one point.
 
-    Reading the coefficients here gives PPoly.__call__'s numbers bit for
-    bit without its per-call array set-up: the same periodic map
-    x0 + (x - x0) % (x_n - x0), which with the first knot x0 at 0 is
-    x % x_n, the same half-open interval search (the
-    last interval closed, a point past it NaN) and evaluate_poly1's
-    power sum.  The cubic of one column on one interval is formed on
-    first use, as CubicHermiteSpline forms it, so a trace pays only for
-    the intervals along its path.  A snapshot holding NaN or inf is
-    refused with TraceError, as no spline through it exists.
+    A point maps into one period by x % L and falls in the half-open
+    interval [x_i, x_{i+1}) that contains it, the last interval closed
+    and a NaN point read as NaN.  The cubic of one column on one
+    interval is formed from its Hermite data on first use, so a trace
+    pays only for the intervals along its path.  A snapshot holding NaN
+    or inf is refused with TraceError, as no spline through it exists.
     """
 
     def __init__(self, grid: Grid, snaps: SnapshotStore):
@@ -477,9 +422,8 @@ class _SnapshotSplines:
         self.frames = len(snaps.taus)
         self.ys = ys
         self.slopes, self.secants = _periodic_slopes(grid, ys)
-        knots = np.append(grid.xs, grid.length)
-        self.knots = knots.tolist()
-        self.dx = np.diff(knots).tolist()
+        self.knots = np.append(grid.xs, grid.length).tolist()
+        self.dx = grid.dx
         self._coeffs = {}
 
     def locate(self, x: float):
@@ -500,9 +444,9 @@ class _SnapshotSplines:
         cf = self._coeffs.get(key)
         if cf is None:
             col = k + which * self.frames
-            s0, m, h = self.slopes.item(col, i), self.secants.item(col, i), self.dx[i]
-            # CubicHermiteSpline's form, t / dx, (m - s) / dx - t, s, y,
-            # with t = (s + s_next - 2 m) / dx
+            s0, m, h = self.slopes.item(col, i), self.secants.item(col, i), self.dx
+            # the Hermite cubic t / h, (m - s) / h - t, s, y with
+            # t = (s + s_next - 2 m) / h
             t = (s0 + self.slopes.item(col, i + 1) - 2 * m) / h
             cf = [t / h, (m - s0) / h - t, s0, self.ys.item(col, i)]
             if not (math.isfinite(cf[0]) and math.isfinite(cf[1])):
@@ -512,10 +456,9 @@ class _SnapshotSplines:
 
 
 def _cubic(cf, s: float, nu: int = 0) -> float:
-    """evaluate_poly1 of scipy's _ppoly: the value (nu 0) or slope (nu 1)
-    of the cubic with coefficients cf at offset s, terms summed from the
-    lowest power up in its order of operations, starting from +0.0 (so
-    a -0.0 sum reads +0.0, as in scipy)."""
+    """The value (nu 0) or slope (nu 1) of the cubic with coefficients
+    cf at offset s, terms summed from the lowest power up, starting from
+    +0.0 (so a -0.0 sum reads +0.0)."""
     a, b, c, d = cf
     if nu == 0:
         ss = s * s

@@ -91,6 +91,9 @@ SHIFT_OVERFLOWS = _range_cfg(0.0, 300.0, GENTLE_SINE, 20.0)
 # the bump's derivative divides by width**2 = 0
 NARROW_GAUSSIAN = _range_cfg(
     1.0, 0.0, {"preset": "gaussian", "tau0": 1.0, "u_amp": -0.5, "width": 1e-200}, 0.1)
+# c = tau**(-3/2) overflows at tau = 1e-300 (RangeError from the sound view)
+SOUND_OVERFLOWS = _range_cfg(
+    1.0, 0.0, {"preset": "sine", "tau0": 1e-300, "u_amp": -0.3, "tau_amp": 0.0}, 0.1)
 DECAY_OVERFLOWS_SWEEP = dict(DECAY_OVERFLOWS, sweep={
     "axes": [{"name": "lambda", "start": -300.0, "stop": -1.0, "count": 2}]})
 
@@ -843,16 +846,22 @@ class TestStderrSubprocess:
         ("check", NARROW_GAUSSIAN, EXIT_OK, None),
         ("simulate", NARROW_GAUSSIAN, EXIT_OK, None),
         ("sweep", DECAY_OVERFLOWS_SWEEP, EXIT_OK, None),
+        ("check", SOUND_OVERFLOWS, EXIT_RUNTIME, "RangeError"),
+        ("simulate", SOUND_OVERFLOWS, EXIT_RUNTIME, "RangeError"),
     ], ids=["cfg0-RangeError", "cfg1-ToleranceError", "threshold_overflows-check",
             "threshold_overflows-simulate", "decay_overflows-simulate",
             "time_factor_overflows-simulate", "shift_overflows-simulate",
             "narrow_gaussian-check", "narrow_gaussian-simulate",
-            "decay_overflows-sweep"])
+            "decay_overflows-sweep", "sound_overflows-check",
+            "sound_overflows-simulate"])
     def test_one_json_line(self, tmp_path, verb, cfg, code, error):
         out = tmp_path / "out"
         got, err = self.run_fresh(verb, write_cfg(tmp_path, cfg), out)
         assert got == code, err
         assert (err or {}).get("error") == error
+        if cfg is SOUND_OVERFLOWS:  # no verdict with an infinite lhs is left
+            assert "sound" in err["message"]
+            assert not (out / "verdict.json").exists()
         if verb == "sweep":  # the lambda = -300 cell fails alone
             rows = (out / "sweep.csv").read_text().splitlines()[1:]
             errors = [row.rsplit(",", 1)[1] for row in rows]
@@ -867,7 +876,12 @@ class TestStderrSubprocess:
         # 2**57 eight-byte nodes: beyond any x86-64 address space, refused at once
         ("validate", "grid: {n: 144115188075855872, L: 10.0}\n",
          EXIT_RUNTIME, "MemoryError", "allocate"),
-    ], ids=["deep-nesting", "self-alias", "self-alias-sweep", "grid-too-large"])
+        # a steepness axis scaling an integer amplitude no double holds
+        ("sweep", "profile: {preset: sine, tau0: 1.0, u_amp: -1" + "0" * 400 + "}\n"
+                  "sweep:\n  axes: [{name: steepness, start: 0.5, stop: 1.5, count: 3}]\n",
+         EXIT_CONFIG, "ConfigError", "int too large"),
+    ], ids=["deep-nesting", "self-alias", "self-alias-sweep", "grid-too-large",
+            "huge-int-steepness"])
     def test_config_past_the_interpreter(self, tmp_path, verb, text, code, error,
                                          words):
         # the YAML text above replaces or adds its section of BASE

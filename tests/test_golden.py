@@ -53,7 +53,7 @@ GOLDEN = {
             "monitors.csv": "74ae96c3d1471378af35602483c957ce40d300d5be3f1ba2371b0e9a44ad4ce0",
             "summary.txt": "214b60d21f7578564764794798aae81c9f05c39bcc682f7a663e68404040ea7c",
             "snapshots.bin": "a1d44b2186242126dc77ee9bcf75d5e9c45a8f39cf92293ad60b20435d8d5a18",
-            "trace.csv": "a06df9b35db71fdc7f77d6dc77a557283f5e56969cfdb1534c8f6755e52b33be",
+            "trace.csv": "a581842eb37a5f4810900ea2d5e62f1aa5cee765bcbb06c769200b8a4f0359f8",
         },
     },
     "sweep_gap": {
