@@ -69,8 +69,9 @@ def invariant_region_bound(gm: GasModel, c0: float) -> InitialBound:
 
 def certified_initial_bound(field: FieldState) -> InitialBound:
     """Tightest certified c0 for a sampled field: max of sup|u0| and
-    sup 1/tau0 over the grid."""
-    c0 = max(float(np.max(np.abs(field.u))), float(np.max(1.0 / field.tau)))
+    sup 1/tau0 over the grid, the latter 1 / min tau0 (division is
+    monotone and correctly rounded), which overflows with no warning."""
+    c0 = max(float(np.max(np.abs(field.u))), 1.0 / float(np.min(field.tau)))
     return invariant_region_bound(field.gas, c0)
 
 

@@ -38,22 +38,31 @@ def _any(op, x, bound) -> bool:
     return op(np.asarray(x), bound).any()
 
 
+def _finite(v) -> bool:
+    """Whether v, a float or an array, holds no NaN or inf: a finite sum
+    has no such term, and a sum that is not finite is checked term by
+    term, since finite terms can overflow it."""
+    if isinstance(v, float):  # scalars, np.float64 too, skip numpy
+        return math.isfinite(v)
+    return math.isfinite(np.add.reduce(v, axis=None)) or bool(np.isfinite(v).all())
+
+
 def in_double_range(fn):
     """Make fn raise RangeError, never a warning, where a Python float
     power or division raises or the result (a float, an array or a tuple
-    of them) is not finite; numpy warnings are off inside fn."""
-    quiet = np.errstate(over="ignore", divide="ignore", invalid="ignore")(fn)
+    of them) is not finite; numpy warnings are off inside fn and the
+    check."""
 
     @functools.wraps(fn)
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def checked(*args, **kwargs):
         try:
-            val = quiet(*args, **kwargs)
+            val = fn(*args, **kwargs)
         except (OverflowError, ZeroDivisionError) as e:
             raise RangeError(f"{fn.__name__} leaves double-precision range "
                              f"({type(e).__name__})") from e
         for v in val if isinstance(val, tuple) else (val,):
-            # float: scalars, np.float64 too, skip numpy
-            if not (math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()):
+            if not _finite(v):
                 raise RangeError(f"{fn.__name__} leaves double-precision range")
         return val
 
@@ -260,9 +269,12 @@ def _require_positive(name: str, x) -> None:
 
 def phi_of_tau(gm: GasModel, tau):
     """phi = 2 sqrt(K gamma)/(gamma-1) * tau**(-(gamma-1)/2), monotone
-    decreasing in tau."""
+    decreasing in tau; RangeError where a phi rounds to 0."""
     _require_positive("tau", tau)
-    return gm.phi_coef * tau ** (-gm.theta)
+    phi = gm.phi_coef * tau ** (-gm.theta)
+    if _any(operator.le, phi, 0.0):  # positive for every tau > 0
+        raise RangeError("phi rounds to 0: tau is too large for double range")
+    return phi
 
 
 def tau_of_phi(gm: GasModel, phi):

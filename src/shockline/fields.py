@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,8 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic mesh: nodes x_i = i*dx, i = 0..n-1."""
+    """Uniform periodic mesh: nodes x_i = i*dx, i = 0..n-1, with dx a
+    positive normal double."""
 
     n: int
     length: float
@@ -34,6 +36,9 @@ class Grid:
             raise DomainError(f"grid needs at least 16 cells, got {self.n}")
         if not (self.length > 0.0):
             raise DomainError(f"grid length must be positive, got {self.length}")
+        if not (sys.float_info.min <= self.dx < math.inf):
+            raise DomainError(f"grid step L/n = {self.dx!r} is not a positive "
+                              "normal double")
 
     @property
     def dx(self) -> float:
@@ -138,15 +143,19 @@ class FieldState:
         return core.sound_speed(self.gas, self.tau)
 
     # -- derived gradient views (4th-order FD) -----------------------
+    # each RangeError where it leaves double range, as sound() is
     @_per_state
+    @core.in_double_range
     def u_x(self) -> np.ndarray:
         return ddx4(self.u, self.grid.dx)
 
     @_per_state
+    @core.in_double_range
     def tau_x(self) -> np.ndarray:
         return ddx4(self.tau, self.grid.dx)
 
     @_per_state
+    @core.in_double_range
     def slopes(self) -> np.ndarray:
         """(A, B) = (w_x, z_x), the Riemann-invariant slopes, as rows."""
         return np.stack(core.riemann_slopes(self.sound(), self.u_x(), self.tau_x()))

@@ -144,7 +144,9 @@ def integrate(prob: RiccatiProblem, t_end: float, tol: float = 1e-9) -> RiccatiO
         # error-per-unit-step control: accumulated error over the whole
         # span stays at the order of tol
         scale = tol * (1.0 + max(abs(val), abs(val_new))) * (h / span)
-        ratio = err / scale
+        # a scale of 0 (a span so short that span / 10 underflows to a
+        # step of 0) rejects the step, which the step-size floor refuses
+        ratio = err / scale if scale > 0.0 else math.inf
         if ratio <= 1.0:
             if chart == "v" and val_new >= 0.0:
                 # bisect on the sign of the same step from (t, val); the

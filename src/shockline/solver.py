@@ -33,7 +33,7 @@ each.  The knot slopes of both fields come from one circulant solve
 cubic of an interval is formed from them on first use, and the trace
 evaluates only the interval's two columns at each point.  The Riccati
 cross-check restarts at every trace row, so each comparison point is
-hit exactly.
+hit exactly, and reads phi linearly in t between that row and the next.
 """
 
 from __future__ import annotations
@@ -235,10 +235,13 @@ def _record(mon: Monitors, field: FieldState, max_ux, tau_max, audits: tuple,
 def _extremes(field: FieldState):
     """(max|u_x|, max tau), checked finite: a NaN or inf in u reaches u_x
     through the stencil, one in tau (> 0) reaches max tau."""
-    max_ux = float(np.abs(field.u_x()).max())
+    try:
+        max_ux = float(np.abs(field.u_x()).max())
+    except RangeError:
+        max_ux = math.nan
     tau_max = float(field.tau.max())
     if not (math.isfinite(max_ux) and math.isfinite(tau_max)):
-        raise RangeError(f"tau or u is not finite at t={field.t:.6g}")
+        raise RangeError(f"tau, u or u_x is not finite at t={field.t:.6g}")
     return max_ux, tau_max
 
 
@@ -338,7 +341,10 @@ def run(
     # and breakdown tests, the monitors and the next CFL dt
     n_step = 0
     while field.t < t_end:
-        dt = cfl * field.grid.dx / float(field.sound().max())
+        c_max = float(field.sound().max())
+        if not c_max > 0.0:
+            raise RangeError(f"the sound speed rounds to 0 at t={field.t:.6g}")
+        dt = cfl * field.grid.dx / c_max
         dt = min(dt, t_end - field.t)
         new = step(field, dt)
         max_ux, tau_max = _extremes(new)
@@ -380,11 +386,11 @@ class CharTrace:
 
 
 @core.in_double_range
-def _periodic_slopes(grid: Grid, ys: np.ndarray) -> tuple:
-    """(knot slopes, secant slopes), of shapes (S, n + 1) and (S, n), of
-    the periodic cubic splines in x through the S rows of ys (row k is
-    column k); RangeError where one leaves double range.
-    _SnapshotSplines.coeffs forms the cubic of one interval from them.
+def _periodic_slopes(grid: Grid, ys: np.ndarray) -> np.ndarray:
+    """The (S, n) knot slopes of the periodic cubic splines in x through
+    the S rows of ys (row k is column k); RangeError where one leaves
+    double range.  _SnapshotSplines.coeffs forms the cubic of one
+    interval from them and the knot values.
 
     A continuous second derivative at every knot of the uniform grid is
     s[i-1] + 4 s[i] + s[i+1] = 3 (y[i+1] - y[i-1]) / dx, indices mod n
@@ -394,12 +400,10 @@ def _periodic_slopes(grid: Grid, ys: np.ndarray) -> tuple:
     divided by 4 + 2 cos(2 pi k / n), which is at least 2, for every row
     at once.
     """
-    n, dx = grid.n, grid.dx
-    y_next, y_prev = np.roll(ys, -1, axis=1), np.roll(ys, 1, axis=1)
-    rhs = 3.0 * (y_next - y_prev) / dx
+    n = grid.n
+    rhs = 3.0 * (np.roll(ys, -1, axis=1) - np.roll(ys, 1, axis=1)) / grid.dx
     symbol = 4.0 + 2.0 * np.cos(2.0 * np.pi / n * np.arange(n // 2 + 1))
-    s = np.fft.irfft(np.fft.rfft(rhs, axis=1) / symbol, n, axis=1)
-    return np.concatenate((s, s[:, :1]), axis=1), (y_next - ys) / dx
+    return np.fft.irfft(np.fft.rfft(rhs, axis=1) / symbol, n, axis=1)
 
 
 class _SnapshotSplines:
@@ -421,9 +425,9 @@ class _SnapshotSplines:
             raise TraceError("a stored snapshot holds a non-finite tau or u")
         self.frames = len(snaps.taus)
         self.ys = ys
-        self.slopes, self.secants = _periodic_slopes(grid, ys)
+        self.slopes = _periodic_slopes(grid, ys)
         self.knots = np.append(grid.xs, grid.length).tolist()
-        self.dx = grid.dx
+        self.n, self.dx = grid.n, grid.dx
         self._coeffs = {}
 
     def locate(self, x: float):
@@ -443,12 +447,13 @@ class _SnapshotSplines:
         key = (which, i, k)
         cf = self._coeffs.get(key)
         if cf is None:
-            col = k + which * self.frames
-            s0, m, h = self.slopes.item(col, i), self.secants.item(col, i), self.dx
+            col, j, h = k + which * self.frames, (i + 1) % self.n, self.dx
+            y0, s0 = self.ys.item(col, i), self.slopes.item(col, i)
+            m = (self.ys.item(col, j) - y0) / h  # the secant slope
             # the Hermite cubic t / h, (m - s) / h - t, s, y with
             # t = (s + s_next - 2 m) / h
-            t = (s0 + self.slopes.item(col, i + 1) - 2 * m) / h
-            cf = [t / h, (m - s0) / h - t, s0, self.ys.item(col, i)]
+            t = (s0 + self.slopes.item(col, j) - 2 * m) / h
+            cf = [t / h, (m - s0) / h - t, s0, y0]
             if not (math.isfinite(cf[0]) and math.isfinite(cf[1])):
                 raise RangeError("spline coefficients leave double-precision range")
             self._coeffs[key] = cf
@@ -531,19 +536,6 @@ def trace_characteristic(
 # Riccati cross-validation along a trace
 # ---------------------------------------------------------------------
 
-def _interp(t: float, xs: list, fs: list) -> float:
-    """np.interp(t, xs, fs) for one float t and float lists, by its
-    scalar rule: the interval from a right bisection; a knot's value on
-    a knot hit, and the end knot's past either end; otherwise the slope
-    times the offset plus the left value, in that order of operations."""
-    j = bisect.bisect_right(xs, t) - 1
-    if j < 0:
-        return fs[0]
-    if j == len(xs) - 1 or xs[j] == t:
-        return fs[j]
-    return (fs[j + 1] - fs[j]) / (xs[j + 1] - xs[j]) * (t - xs[j]) + fs[j]
-
-
 @dataclass
 class CrossValidationReport:
     deviation: float
@@ -558,29 +550,31 @@ def cross_validate_riccati(
     """Integrate the Riccati equation with coefficients interpolated
     along the trace and compare against the field-sampled values.
 
-    phi between trace rows is linear in t, read on Python floats by
-    np.interp's scalar rule (_interp), so each value is np.interp's bit
-    for bit without a numpy call per Dormand-Prince stage.
+    Each restart runs from one trace row to the next and reads phi from
+    those two rows alone: each row's phi at its own time, and in between
+    the line through them, with np.interp's arithmetic on that interval
+    (slope times offset plus the left value).
 
     Each row's deviation is the absolute difference over the max
     absolute field-sampled value (1 if that is 0); deviation is their max.
     """
     if len(trace.times) < 2:
         raise TraceError("trace too short to cross-validate")
-    t_knots, phi_knots = trace.times.tolist(), trace.phi.tolist()
-
-    def coeff_source(t: float):
-        return core.riccati_coefficients(gm, dl, _interp(t, t_knots, phi_knots), t)
-
+    times, phis = trace.times.tolist(), trace.phi.tolist()
     # integrate knot to knot so comparison points are hit exactly,
     # never interpolated off the adaptive trajectory
-    y_int = np.empty(len(t_knots))
+    y_int = np.empty(len(times))
     y_int[0] = float(trace.y_or_q[0])
-    for k in range(len(t_knots) - 1):
-        prob = riccati.RiccatiProblem(
-            coeff_source=coeff_source, y0=float(y_int[k]), t0=t_knots[k]
-        )
-        out = riccati.integrate(prob, t_knots[k + 1], tol=1e-10)
+    for k, (t0, t1, phi0, phi1) in enumerate(zip(times, times[1:], phis, phis[1:])):
+        slope = (phi1 - phi0) / (t1 - t0)
+
+        def coeff_source(t: float):  # read only by this iteration's integrate
+            phi = phi0 if t == t0 else phi1 if t >= t1 else slope * (t - t0) + phi0
+            return core.riccati_coefficients(gm, dl, phi, t)
+
+        out = riccati.integrate(
+            riccati.RiccatiProblem(coeff_source=coeff_source, y0=float(y_int[k]), t0=t0),
+            t1, tol=1e-10)
         if out.kind is riccati.OutcomeKind.BLOWUP:
             raise TraceError(
                 "integrated gradient variable blew up inside the trace window"
@@ -668,7 +662,6 @@ def read_snapshots(path) -> SnapshotStore:
         grid = Grid(n=int(n), length=length)
         gm = GasModel(gamma=gamma, big_k=big_k)
         dl = DampingLaw(alpha=alpha, lam=lam)
-        snaps = SnapshotStore(grid=grid, gas=gm, damping=dl)
         body = fh.read()
     # checked before any allocation sized by the header's n
     rec_len = 1 + 2 * int(n)
@@ -677,8 +670,6 @@ def read_snapshots(path) -> SnapshotStore:
     recs = np.frombuffer(body, dtype="<f8").reshape(-1, rec_len)
     if not np.isfinite(recs).all():
         raise DomainError("snapshot file holds a non-finite value")
-    for rec in recs:
-        snaps.times.append(float(rec[0]))
-        snaps.taus.append(rec[1::2].copy())
-        snaps.us.append(rec[2::2].copy())
-    return snaps
+    # one writable copy per field, each record one of its rows
+    return SnapshotStore(grid=grid, gas=gm, damping=dl, times=recs[:, 0].tolist(),
+                         taus=list(recs[:, 1::2].copy()), us=list(recs[:, 2::2].copy()))

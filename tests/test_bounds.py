@@ -35,7 +35,7 @@ from shockline.bounds import (
     k3_constant,
 )
 from shockline.core import log_time_factor
-from shockline.fields import init_field
+from shockline.fields import FieldState, init_field
 
 
 class TestInvariantRegion:
@@ -66,6 +66,21 @@ class TestInvariantRegion:
         ib = certified_initial_bound(sine_field)
         assert np.max(np.abs(sine_field.u)) <= ib.c0
         assert np.max(1.0 / sine_field.tau) <= ib.c0
+
+    @given(tau=st.lists(st.floats(5e-324, 1e308), min_size=16, max_size=16))
+    @settings(max_examples=100, deadline=None)
+    def test_certified_bound_reads_min_tau(self, tau):
+        # max(1 / tau) is 1 / min(tau), bit for bit, overflow included
+        # (with no warning); u = 0 leaves c0 to that term
+        field = FieldState(grid=Grid(n=16, length=1.0), t=0.0, tau=np.array(tau),
+                           u=np.zeros(16), gas=GasModel(2.0, 1.0),
+                           damping=DampingLaw(1.0, 0.0))
+        with np.errstate(over="ignore"):
+            want = float(np.max(1.0 / field.tau))
+        try:
+            assert certified_initial_bound(field).c0 == want
+        except RangeError:  # c0_tilde out of range: c0 = 1e154 gives 1e308
+            assert want > 1e150
 
 
 class TestCeilings:

@@ -808,6 +808,167 @@ class TestExitCodeContract:
                 assert set(json.loads(err)) == {"error", "message"}
 
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+
+def _small(cfg: dict) -> dict:
+    """A bundled config cut to test size: n <= 64, t_end <= 0.5 and
+    sweep axis counts <= 3."""
+    cfg["grid"]["n"] = min(cfg["grid"]["n"], 64)
+    run = cfg.setdefault("run", {})
+    run["t_end"] = min(run.get("t_end", 0.0), 0.5)
+    for axis in cfg.get("sweep", {}).get("axes", []):
+        axis["count"] = min(axis["count"], 3)
+    return cfg
+
+
+def _leaves(node, path=()):
+    """The path, as a tuple of keys and indexes, of every scalar in node."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path
+
+
+BUNDLED = {p.name: _small(yaml.safe_load(p.read_text()))
+           for p in sorted(CONFIG_DIR.glob("*.yaml"))}
+# zero and sign, both ends of double range, values a hair off the model's
+# boundaries (gamma 3 and 1), a fraction where an integer belongs, and
+# non-numbers
+FUZZ_VALUES = (0, -1, 1e300, -1e300, 1e308, 5e-324, 2.9999999, 1.0000000001, 64.5,
+               "x", None)
+# a run's step count past which an edit has made it too stiff to finish
+# at test cost (gamma 64.5 with big_k 1e300 takes steps near 1e-152)
+STEP_BUDGET = 1000
+
+
+class _TooStiff(Exception):
+    """The run outgrew STEP_BUDGET; raised past the CLI's handlers."""
+
+
+@st.composite
+def bundled_edits(draw):
+    """(config name, edits): one or two of its leaves set to FUZZ_VALUES."""
+    name = draw(st.sampled_from(sorted(BUNDLED)))
+    edits = draw(st.lists(
+        st.tuples(st.sampled_from(list(_leaves(BUNDLED[name]))),
+                  st.sampled_from(FUZZ_VALUES)),
+        min_size=1, max_size=2, unique_by=lambda edit: edit[0]))
+    return name, tuple(edits)
+
+
+def _no_nonfinite(constant):
+    raise AssertionError(f"JSON output holds {constant}")
+
+
+class TestBundledConfigContract:
+    """The exit-code contract on the bundled configs with one or two
+    leaves set to edge values: every verb returns 0, 2 or 3 and never
+    raises, stderr is one JSON line on failure and empty otherwise, and
+    no JSON written holds NaN or Infinity.  In process, pytest turns any
+    numpy warning into a raised exception, so a leaked warning fails.
+    An edit that makes a run outgrow STEP_BUDGET ends that example."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=bundled_edits())
+    # the sound speed rounds to 0 in the CFL step
+    @example(case=("demo_t32.yaml", ((("profile", "tau0"), 1e300),)))
+    @example(case=("sweep_gap.yaml", ((("profile", "tau0"), 1e300),
+                                      (("run", "t_end"), 0.5))))
+    # the initial gradient, and the grid step, leave double range
+    @example(case=("gentle_audit.yaml", ((("profile", "u_amp"), 1e308),)))
+    @example(case=("gentle_audit.yaml", ((("grid", "L"), 5e-324),)))
+    # 1 / tau0 overflows
+    @example(case=("demo_t41.yaml", ((("profile", "tau0"), 5e-324),)))
+    # the cross-check's first step, span / 10, underflows to 0
+    @example(case=("gentle_audit.yaml", ((("run", "t_end"), 5e-324),)))
+    # too stiff: ends at STEP_BUDGET
+    @example(case=("demo_t32.yaml", ((("gas", "gamma"), 64.5),
+                                     (("gas", "big_k"), 1e300))))
+    def test_edited_configs(self, tmp_path_factory, case):
+        name, edits = case
+        cfg = json.loads(json.dumps(BUNDLED[name]))
+        for path, value in edits:
+            node = cfg
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        t_end = cfg["run"].get("t_end")
+        if isinstance(t_end, float) and t_end > 0.5:  # the edit's, cut to size
+            cfg["run"]["t_end"] = 0.5
+        tmp = tmp_path_factory.mktemp("bundled")
+        path = write_cfg(tmp, cfg)
+        last = ["sweep", "--jobs", "1"] if "sweep" in cfg else ["simulate"]
+        steps, real_step = [], solver.step
+
+        def budgeted(field, dt):
+            steps.append(dt)
+            if len(steps) > STEP_BUDGET:
+                raise _TooStiff
+            return real_step(field, dt)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "step", budgeted)
+            for verb in (["check"], last):
+                out = tmp / verb[0]
+                steps.clear()
+                try:
+                    code, err = _run_verb([verb[0], "--config", path, "--out", str(out),
+                                           *verb[1:]])
+                except _TooStiff:
+                    return
+                assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME)
+                if code == EXIT_OK:
+                    assert err == ""
+                else:
+                    assert err.count("\n") == 1 and err.endswith("\n"), err
+                    assert set(json.loads(err)) == {"error", "message"}
+                for written in out.glob("*.json"):
+                    json.loads(written.read_text(), parse_constant=_no_nonfinite)
+
+    @pytest.mark.parametrize("name,edits,verb,code,error,words", [
+        ("demo_t32.yaml", {("profile", "tau0"): 1e300}, "simulate", EXIT_RUNTIME,
+         "RangeError", "sound speed rounds to 0"),
+        ("demo_t41.yaml", {("profile", "tau0"): 1e300, ("damping", "alpha"): 0.0},
+         "simulate", EXIT_RUNTIME, "RangeError", "phi rounds to 0"),
+        ("gentle_audit.yaml", {("profile", "u_amp"): 1e308}, "check", EXIT_RUNTIME,
+         "RangeError", "u_x"),
+        ("gentle_audit.yaml", {("profile", "u_amp"): 1e308}, "simulate",
+         EXIT_RUNTIME, "RangeError", "u_x"),
+        ("gentle_audit.yaml", {("grid", "L"): 5e-324}, "check", EXIT_CONFIG,
+         "ConfigError", "grid step"),
+        ("demo_t41.yaml", {("profile", "tau0"): 5e-324}, "check", EXIT_RUNTIME,
+         "RangeError", "_c0_tilde"),
+    ], ids=["sound-rounds-to-0", "phi-rounds-to-0", "gradient-overflows-check",
+            "gradient-overflows-simulate", "grid-step-underflows", "tau0-subnormal"])
+    def test_out_of_range_edit(self, tmp_path, name, edits, verb, code, error, words):
+        cfg = json.loads(json.dumps(BUNDLED[name]))
+        for (section, key), value in edits.items():
+            cfg[section][key] = value
+        out = tmp_path / "out"
+        got, err = _run_verb([verb, "--config", write_cfg(tmp_path, cfg),
+                              "--out", str(out)])
+        assert got == code and err.count("\n") == 1, err
+        assert json.loads(err)["error"] == error and words in err
+        assert not (out / "verdict.json").exists()
+
+    def test_sound_rounding_to_0_is_an_error_row(self, tmp_path):
+        # every cell of a pooled sweep fails alone, none takes the sweep down
+        cfg = json.loads(json.dumps(BUNDLED["sweep_gap.yaml"]))
+        cfg["profile"]["tau0"], cfg["run"]["t_end"] = 1e300, 0.5
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out),
+                     "--jobs", "2"]) == EXIT_OK
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3
+        errors = {row.rsplit(",", 1)[1].split(":")[0] for row in rows}
+        assert errors == {"RangeError"}
+
+
 class TestStderrSubprocess:
     """The exit-code contract seen from outside: in a fresh interpreter
     with default warning filters, stderr of a failed run is exactly one

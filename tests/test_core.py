@@ -305,6 +305,13 @@ class TestGuards:
             _require_positive("x", shape(-0.0))
 
     @pytest.mark.parametrize("shape", shapes)
+    def test_phi_rounding_to_0_is_range_error(self, gm5, shape):
+        # a positive tau whose tau**(-2) underflows: out of range, not a
+        # nonpositive phi refused later as a domain error
+        with pytest.raises(RangeError, match="phi rounds to 0"):
+            phi_of_tau(gm5, shape(1e300))
+
+    @pytest.mark.parametrize("shape", shapes)
     def test_log_time_factor_rejects_negative_t(self, gm2, dl_const, dl_crit, shape):
         for dl in (dl_const, dl_crit):
             log_time_factor(gm2, dl, shape(0.0))
@@ -360,6 +367,19 @@ class TestGuards:
         with pytest.raises(RangeError, match="OverflowError") as exc:
             power(10.0, 400.0)
         assert isinstance(exc.value.__cause__, OverflowError)
+
+    @pytest.mark.filterwarnings("error")
+    def test_in_double_range_overflowing_sum(self):
+        # finite entries whose sum overflows pass, with no warning; an
+        # inf among them does not
+        @in_double_range
+        def same(x):
+            return x
+
+        big = np.full(4, 1e308)
+        assert same(big) is big
+        with pytest.raises(RangeError, match="same"):
+            same(np.append(big, math.inf))
 
 
 class TestNarrowBracket:

@@ -1,6 +1,7 @@
 """Grids, stencils, presets, and derived field views."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -56,6 +57,13 @@ class TestGrid:
     def test_validation(self, n, L):
         with pytest.raises(DomainError):
             Grid(n=n, length=L)
+
+    @pytest.mark.parametrize("n,L", [(128, 5e-324), (16, 3e-307)])
+    def test_step_must_be_normal(self, n, L):
+        # L / n rounds to 0 or to a subnormal
+        with pytest.raises(DomainError, match="normal double"):
+            Grid(n=n, length=L)
+        assert Grid(n=16, length=16 * sys.float_info.min).dx == sys.float_info.min
 
 
 class TestStencils:

@@ -86,6 +86,11 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(prob, -1.0)
 
+    def test_span_below_one_step(self):
+        # span / 10 underflows to a step of 0: refused, not divided by
+        with pytest.raises(ToleranceError, match="step size underflow"):
+            integrate(const_problem(0.0, 1.0, 1.0), 5e-324)
+
     def test_global_matches_oracle(self):
         prob = const_problem(1.0, 1.0, 0.0)
         out = integrate(prob, 2.0, tol=1e-9)

@@ -16,7 +16,6 @@ from shockline import VacuumError, core, fields, riccati, solver
 from shockline.fields import ddx4, init_field
 from shockline.solver import (
     BreakdownReport,
-    _interp,
     Direction,
     DiscardSnapshots,
     SnapshotWriter,
@@ -355,10 +354,20 @@ class TestTrace:
                 trace_characteristic(res, 2.5, direction)
 
     def test_spline_out_of_range_refused(self, sine_field):
-        # finite knot values whose slopes overflow
+        # finite knot values whose knot slopes overflow: y[i+1] - y[i-1]
+        # does where the column changes sign
+        res = run(sine_field, 0.1, monitors_requested=False)
+        half = sine_field.grid.n // 2
+        res.snapshots.us[1][:half], res.snapshots.us[1][half:] = 1.7e308, -1.7e308
+        with pytest.raises(RangeError, match="_periodic_slopes"):
+            trace_characteristic(res, 2.5, Direction.FORWARD)
+
+    def test_secant_out_of_range_refused(self, sine_field):
+        # finite knot values and knot slopes whose secants overflow:
+        # y[i+1] - y[i-1] stays finite with every other knot at 1.7e308
         res = run(sine_field, 0.1, monitors_requested=False)
         res.snapshots.us[1][::2] = 1.7e308
-        with pytest.raises(RangeError, match="_periodic_slopes"):
+        with pytest.raises(RangeError, match="coefficients"):
             trace_characteristic(res, 2.5, Direction.FORWARD)
 
     def test_cross_validation_needs_two_rows(self, gm2, dl_const):
@@ -469,38 +478,6 @@ def knot_to_knot_riccati(trace, gm, dl):
             raise TraceError("blow-up inside the trace window")
         y.append(out.y_end)
     return np.array(y)
-
-
-@st.composite
-def knots_and_values(draw):
-    """Strictly increasing knots and a value at each."""
-    xs = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=12,
-                              unique=True)))
-    return xs, draw(st.lists(st.floats(-1e6, 1e6), min_size=len(xs),
-                             max_size=len(xs)))
-
-
-class TestInterp:
-    """The cross-check's phi lookup on floats against np.interp, bit for
-    bit (the sign of a zero too)."""
-
-    @given(knots=knots_and_values(),
-           weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
-    @example(knots=([0.0, 0.1, 0.30000000000000004, 1.0], [0.5, -0.0, 3.0, 3.0]),
-             weights=[0.5, 1e-3, 1.0 - 1e-3])
-    @settings(max_examples=200, deadline=None)
-    def test_matches_np_interp(self, knots, weights):
-        xs, fs = knots
-        # past both ends, inside every interval, on every knot and one
-        # ulp either side of it
-        points = [xs[0] - 1.0, xs[-1] + 1.0]
-        for a, b in zip(xs[:-1], xs[1:]):
-            points += [a + w * (b - a) for w in weights]
-        for x in xs:
-            points += [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
-        for t in points:
-            want = float(np.interp(t, np.array(xs), np.array(fs)))
-            assert _interp(t, xs, fs).hex() == want.hex(), t
 
 
 # scipy solves the spline on the knots i * dx as rounded, whose spacing
@@ -637,9 +614,9 @@ class TestSnapshotSplines:
         snaps, picked = spline_store(grid, ys)
         splines = solver._SnapshotSplines(grid, snaps)
         assert splines.knots == spl.x.tolist()
-        # every column's knot slopes, the periodic end repeating the first
-        assert_close(splines.slopes[:, :-1], spl.c[2].T, SPLINE_VS_SCIPY, axis=1)
-        assert np.array_equal(splines.slopes[:, -1], splines.slopes[:, 0])
+        # every column's knot slopes
+        assert splines.slopes.shape == (cols, n)
+        assert_close(splines.slopes, spl.c[2].T, SPLINE_VS_SCIPY, axis=1)
 
         # the coefficients, per power, and the reader on the first and
         # last column of each field
@@ -668,19 +645,20 @@ class TestSnapshotSplines:
         ys = rng.normal(0.0, 1.0, (cols, n))
         snaps, picked = spline_store(grid, ys)
         splines = solver._SnapshotSplines(grid, snaps)
-        s, m, h = splines.slopes, splines.secants, grid.dx
+        h = grid.dx
+        # periodic: the knot after the last is the first, at x = L = 0
+        s, s_next = splines.slopes, np.roll(splines.slopes, -1, axis=1)
+        y_next = np.roll(ys, -1, axis=1)
+        m = (y_next - ys) / h  # the secant slope of each interval
         y_scale = np.abs(ys).max(axis=1, keepdims=True)
         m_scale = np.abs(m).max(axis=1, keepdims=True)
-        y_next = np.roll(ys, -1, axis=1)
 
-        # periodic: the slope at x = L is the one at x = 0
-        assert np.array_equal(s[:, -1], s[:, 0])
         # every column: the Hermite cubic on [x_i, x_i + h] with end
         # slopes s_i, s_i+1 has second derivative (6 m - 4 s_i - 2 s_i+1) / h
         # at its left end and (-6 m + 2 s_i + 4 s_i+1) / h at its right;
         # they meet at every knot, the one at L = 0 included
-        left = (6 * m - 4 * s[:, :-1] - 2 * s[:, 1:]) / h
-        right = (-6 * m + 2 * s[:, :-1] + 4 * s[:, 1:]) / h
+        left = (6 * m - 4 * s - 2 * s_next) / h
+        right = (-6 * m + 2 * s + 4 * s_next) / h
         jump = right - np.roll(left, -1, axis=1)
         assert np.all(np.abs(jump) <= CURVATURE_JUMP_BOUND * m_scale / h)
 
@@ -697,7 +675,7 @@ class TestSnapshotSplines:
             value = d + h * (c + h * (b + h * a))
             slope = c + h * (2 * b + h * 3 * a)
             assert np.all(np.abs(value - y_next[col]) <= CONTINUITY_BOUND * y_scale[col])
-            assert np.all(np.abs(slope - s[col, 1:]) <= CONTINUITY_BOUND * m_scale[col])
+            assert np.all(np.abs(slope - s_next[col]) <= CONTINUITY_BOUND * m_scale[col])
             curv_jump = 6 * a * h + 2 * b - np.roll(2 * b, -1)
             assert np.all(np.abs(curv_jump) <= CURVATURE_JUMP_BOUND * m_scale[col] / h)
 
