@@ -37,7 +37,7 @@ from shockline import (
     integrate,
 )
 from shockline.fields import init_field
-from shockline.core import riccati_coefficients
+from shockline.core import riccati_kernel
 from shockline.solver import Direction, run, trace_characteristic
 
 T_MAX = 100.0  # horizon of the Riccati bound search
@@ -89,10 +89,10 @@ def main():
           f"at t_prev={trace.times[-1]:.6f}; breakdown x={x_break:.4f} "
           f"(argmax |u_x|)")
     t_knots, phi_knots = trace.times, trace.phi
+    coefficients = riccati_kernel(gm, dl)
 
     def traced(t):  # past the last knot np.interp would hold phi constant
-        phi = float(np.interp(t, t_knots, phi_knots))
-        return riccati_coefficients(gm, dl, phi, t)
+        return coefficients(float(np.interp(t, t_knots, phi_knots)), t)
 
     def coeffs(t):
         c0, c2 = traced(t)

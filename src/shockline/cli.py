@@ -55,10 +55,24 @@ def _need(cfg: dict, key: str, section: str):
     return cfg[key]
 
 
+# libyaml's loader where PyYAML was built with it, else PyYAML's own
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# libyaml composes nested nodes by C recursion, which crashes the
+# interpreter some 20 000 levels deep where PyYAML's own loader raises
+# RecursionError.  Every level needs an indicator of its own, one of
+# _NESTING_MARKS, so a text with fewer than _MAX_LIBYAML_MARKS of them
+# cannot nest that deep; a longer one goes to PyYAML's own loader.
+_NESTING_MARKS = "[{-?:"
+_MAX_LIBYAML_MARKS = 1000
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            cfg = yaml.safe_load(fh)
+            text = fh.read()
+        marks = sum(map(text.count, _NESTING_MARKS))
+        cfg = yaml.load(text, Loader=_LOADER if marks < _MAX_LIBYAML_MARKS
+                        else yaml.SafeLoader)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from e
     except (yaml.YAMLError, ValueError) as e:  # ValueError: an unreadable scalar

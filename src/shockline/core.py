@@ -7,11 +7,13 @@ branches (decay exponent != 1 and == 1); also the regime map over
 (alpha, lambda, gamma), the hypothesis of every blow-up criterion,
 threshold and density floor.
 
-All functions accept scalars or numpy arrays in the field slots and are
-pure; every type here is an immutable value.  in_double_range is the
-package's one guard for formulas that can leave double range, and
-narrow_bracket its one bisection for a first crossing time (the Riccati
-pole bracket, the integral bounds and the density-floor onset).
+All functions accept scalars or numpy arrays in the field slots, except
+the Riccati coefficients, which take Python floats, and are pure; every
+type here is an immutable value.  in_double_range is the package's
+guard for formulas that can leave double range, in_float_range its form
+for formulas on Python floats alone, and narrow_bracket its one
+bisection for a first crossing time (the Riccati pole bracket, the
+integral bounds and the density-floor onset).
 """
 
 from __future__ import annotations
@@ -47,14 +49,11 @@ def _finite(v) -> bool:
     return math.isfinite(np.add.reduce(v, axis=None)) or bool(np.isfinite(v).all())
 
 
-def in_double_range(fn):
-    """Make fn raise RangeError, never a warning, where a Python float
-    power or division raises or the result (a float, an array or a tuple
-    of them) is not finite; numpy warnings are off inside fn and the
-    check."""
+def _range_checked(fn, finite):
+    """fn raising RangeError where a Python float power or division
+    raises or a result (one, or each member of a tuple) fails finite."""
 
     @functools.wraps(fn)
-    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
     def checked(*args, **kwargs):
         try:
             val = fn(*args, **kwargs)
@@ -62,11 +61,28 @@ def in_double_range(fn):
             raise RangeError(f"{fn.__name__} leaves double-precision range "
                              f"({type(e).__name__})") from e
         for v in val if isinstance(val, tuple) else (val,):
-            if not _finite(v):
+            if not finite(v):
                 raise RangeError(f"{fn.__name__} leaves double-precision range")
         return val
 
     return checked
+
+
+def in_double_range(fn):
+    """Make fn raise RangeError, never a warning, where a Python float
+    power or division raises or the result (a float, an array or a tuple
+    of them) is not finite; numpy warnings are off inside fn and the
+    check."""
+    return np.errstate(over="ignore", divide="ignore", invalid="ignore")(
+        _range_checked(fn, _finite))
+
+
+def in_float_range(fn):
+    """in_double_range for fn computing on Python floats alone, with a
+    float or a tuple of floats for result.  Float * and / overflow to
+    inf or raise ZeroDivisionError and ** raises OverflowError, none of
+    them with a numpy warning, so there is no errstate to enter."""
+    return _range_checked(fn, math.isfinite)
 
 
 def narrow_bracket(pred, lo, hi, atol, rtol=0.0):
@@ -107,6 +123,8 @@ class GasModel:
     k_p: float = field(init=False)
     k_c: float = field(init=False)
     phi_coef: float = field(init=False)  # 2*sqrt(K*gamma)/(gamma-1)
+    c_coef: float = field(init=False)  # sqrt(K*gamma), sound speed's factor
+    c_exp: float = field(init=False)  # -(gamma+1)/2, its power of tau
 
     def __post_init__(self):
         g, k = self.gamma, self.big_k
@@ -116,11 +134,12 @@ class GasModel:
             raise DomainError("gamma == 3 is outside the model (division by gamma-3)")
         if not (k > 0.0):
             raise DomainError(f"big_k must be positive, got {k}")
+        c_coef, c_exp = math.sqrt(k * g), -(g + 1.0) / 2.0
         try:  # k_tau = inf gives k_p = 0; k_tau = 0 raises ZeroDivisionError
-            phi_coef = 2.0 * math.sqrt(k * g) / (g - 1.0)
+            phi_coef = 2.0 * c_coef / (g - 1.0)
             k_tau = phi_coef ** (2.0 / (g - 1.0))
             k_p = k * k_tau ** (-g)
-            k_c = math.sqrt(k * g) * k_tau ** (-(g + 1.0) / 2.0)
+            k_c = c_coef * k_tau ** c_exp
         except (OverflowError, ZeroDivisionError):
             k_p = k_c = math.inf
         if not (0.0 < k_p < math.inf and 0.0 < k_c < math.inf):
@@ -131,6 +150,8 @@ class GasModel:
         object.__setattr__(self, "k_tau", k_tau)
         object.__setattr__(self, "k_p", k_p)
         object.__setattr__(self, "k_c", k_c)
+        object.__setattr__(self, "c_coef", c_coef)
+        object.__setattr__(self, "c_exp", c_exp)
 
 
 @dataclass(frozen=True)
@@ -292,7 +313,7 @@ def pressure(gm: GasModel, tau):
 def sound_speed(gm: GasModel, tau):
     """Lagrangian sound speed c = sqrt(K gamma) * tau**(-(gamma+1)/2)."""
     _require_positive("tau", tau)
-    return math.sqrt(gm.big_k * gm.gamma) * tau ** (-(gm.gamma + 1.0) / 2.0)
+    return gm.c_coef * tau ** gm.c_exp
 
 
 def sound_speed_of_phi(gm: GasModel, phi):
@@ -324,6 +345,14 @@ def p_lo(gm: GasModel) -> float:
     return (gm.gamma - 3.0) / (2.0 * (gm.gamma - 1.0))
 
 
+def _log_prefix(gm: GasModel, dl: DampingLaw) -> float:
+    """The t-independent factor of log_time_factor."""
+    g, a = gm.gamma, dl.alpha
+    if dl.branch is Branch.CRITICAL:
+        return a * (3.0 * g - 1.0) / (2.0 * (g - 3.0))
+    return a * (3.0 * g - 1.0) / (2.0 * (g - 3.0) * (1.0 - dl.lam))
+
+
 def log_time_factor(gm: GasModel, dl: DampingLaw, t):
     """Log of the integrating-factor multiplier in y, q, and the Riccati
     coefficients.
@@ -331,16 +360,11 @@ def log_time_factor(gm: GasModel, dl: DampingLaw, t):
     Generic branch: alpha(3g-1)/(2(g-3)(1-lam)) * (1+t)**(1-lam).
     Critical branch: alpha(3g-1)/(2(g-3)) * log(1+t).
     """
-    g, a = gm.gamma, dl.alpha
     if _any(operator.lt, t, 0.0):
         raise DomainError("t must be nonnegative")
     if dl.branch is Branch.CRITICAL:
-        return a * (3.0 * g - 1.0) / (2.0 * (g - 3.0)) * np.log1p(t)
-    lam = dl.lam
-    return (
-        a * (3.0 * g - 1.0) / (2.0 * (g - 3.0) * (1.0 - lam))
-        * (1.0 + t) ** (1.0 - lam)
-    )
+        return _log_prefix(gm, dl) * np.log1p(t)
+    return _log_prefix(gm, dl) * (1.0 + t) ** (1.0 - dl.lam)
 
 
 def checked_log(log_val):
@@ -389,30 +413,51 @@ def y_variable(gm: GasModel, dl: DampingLaw, phi, grad, t):
 q_variable = y_variable
 
 
-@in_double_range
-def riccati_coefficients(gm: GasModel, dl: DampingLaw, phi, t):
-    """(c0, c2) of the Riccati equation y' = c0 - c2*y**2 along a
-    characteristic.  c2 > 0 always; the sign of c0 encodes the regime.
+def riccati_kernel(gm: GasModel, dl: DampingLaw):
+    """(phi, t) -> (c0, c2), the coefficients of the Riccati equation
+    y' = c0 - c2*y**2 along a characteristic, for Python floats phi > 0
+    and t >= 0.  c2 > 0 always; the sign of c0 encodes the regime.
 
     Numerator of c0:
       lam*alpha*(g-1)*(g-3)*(1+t)**(lam-1) - alpha**2*(g-1)**2,
     divided by K_c*(g-3)**2*(1+t)**(2 lam), times phi**((g-3)/(2(g-1)))
-    and the time factor.  The critical branch is the lam = 1
+    and the time factor; c2 = K_c*(g+1)/(2(g-1)) * phi**(-(g-3)/(2(g-1)))
+    over the time factor.  The critical branch is the lam = 1
     specialisation with a power-law time factor.
+
+    The factors free of phi and t are formed once, here.  Python
+    multiplies left to right, so each is a prefix of the product it
+    stood in, and c0 and c2 keep their bits.  A call is guarded by
+    in_float_range; a factor that itself leaves double range is NaN
+    here, so every call raises RangeError, as every call did before.
     """
-    _require_positive("phi", phi)
     g, a, lam = gm.gamma, dl.alpha, dl.lam
-    mu = checked_exp(log_time_factor(gm, dl, t))
-    num0 = (
-        lam * a * (g - 1.0) * (g - 3.0) * (1.0 + t) ** (lam - 1.0)
-        - a * a * (g - 1.0) ** 2
-    )
-    c0 = (
-        num0 / (gm.k_c * (g - 3.0) ** 2 * (1.0 + t) ** (2.0 * lam))
-        * phi ** p_lo(gm) * mu
-    )
-    c2 = (
-        gm.k_c * (g + 1.0) / (2.0 * (g - 1.0))
-        * phi ** (-p_lo(gm)) / mu
-    )
-    return c0, c2
+    critical = dl.branch is Branch.CRITICAL
+    lo = p_lo(gm)
+    try:
+        log_pre = _log_prefix(gm, dl)
+        num_t, num_0 = lam * a * (g - 1.0) * (g - 3.0), a * a * (g - 1.0) ** 2
+        den_0 = gm.k_c * (g - 3.0) ** 2
+        c2_0 = gm.k_c * (g + 1.0) / (2.0 * (g - 1.0))
+    except (OverflowError, ZeroDivisionError):
+        log_pre = num_t = num_0 = den_0 = c2_0 = math.nan
+
+    @in_float_range
+    def riccati_coefficients(phi: float, t: float):
+        if phi <= 0.0:
+            raise DomainError("phi must be positive")
+        if t < 0.0:
+            raise DomainError("t must be nonnegative")
+        log_mu = log_pre * (float(np.log1p(t)) if critical else (1.0 + t) ** (1.0 - lam))
+        mu = float(np.exp(checked_log(log_mu)))
+        c0 = ((num_t * (1.0 + t) ** (lam - 1.0) - num_0)
+              / (den_0 * (1.0 + t) ** (2.0 * lam)) * phi ** lo * mu)
+        return c0, c2_0 * phi ** -lo / mu
+
+    return riccati_coefficients
+
+
+def riccati_coefficients(gm: GasModel, dl: DampingLaw, phi: float, t: float):
+    """(c0, c2) of riccati_kernel(gm, dl) at one scalar (phi, t); a
+    caller with many points builds the kernel once."""
+    return riccati_kernel(gm, dl)(float(phi), float(t))

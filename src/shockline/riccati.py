@@ -132,6 +132,10 @@ def integrate(prob: RiccatiProblem, t_end: float, tol: float = 1e-9) -> RiccatiO
     cf = prob.coeffs(t)  # at t; a rejected step and a chart switch keep it
     span = t_end - prob.t0
     h = min(1e-2, span / 10.0)
+    # the step-size floor, 1e-14 * max(1, |t|), is capped at the first
+    # step, so a span shorter than the floor is taken, not refused; a
+    # first step that underflows to 0 keeps the floor and is refused
+    floor_cap = h or math.inf
     err_prev = 1.0
     safety, min_h_factor = 0.9, 1e-14
     while t < t_end:
@@ -170,7 +174,7 @@ def integrate(prob: RiccatiProblem, t_end: float, tol: float = 1e-9) -> RiccatiO
             err_prev = max(ratio, 1e-10)
         else:
             h *= max(0.2, safety * ratio**-0.25)
-        if h < min_h_factor * max(1.0, abs(t)):
+        if t < t_end and h < min(floor_cap, min_h_factor * max(1.0, abs(t))):
             raise ToleranceError(
                 f"step size underflow at t={t:.6g} without a pole crossing"
             )

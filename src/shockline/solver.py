@@ -33,7 +33,9 @@ each.  The knot slopes of both fields come from one circulant solve
 cubic of an interval is formed from them on first use, and the trace
 evaluates only the interval's two columns at each point.  The Riccati
 cross-check restarts at every trace row, so each comparison point is
-hit exactly, and reads phi linearly in t between that row and the next.
+hit exactly, and reads phi linearly in t between that row and the next;
+it builds the Riccati coefficient kernel of its gas and damping once
+per trace.
 """
 
 from __future__ import annotations
@@ -59,11 +61,12 @@ BREAKDOWN_CELL_GRADIENT = 0.5  # breakdown when max|u_x| * dx exceeds this
 STAB_COEF = 0.02
 
 
-@core.in_double_range
+@core.in_float_range
 def damping_decay(dl: DampingLaw, t1: float, t2: float) -> float:
     """exp(-alpha * int_{t1}^{t2} (1+s)**(-lam) ds), the exact decay of
-    the linear-in-u damping over [t1, t2]; RangeError where the integral
-    leaves double range (an underflow to 0 is left to step)."""
+    the linear-in-u damping over [t1, t2], on Python floats; RangeError
+    where the integral leaves double range (an underflow to 0 is left to
+    step)."""
     if dl.alpha == 0.0:
         return 1.0
     if dl.branch is Branch.CRITICAL:
@@ -492,20 +495,28 @@ def trace_characteristic(
         return ((1.0 - w) * _cubic(coeffs(which, i, k), s, nu)
                 + w * _cubic(coeffs(which, i, k + 1), s, nu))
 
-    def tau_at(k: int, w: float, x: float):
-        """(interval i, offset s, tau) at x, weight w in interval k."""
-        i, s = locate(wrap(x))
-        tau = blend(0, i, s, k, w)
-        if not tau > 0.0:  # a non-finite start point reads a NaN tau
-            raise TraceError("interpolated tau became nonpositive or NaN on the path")
-        return i, s, tau
+    # a non-finite start point reads a NaN tau
+    bad_tau = "interpolated tau became nonpositive or NaN on the path"
 
     def speed(k: int, t: float, x: float) -> float:
+        """+-c at (t, x) in interval k: blend's two cubics, written out."""
         w = (t - times[k]) / (times[k + 1] - times[k])
-        return sign * core.sound_speed(gm, tau_at(k, w, x)[2])
+        i, s = locate(wrap(x))
+        a0, b0, c0, d0 = coeffs(0, i, k)
+        a1, b1, c1, d1 = coeffs(0, i, k + 1)
+        ss = s * s
+        sss = ss * s
+        tau = ((1.0 - w) * (0.0 + d0 + c0 * s + b0 * ss + a0 * sss)
+               + w * (0.0 + d1 + c1 * s + b1 * ss + a1 * sss))
+        if not tau > 0.0:
+            raise TraceError(bad_tau)
+        return sign * core.sound_speed(gm, tau)
 
     def sample(t: float, k: int, w: float, x: float):
-        i, s, tau = tau_at(k, w, x)
+        i, s = locate(wrap(x))
+        tau = blend(0, i, s, k, w)
+        if not tau > 0.0:
+            raise TraceError(bad_tau)
         taux, ux = blend(0, i, s, k, w, 1), blend(1, i, s, k, w, 1)
         phi = core.phi_of_tau(gm, tau)
         a_w, b_z = core.riemann_slopes(core.sound_speed(gm, tau), ux, taux)
@@ -561,6 +572,7 @@ def cross_validate_riccati(
     if len(trace.times) < 2:
         raise TraceError("trace too short to cross-validate")
     times, phis = trace.times.tolist(), trace.phi.tolist()
+    coefficients = core.riccati_kernel(gm, dl)
     # integrate knot to knot so comparison points are hit exactly,
     # never interpolated off the adaptive trajectory
     y_int = np.empty(len(times))
@@ -570,7 +582,7 @@ def cross_validate_riccati(
 
         def coeff_source(t: float):  # read only by this iteration's integrate
             phi = phi0 if t == t0 else phi1 if t >= t1 else slope * (t - t0) + phi0
-            return core.riccati_coefficients(gm, dl, phi, t)
+            return coefficients(phi, t)
 
         out = riccati.integrate(
             riccati.RiccatiProblem(coeff_source=coeff_source, y0=float(y_int[k]), t0=t0),

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shockline
-from shockline import Verdict, solver
+from shockline import Verdict, cli, solver
 from shockline.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -1031,6 +1031,9 @@ class TestStderrSubprocess:
     @pytest.mark.parametrize("verb,text,code,error,words", [
         ("validate", "gas: " + "[" * 2000 + "]" * 2000 + "\n",
          EXIT_CONFIG, "ConfigError", "nests too deeply"),
+        # deep past the C stack of libyaml's recursive composer
+        ("validate", "gas: " + "[" * 100_000 + "]" * 100_000 + "\n",
+         EXIT_CONFIG, "ConfigError", "nests too deeply"),
         ("validate", "gas: &x [*x]\n", EXIT_CONFIG, "ConfigError", "refers to itself"),
         ("sweep", "sweep: &s\n  axes: [{name: lambda, start: 0.5, stop: 1.5, count: 2}]"
                   "\n  again: *s\n", EXIT_CONFIG, "ConfigError", "refers to itself"),
@@ -1041,8 +1044,8 @@ class TestStderrSubprocess:
         ("sweep", "profile: {preset: sine, tau0: 1.0, u_amp: -1" + "0" * 400 + "}\n"
                   "sweep:\n  axes: [{name: steepness, start: 0.5, stop: 1.5, count: 3}]\n",
          EXIT_CONFIG, "ConfigError", "int too large"),
-    ], ids=["deep-nesting", "self-alias", "self-alias-sweep", "grid-too-large",
-            "huge-int-steepness"])
+    ], ids=["deep-nesting", "deep-nesting-100k", "self-alias", "self-alias-sweep",
+            "grid-too-large", "huge-int-steepness"])
     def test_config_past_the_interpreter(self, tmp_path, verb, text, code, error,
                                          words):
         # the YAML text above replaces or adds its section of BASE
@@ -1089,3 +1092,36 @@ def test_readme_sweep_block_runs(tmp_path):
     assert main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) \
         == EXIT_OK
     assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 21
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+def test_pure_python_loader_reads_configs_alike(tmp_path, monkeypatch):
+    # load_config falls back to PyYAML's own loader without libyaml, and
+    # for a text with many nesting marks; either way it reads the same
+    texts = [p.read_text() for p in sorted(CONFIG_DIR.glob("*.yaml"))]
+    texts += [p.read_text() for p in sorted(
+        (CONFIG_DIR.parents[1] / "perfbench" / "configs").glob("*.yaml"))]
+    scenario, sweep = readme_config_blocks()
+    texts += [scenario, scenario + sweep]
+    texts.append(texts[0] + "# " + "-" * cli._MAX_LIBYAML_MARKS + "\n")
+    path = tmp_path / "cfg.yaml"
+    for text in texts:
+        path.write_text(text)
+        expected = yaml.load(text, Loader=yaml.CSafeLoader)
+        assert repr(cli.load_config(path)) == repr(expected)
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "_LOADER", yaml.SafeLoader)
+            assert repr(cli.load_config(path)) == repr(expected)
+
+
+def test_trace_shorter_than_the_step_floor(tmp_path):
+    # every trace interval, and so every span of the Riccati cross-check,
+    # is shorter than the integrator's step floor of 1e-14
+    cfg = yaml.safe_load((CONFIG_DIR / "gentle_audit.yaml").read_text())
+    cfg["run"]["t_end"] = 1.0e-15
+    out = tmp_path / "out"
+    code, err = _run_verb(["simulate", "--config", write_cfg(tmp_path, cfg),
+                           "--out", str(out)])
+    assert (code, err) == (EXIT_OK, "")
+    rows = (out / "trace.csv").read_text().splitlines()
+    assert rows[0] == TRACE_HEADER and len(rows) == 3

@@ -2,12 +2,13 @@
 variables, Riccati coefficients."""
 
 import math
+import struct
 import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from shockline import (
@@ -31,8 +32,11 @@ from shockline.core import (
     _require_positive,
     checked_log,
     in_double_range,
+    in_float_range,
     log_time_factor,
     narrow_bracket,
+    p_lo,
+    riccati_kernel,
     sound_speed_of_phi,
 )
 
@@ -208,6 +212,116 @@ class TestRiccatiCoefficients:
         assert c2 > 0.0
 
 
+@in_double_range
+def unfactored_coefficients(gm, dl, phi, t):
+    """riccati_coefficients as one expression per coefficient, on numpy
+    scalars for the time factor: the reference that the kernel's
+    factored form must match bit for bit."""
+    _require_positive("phi", phi)
+    g, a, lam = gm.gamma, dl.alpha, dl.lam
+    if dl.branch is Branch.CRITICAL:
+        log_mu = a * (3.0 * g - 1.0) / (2.0 * (g - 3.0)) * np.log1p(t)
+    else:
+        log_mu = (a * (3.0 * g - 1.0) / (2.0 * (g - 3.0) * (1.0 - lam))
+                  * (1.0 + t) ** (1.0 - lam))
+    mu = np.exp(checked_log(log_mu))
+    num0 = (
+        lam * a * (g - 1.0) * (g - 3.0) * (1.0 + t) ** (lam - 1.0)
+        - a * a * (g - 1.0) ** 2
+    )
+    c0 = (
+        num0 / (gm.k_c * (g - 3.0) ** 2 * (1.0 + t) ** (2.0 * lam))
+        * phi ** p_lo(gm) * mu
+    )
+    c2 = (
+        gm.k_c * (g + 1.0) / (2.0 * (g - 1.0))
+        * phi ** (-p_lo(gm)) / mu
+    )
+    return c0, c2
+
+
+def outcome(fn, *args):
+    """The bits of fn's float results, or the type of what it raised,
+    with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            val = fn(*args)
+        except Exception as e:  # the type is the outcome
+            return type(e)
+    vals = val if isinstance(val, tuple) else (val,)
+    return struct.pack(f"<{len(vals)}d", *(float(v) for v in vals))
+
+
+def gas_model(g, k):
+    """GasModel(g, k), or the example dropped where its derived
+    constants leave double range (gamma near 1)."""
+    try:
+        return GasModel(g, k)
+    except DomainError:
+        assume(False)
+
+
+class TestScalarKernels:
+    """The float-only kernels hold the expressions they replace bit for
+    bit, and fail where those fail, with the same error."""
+
+    @given(
+        g=st.floats(1.01, 20.0).filter(lambda g: g != 3.0),
+        a=st.floats(0.0, 10.0),
+        lam=st.one_of(st.just(1.0), st.floats(-5.0, 5.0)),
+        phi=st.floats(1e-300, 1e300),
+        t=st.floats(0.0, 1e6),
+    )
+    @example(g=4.0, a=3.734375, lam=-2.314453125, phi=1.0, t=3.1623)
+    @example(g=1.5, a=0.5, lam=0.0, phi=1e-300, t=0.0)
+    @example(g=2.0, a=0.0, lam=-200.0, phi=1.0, t=40.0)
+    @example(g=2.0, a=0.0, lam=-60.0, phi=1.0, t=1000.0)
+    @example(g=5.0, a=1.0, lam=1.0, phi=1e300, t=1e6)
+    @settings(max_examples=500, deadline=None)
+    def test_riccati_kernel_matches_unfactored(self, g, a, lam, phi, t):
+        gm, dl = gas_model(g, 1.0), DampingLaw(a, lam)
+        kernel = riccati_kernel(gm, dl)
+        old = outcome(unfactored_coefficients, gm, dl, phi, t)
+        assert outcome(kernel, phi, t) == old
+        assert outcome(riccati_coefficients, gm, dl, phi, t) == old
+        assert old is RangeError or isinstance(old, bytes)
+
+    def test_riccati_kernel_constant_out_of_range(self):
+        # (g - 1)**2 raises OverflowError: every call is refused
+        gm, dl = GasModel(1e200, 1.0), DampingLaw(1.0, 0.5)
+        kernel = riccati_kernel(gm, dl)
+        assert outcome(unfactored_coefficients, gm, dl, 1.0, 1.0) is RangeError
+        assert outcome(kernel, 1.0, 1.0) is RangeError
+
+    def test_riccati_kernel_domain(self, gm2, dl_const):
+        kernel = riccati_kernel(gm2, dl_const)
+        with pytest.raises(DomainError, match="phi"):
+            kernel(0.0, 1.0)
+        with pytest.raises(DomainError, match="t must"):
+            kernel(1.0, -1e-300)
+        with pytest.raises(RangeError):
+            kernel(math.nan, 1.0)
+
+    @given(
+        g=st.floats(1.01, 20.0).filter(lambda g: g != 3.0),
+        k=st.floats(1e-3, 1e3),
+        tau=st.floats(5e-324, 1e300),
+    )
+    @example(g=2.0, k=1.0, tau=1e-300)  # tau**(-1.5) leaves float range
+    @settings(max_examples=300, deadline=None)
+    def test_sound_speed_matches_unfactored(self, g, k, tau):
+        gm = gas_model(g, k)
+
+        def unfactored(tau):
+            return math.sqrt(gm.big_k * gm.gamma) * tau ** (-(gm.gamma + 1.0) / 2.0)
+
+        assert outcome(sound_speed, gm, tau) == outcome(unfactored, tau)
+        row = np.array([tau, 1.0, 2.0 * tau])
+        assert outcome(lambda r: tuple(sound_speed(gm, r)), row) \
+            == outcome(lambda r: tuple(unfactored(r)), row)
+
+
 @st.composite
 def ceiling_cases(draw):
     """(gamma, alpha, lambda), lambda drawn freely, at 1, or at
@@ -367,6 +481,22 @@ class TestGuards:
         with pytest.raises(RangeError, match="OverflowError") as exc:
             power(10.0, 400.0)
         assert isinstance(exc.value.__cause__, OverflowError)
+
+    @pytest.mark.filterwarnings("error")
+    def test_in_float_range(self):
+        # as in_double_range on Python floats, with no errstate entered
+        @in_float_range
+        def ratio(x, y):
+            return x / y, x * y
+
+        assert ratio(1.0, 2.0) == (0.5, 2.0)
+        with pytest.raises(RangeError, match="ZeroDivisionError") as exc:
+            ratio(1.0, 0.0)
+        assert isinstance(exc.value.__cause__, ZeroDivisionError)
+        with pytest.raises(RangeError, match="ratio leaves"):
+            ratio(1e300, 1e300)
+        with pytest.raises(RangeError, match="ratio leaves"):
+            ratio(math.nan, 1.0)
 
     @pytest.mark.filterwarnings("error")
     def test_in_double_range_overflowing_sum(self):

@@ -91,6 +91,16 @@ class TestIntegrate:
         with pytest.raises(ToleranceError, match="step size underflow"):
             integrate(const_problem(0.0, 1.0, 1.0), 5e-324)
 
+    @pytest.mark.parametrize("t0, span", [
+        (0.0, 1e-15), (0.0, 1.5e-14), (0.0, 1e-300), (1.4, 2.220446049250313e-16)])
+    def test_span_below_the_step_floor(self, t0, span):
+        # the floor 1e-14 * max(1, |t|) exceeds the first step span / 10,
+        # and 1.4 + span is the next double after 1.4
+        prob = RiccatiProblem(lambda t: (-1.0, 1.0), y0=-0.5, t0=t0)
+        out = integrate(prob, t0 + span)
+        assert out.kind is OutcomeKind.GLOBAL
+        assert out.y_end == pytest.approx(-0.5 - 1.25 * span, rel=0.0, abs=1e-15)
+
     def test_global_matches_oracle(self):
         prob = const_problem(1.0, 1.0, 0.0)
         out = integrate(prob, 2.0, tol=1e-9)
