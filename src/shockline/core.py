@@ -123,8 +123,6 @@ class GasModel:
     k_p: float = field(init=False)
     k_c: float = field(init=False)
     phi_coef: float = field(init=False)  # 2*sqrt(K*gamma)/(gamma-1)
-    c_coef: float = field(init=False)  # sqrt(K*gamma), sound speed's factor
-    c_exp: float = field(init=False)  # -(gamma+1)/2, its power of tau
 
     def __post_init__(self):
         g, k = self.gamma, self.big_k
@@ -134,12 +132,11 @@ class GasModel:
             raise DomainError("gamma == 3 is outside the model (division by gamma-3)")
         if not (k > 0.0):
             raise DomainError(f"big_k must be positive, got {k}")
-        c_coef, c_exp = math.sqrt(k * g), -(g + 1.0) / 2.0
         try:  # k_tau = inf gives k_p = 0; k_tau = 0 raises ZeroDivisionError
-            phi_coef = 2.0 * c_coef / (g - 1.0)
+            phi_coef = 2.0 * math.sqrt(k * g) / (g - 1.0)
             k_tau = phi_coef ** (2.0 / (g - 1.0))
             k_p = k * k_tau ** (-g)
-            k_c = c_coef * k_tau ** c_exp
+            k_c = math.sqrt(k * g) * k_tau ** (-(g + 1.0) / 2.0)
         except (OverflowError, ZeroDivisionError):
             k_p = k_c = math.inf
         if not (0.0 < k_p < math.inf and 0.0 < k_c < math.inf):
@@ -150,8 +147,6 @@ class GasModel:
         object.__setattr__(self, "k_tau", k_tau)
         object.__setattr__(self, "k_p", k_p)
         object.__setattr__(self, "k_c", k_c)
-        object.__setattr__(self, "c_coef", c_coef)
-        object.__setattr__(self, "c_exp", c_exp)
 
 
 @dataclass(frozen=True)
@@ -313,7 +308,7 @@ def pressure(gm: GasModel, tau):
 def sound_speed(gm: GasModel, tau):
     """Lagrangian sound speed c = sqrt(K gamma) * tau**(-(gamma+1)/2)."""
     _require_positive("tau", tau)
-    return gm.c_coef * tau ** gm.c_exp
+    return math.sqrt(gm.big_k * gm.gamma) * tau ** (-(gm.gamma + 1.0) / 2.0)
 
 
 def sound_speed_of_phi(gm: GasModel, phi):
@@ -458,6 +453,7 @@ def riccati_kernel(gm: GasModel, dl: DampingLaw):
 
 
 def riccati_coefficients(gm: GasModel, dl: DampingLaw, phi: float, t: float):
-    """(c0, c2) of riccati_kernel(gm, dl) at one scalar (phi, t); a
-    caller with many points builds the kernel once."""
+    """(c0, c2) of riccati_kernel(gm, dl) at one scalar (phi, t), for
+    one-off callers: it builds the kernel at every call.  Nothing in the
+    package calls it; the cross-check builds its kernel once per trace."""
     return riccati_kernel(gm, dl)(float(phi), float(t))

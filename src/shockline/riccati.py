@@ -132,10 +132,6 @@ def integrate(prob: RiccatiProblem, t_end: float, tol: float = 1e-9) -> RiccatiO
     cf = prob.coeffs(t)  # at t; a rejected step and a chart switch keep it
     span = t_end - prob.t0
     h = min(1e-2, span / 10.0)
-    # the step-size floor, 1e-14 * max(1, |t|), is capped at the first
-    # step, so a span shorter than the floor is taken, not refused; a
-    # first step that underflows to 0 keeps the floor and is refused
-    floor_cap = h or math.inf
     err_prev = 1.0
     safety, min_h_factor = 0.9, 1e-14
     while t < t_end:
@@ -143,13 +139,16 @@ def integrate(prob: RiccatiProblem, t_end: float, tol: float = 1e-9) -> RiccatiO
             chart, val = "v", 1.0 / val
         elif chart == "v" and val <= -1.0:
             chart, val = "y", 1.0 / val
-        h = min(h, t_end - t)
+        # no step is shorter than the floor 1e-14 * max(1, |t|), some 45
+        # ulps of t where |t| >= 1, but one that ends the span: a rest
+        # below the floor is one step of t_end - t
+        floor = min_h_factor * max(1.0, abs(t))
+        h = min(max(h, floor), t_end - t)
         val_new, err, cf_new = _dp_step(prob, chart, t, val, h, cf)
         # error-per-unit-step control: accumulated error over the whole
         # span stays at the order of tol
         scale = tol * (1.0 + max(abs(val), abs(val_new))) * (h / span)
-        # a scale of 0 (a span so short that span / 10 underflows to a
-        # step of 0) rejects the step, which the step-size floor refuses
+        # a scale that underflows to 0 rejects the step
         ratio = err / scale if scale > 0.0 else math.inf
         if ratio <= 1.0:
             if chart == "v" and val_new >= 0.0:
@@ -174,10 +173,10 @@ def integrate(prob: RiccatiProblem, t_end: float, tol: float = 1e-9) -> RiccatiO
             err_prev = max(ratio, 1e-10)
         else:
             h *= max(0.2, safety * ratio**-0.25)
-        if t < t_end and h < min(floor_cap, min_h_factor * max(1.0, abs(t))):
-            raise ToleranceError(
-                f"step size underflow at t={t:.6g} without a pole crossing"
-            )
+            if h < floor:
+                raise ToleranceError(
+                    f"step size underflow at t={t:.6g} without a pole crossing"
+                )
     return RiccatiOutcome(OutcomeKind.GLOBAL, y_end=val if chart == "y" else 1.0 / val)
 
 

@@ -495,28 +495,20 @@ def trace_characteristic(
         return ((1.0 - w) * _cubic(coeffs(which, i, k), s, nu)
                 + w * _cubic(coeffs(which, i, k + 1), s, nu))
 
-    # a non-finite start point reads a NaN tau
-    bad_tau = "interpolated tau became nonpositive or NaN on the path"
-
-    def speed(k: int, t: float, x: float) -> float:
-        """+-c at (t, x) in interval k: blend's two cubics, written out."""
-        w = (t - times[k]) / (times[k + 1] - times[k])
-        i, s = locate(wrap(x))
-        a0, b0, c0, d0 = coeffs(0, i, k)
-        a1, b1, c1, d1 = coeffs(0, i, k + 1)
-        ss = s * s
-        sss = ss * s
-        tau = ((1.0 - w) * (0.0 + d0 + c0 * s + b0 * ss + a0 * sss)
-               + w * (0.0 + d1 + c1 * s + b1 * ss + a1 * sss))
-        if not tau > 0.0:
-            raise TraceError(bad_tau)
-        return sign * core.sound_speed(gm, tau)
-
-    def sample(t: float, k: int, w: float, x: float):
+    def tau_at(k: int, w: float, x: float):
+        """(interval i, offset s, tau) at x, weight w in interval k."""
         i, s = locate(wrap(x))
         tau = blend(0, i, s, k, w)
-        if not tau > 0.0:
-            raise TraceError(bad_tau)
+        if not tau > 0.0:  # a non-finite start point reads a NaN tau
+            raise TraceError("interpolated tau became nonpositive or NaN on the path")
+        return i, s, tau
+
+    def speed(k: int, t: float, x: float) -> float:
+        w = (t - times[k]) / (times[k + 1] - times[k])
+        return sign * core.sound_speed(gm, tau_at(k, w, x)[2])
+
+    def sample(t: float, k: int, w: float, x: float):
+        i, s, tau = tau_at(k, w, x)
         taux, ux = blend(0, i, s, k, w, 1), blend(1, i, s, k, w, 1)
         phi = core.phi_of_tau(gm, tau)
         a_w, b_z = core.riemann_slopes(core.sound_speed(gm, tau), ux, taux)

@@ -253,18 +253,18 @@ def outcome(fn, *args):
     return struct.pack(f"<{len(vals)}d", *(float(v) for v in vals))
 
 
-def gas_model(g, k):
-    """GasModel(g, k), or the example dropped where its derived
+def gas_model(g):
+    """GasModel(g, 1.0), or the example dropped where its derived
     constants leave double range (gamma near 1)."""
     try:
-        return GasModel(g, k)
+        return GasModel(g, 1.0)
     except DomainError:
         assume(False)
 
 
-class TestScalarKernels:
-    """The float-only kernels hold the expressions they replace bit for
-    bit, and fail where those fail, with the same error."""
+class TestRiccatiKernel:
+    """The float-only Riccati kernel holds the expression it replaces
+    bit for bit, and fails where that fails, with the same error."""
 
     @given(
         g=st.floats(1.01, 20.0).filter(lambda g: g != 3.0),
@@ -280,7 +280,7 @@ class TestScalarKernels:
     @example(g=5.0, a=1.0, lam=1.0, phi=1e300, t=1e6)
     @settings(max_examples=500, deadline=None)
     def test_riccati_kernel_matches_unfactored(self, g, a, lam, phi, t):
-        gm, dl = gas_model(g, 1.0), DampingLaw(a, lam)
+        gm, dl = gas_model(g), DampingLaw(a, lam)
         kernel = riccati_kernel(gm, dl)
         old = outcome(unfactored_coefficients, gm, dl, phi, t)
         assert outcome(kernel, phi, t) == old
@@ -302,24 +302,6 @@ class TestScalarKernels:
             kernel(1.0, -1e-300)
         with pytest.raises(RangeError):
             kernel(math.nan, 1.0)
-
-    @given(
-        g=st.floats(1.01, 20.0).filter(lambda g: g != 3.0),
-        k=st.floats(1e-3, 1e3),
-        tau=st.floats(5e-324, 1e300),
-    )
-    @example(g=2.0, k=1.0, tau=1e-300)  # tau**(-1.5) leaves float range
-    @settings(max_examples=300, deadline=None)
-    def test_sound_speed_matches_unfactored(self, g, k, tau):
-        gm = gas_model(g, k)
-
-        def unfactored(tau):
-            return math.sqrt(gm.big_k * gm.gamma) * tau ** (-(gm.gamma + 1.0) / 2.0)
-
-        assert outcome(sound_speed, gm, tau) == outcome(unfactored, tau)
-        row = np.array([tau, 1.0, 2.0 * tau])
-        assert outcome(lambda r: tuple(sound_speed(gm, r)), row) \
-            == outcome(lambda r: tuple(unfactored(r)), row)
 
 
 @st.composite

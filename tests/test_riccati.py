@@ -87,19 +87,25 @@ class TestIntegrate:
             integrate(prob, -1.0)
 
     def test_span_below_one_step(self):
-        # span / 10 underflows to a step of 0: refused, not divided by
-        with pytest.raises(ToleranceError, match="step size underflow"):
-            integrate(const_problem(0.0, 1.0, 1.0), 5e-324)
+        # span / 10 underflows to a step of 0: the span is taken as one
+        # step of itself, never divided by a step of 0
+        out = integrate(const_problem(1.0, 1.0, 0.0), 5e-324)
+        assert out.kind is OutcomeKind.GLOBAL
+        assert out.y_end == 5e-324
 
     @pytest.mark.parametrize("t0, span", [
-        (0.0, 1e-15), (0.0, 1.5e-14), (0.0, 1e-300), (1.4, 2.220446049250313e-16)])
+        (0.0, 1e-300), (0.0, 1e-15), (0.0, 1.5e-14), (0.0, 5e-14),
+        (1.4, 2.220446049250313e-16), (1e6, 1e-9)])
     def test_span_below_the_step_floor(self, t0, span):
-        # the floor 1e-14 * max(1, |t|) exceeds the first step span / 10,
-        # and 1.4 + span is the next double after 1.4
-        prob = RiccatiProblem(lambda t: (-1.0, 1.0), y0=-0.5, t0=t0)
-        out = integrate(prob, t0 + span)
+        # spans below, or a few times, the floor 1e-14 * max(1, |t|), which
+        # exceeds the first step span / 10; 1.4 + span is the next double
+        # after 1.4.  y' = 1 - y**2 from 0 is tanh(t - t0), within rounding
+        # the span here, so a step that does not move t shows in y
+        t_end = t0 + span
+        prob = RiccatiProblem(lambda t: (1.0, 1.0), y0=0.0, t0=t0)
+        out = integrate(prob, t_end)
         assert out.kind is OutcomeKind.GLOBAL
-        assert out.y_end == pytest.approx(-0.5 - 1.25 * span, rel=0.0, abs=1e-15)
+        assert out.y_end == pytest.approx(t_end - t0, rel=1e-12)
 
     def test_global_matches_oracle(self):
         prob = const_problem(1.0, 1.0, 0.0)
