@@ -6,7 +6,7 @@ for 1 < gamma < 3 off the lambda gap, and the blow-up threshold
 constants N and N1 for gamma > 3.  Regime hypotheses are decided by
 core.classify_regime; every damping time factor is a power of
 exp(core.log_time_factor), so no formula here forks on the branch.
-Formulas that can leave double range run in core.in_double_range.
+Python-float formulas that can leave double range run in core.in_float_range.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class DensityFloor:
     t_min: float
 
 
-@core.in_double_range
+@core.in_float_range
 def _c0_tilde(gm: GasModel, c0: float) -> float:
     base = c0 + c0**gm.theta
     return max(base, base ** (1.0 / gm.theta))
@@ -97,7 +97,7 @@ def _floor_coef(gm: GasModel, ceilings: RiccatiCeilings) -> float:
     return (3.0 - g) / (4.0 * (g - 1.0)) * gm.k_c * (ceilings.y_cap + ceilings.q_cap)
 
 
-@core.in_double_range
+@core.in_float_range
 def density_floor_constant(
     gm: GasModel, dl: DampingLaw, ceilings: RiccatiCeilings
 ) -> float:
@@ -107,7 +107,7 @@ def density_floor_constant(
     return bracket ** (-4.0 / (3.0 - gm.gamma))
 
 
-@core.in_double_range
+@core.in_float_range
 def density_floor(gm: GasModel, dl: DampingLaw, floor: DensityFloor, t: float) -> float:
     """Time-dependent lower bound on density, valid for t > floor.t_min:
     K0 * t**(-4/(3-g)) * exp(4/(3-g) * log_time_factor(t)), with K0 =
@@ -140,7 +140,7 @@ def initial_phi_term_sup(field: FieldState) -> float:
     return float(np.max(field.phi() ** core.p_lo(field.gas)))
 
 
-@core.in_double_range
+@core.in_float_range
 def density_floor_onset(
     gm: GasModel,
     dl: DampingLaw,
@@ -227,7 +227,7 @@ def k3_constant(gm: GasModel, dl: DampingLaw) -> float:
     )
 
 
-@core.in_double_range
+@core.in_float_range
 def threshold_N(gm: GasModel, dl: DampingLaw, ib: InitialBound) -> float:
     """Blow-up threshold N for gamma > 3 and lambda outside the gap
     between 1 and alpha(g-1)/(g-3) (the T3_1 regime).
@@ -249,7 +249,7 @@ def threshold_N(gm: GasModel, dl: DampingLaw, ib: InitialBound) -> float:
     return math.sqrt(k3 * ib.c0_tilde ** ((g - 3.0) / 2.0) * lam * (g - 3.0))
 
 
-@core.in_double_range
+@core.in_float_range
 def threshold_N1(gm: GasModel, dl: DampingLaw, ib: InitialBound) -> float:
     """Blow-up threshold N1 for the critical branch (the T4_1 regime:
     lambda = 1, gamma > 3, alpha >= (g-3)/(g-1)): N1 = 1/(K1*K5) with

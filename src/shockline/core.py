@@ -9,11 +9,11 @@ threshold and density floor.
 
 All functions accept scalars or numpy arrays in the field slots, except
 the Riccati coefficients, which take Python floats, and are pure; every
-type here is an immutable value.  in_double_range is the package's
-guard for formulas that can leave double range, in_float_range its form
-for formulas on Python floats alone, and narrow_bracket its one
-bisection for a first crossing time (the Riccati pole bracket, the
-integral bounds and the density-floor onset).
+type here is an immutable value.  in_double_range sets numpy's
+floating-point traps at the package's entry points, in_float_range
+checks a formula on Python floats, which no trap sees, and
+narrow_bracket is the one bisection for a first crossing time (the
+Riccati pole bracket, the integral bounds and the density-floor onset).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import enum
 import functools
 import math
 import operator
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,49 +41,52 @@ def _any(op, x, bound) -> bool:
     return op(np.asarray(x), bound).any()
 
 
-def _finite(v) -> bool:
-    """Whether v, a float or an array, holds no NaN or inf: a finite sum
-    has no such term, and a sum that is not finite is checked term by
-    term, since finite terms can overflow it."""
-    if isinstance(v, float):  # scalars, np.float64 too, skip numpy
-        return math.isfinite(v)
-    return math.isfinite(np.add.reduce(v, axis=None)) or bool(np.isfinite(v).all())
+_RANGE_ERRORS = (FloatingPointError, OverflowError, ZeroDivisionError)
 
 
-def _range_checked(fn, finite):
-    """fn raising RangeError where a Python float power or division
-    raises or a result (one, or each member of a tuple) fails finite."""
+def _out_of_range(what: str, e: Exception) -> RangeError:
+    why = f": {e}" if isinstance(e, FloatingPointError) else ""
+    return RangeError(f"{what} leaves double-precision range ({type(e).__name__}{why})")
+
+
+def in_double_range(fn):
+    """fn under numpy's floating-point traps: what leaves double range
+    beneath fn (_RANGE_ERRORS) is one RangeError caused by it, never a
+    warning, naming the package's functions from fn down to where it
+    happened.  A trap sees operations, not values: NaN or inf inputs pass."""
+    fn_trapped = np.errstate(over="raise", divide="raise", invalid="raise")(fn)
+    modules = (__package__ + ".", fn.__module__)
+
+    @functools.wraps(fn)
+    def trapped(*args, **kwargs):
+        try:
+            return fn_trapped(*args, **kwargs)
+        except _RANGE_ERRORS as e:  # the path skips traps and per-state caches
+            path = " > ".join(
+                f.f_code.co_name for f, _ in traceback.walk_tb(e.__traceback__)
+                if f.f_globals.get("__name__", "").startswith(modules)
+                and f.f_code.co_name not in ("trapped", "cached"))
+            raise _out_of_range(path, e) from e
+
+    return trapped
+
+
+def in_float_range(fn):
+    """fn on Python floats, RangeError where it raises _RANGE_ERRORS or a
+    result (or tuple member) is not finite, as a float * or + can be."""
 
     @functools.wraps(fn)
     def checked(*args, **kwargs):
         try:
             val = fn(*args, **kwargs)
-        except (OverflowError, ZeroDivisionError) as e:
-            raise RangeError(f"{fn.__name__} leaves double-precision range "
-                             f"({type(e).__name__})") from e
+        except _RANGE_ERRORS as e:
+            raise _out_of_range(fn.__name__, e) from e
         for v in val if isinstance(val, tuple) else (val,):
-            if not finite(v):
+            if not math.isfinite(v):
                 raise RangeError(f"{fn.__name__} leaves double-precision range")
         return val
 
     return checked
-
-
-def in_double_range(fn):
-    """Make fn raise RangeError, never a warning, where a Python float
-    power or division raises or the result (a float, an array or a tuple
-    of them) is not finite; numpy warnings are off inside fn and the
-    check."""
-    return np.errstate(over="ignore", divide="ignore", invalid="ignore")(
-        _range_checked(fn, _finite))
-
-
-def in_float_range(fn):
-    """in_double_range for fn computing on Python floats alone, with a
-    float or a tuple of floats for result.  Float * and / overflow to
-    inf or raise ZeroDivisionError and ** raises OverflowError, none of
-    them with a numpy warning, so there is no errstate to enter."""
-    return _range_checked(fn, math.isfinite)
 
 
 def narrow_bracket(pred, lo, hi, atol, rtol=0.0):
@@ -399,7 +403,8 @@ def y_variable(gm: GasModel, dl: DampingLaw, phi, grad, t):
     """
     _require_positive("phi", phi)
     g, a, lam = gm.gamma, dl.alpha, dl.lam
-    shift = a * (g - 1.0) / (gm.k_c * (g - 3.0) * (1.0 + t) ** lam)
+    # a numpy scalar from the start, so the trap sees the shift overflow
+    shift = np.float64(a) * (g - 1.0) / (gm.k_c * (g - 3.0) * (1.0 + t) ** lam)
     tilde = phi ** p_hi(gm) * grad - shift * phi ** p_lo(gm)
     return tilde * checked_exp(log_time_factor(gm, dl, t))
 

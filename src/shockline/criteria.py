@@ -78,6 +78,7 @@ def _scan(field: FieldState, rhs, theorem: Theorem, threshold: float):
 _THRESHOLDS = {Theorem.T3_1: bounds.threshold_N, Theorem.T4_1: bounds.threshold_N1}
 
 
+@core.in_double_range
 def evaluate(field: FieldState, gm: GasModel, dl: DampingLaw) -> Verdict:
     """Check the criterion of the theorem the regime map assigns to
     (gm, dl) on initial data; regimes with no applicable theorem yield a
@@ -111,13 +112,12 @@ def evaluate(field: FieldState, gm: GasModel, dl: DampingLaw) -> Verdict:
     return _scan(field, rhs, theorem, threshold)
 
 
-@core.in_double_range
 def _threshold_curve(gm: GasModel, dl: DampingLaw, phi, time_factor: bool, threshold):
     """The curve of evaluate; the Kt2 term only with time_factor."""
-    g = gm.gamma
-    kt1 = dl.alpha * (g - 1.0) / (gm.k_c * (g - 3.0))
+    g = gm.gamma  # Kt1 and Kt2 start as numpy scalars: the trap sees them
+    kt1 = np.float64(dl.alpha) * (g - 1.0) / (gm.k_c * (g - 3.0))
     rhs = kt1 * phi ** (-2.0 / (g - 1.0))
     if time_factor:
-        kt2 = threshold * core.initial_decay(gm, dl)
+        kt2 = np.float64(threshold) * core.initial_decay(gm, dl)
         rhs = rhs - kt2 * phi ** (-(g + 1.0) / (2.0 * (g - 1.0)))
     return rhs

@@ -10,8 +10,8 @@ class DomainError(ShocklineError):
 
 
 class RangeError(ShocklineError):
-    """A quantity of the model leaves double-precision range (see
-    core.in_double_range)."""
+    """A quantity of the model leaves double-precision range: trapped in
+    numpy (core.in_double_range) or checked (core.in_float_range)."""
 
 
 class RegimeError(ShocklineError):

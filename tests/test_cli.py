@@ -91,6 +91,17 @@ SHIFT_OVERFLOWS = _range_cfg(0.0, 300.0, GENTLE_SINE, 20.0)
 # the bump's derivative divides by width**2 = 0
 NARROW_GAUSSIAN = _range_cfg(
     1.0, 0.0, {"preset": "gaussian", "tau0": 1.0, "u_amp": -0.5, "width": 1e-200}, 0.1)
+# p = tau**-5 overflows at tau = 1e-70 while c = sqrt(5) tau**-3 does not
+# (RangeError from the first step's fluxes)
+PRESSURE_OVERFLOWS = {
+    "gas": {"gamma": 5.0, "big_k": 1.0},
+    "damping": {"alpha": 1.0, "lambda": 1.0},
+    "grid": {"n": 32, "L": 5.0},
+    "profile": {"preset": "sine", "tau0": 1e-70, "u_amp": -0.2},
+    "run": {"t_end": 0.1},
+}
+PRESSURE_OVERFLOWS_SWEEP = dict(PRESSURE_OVERFLOWS, sweep={
+    "axes": [{"name": "alpha", "start": 1.0, "stop": 2.0, "count": 2}]})
 # c = tau**(-3/2) overflows at tau = 1e-300 (RangeError from the sound view)
 SOUND_OVERFLOWS = _range_cfg(
     1.0, 0.0, {"preset": "sine", "tau0": 1e-300, "u_amp": -0.3, "tau_amp": 0.0}, 0.1)
@@ -889,6 +900,13 @@ class TestBundledConfigContract:
     # too stiff: ends at STEP_BUDGET
     @example(case=("demo_t32.yaml", ((("gas", "gamma"), 64.5),
                                      (("gas", "big_k"), 1e300))))
+    # p = tau**-5 overflows where c = sqrt(5) tau**-3 does not
+    @example(case=("demo_t41.yaml", ((("profile", "tau0"), 1e-70),)))
+    # Python-float formulas whose overflow no trap sees, so they check
+    # their own results
+    @example(case=("sweep_gap.yaml", ((("gas", "gamma"), 1e300),)))
+    @example(case=("demo_t32.yaml", ((("gas", "gamma"), 1e300),
+                                     (("profile", "tau0"), 5e-324))))
     def test_edited_configs(self, tmp_path_factory, case):
         name, edits = case
         cfg = json.loads(json.dumps(BUNDLED[name]))
@@ -975,7 +993,7 @@ class TestStderrSubprocess:
     JSON line and that of a successful one is empty (pytest's warning
     capture hides numpy warnings in process)."""
 
-    def run_fresh(self, verb, config, out):
+    def run_fresh(self, verb, config, out, timeout=60):
         """The CLI's exit code and stderr in a fresh interpreter, after
         checking that stderr is one JSON line on failure, empty otherwise."""
         src = str(Path(shockline.__file__).resolve().parents[1])
@@ -987,7 +1005,7 @@ class TestStderrSubprocess:
         proc = subprocess.run(
             [sys.executable, "-m", "shockline.cli", verb,
              "--config", config, "--out", str(out), *jobs],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=env, timeout=timeout,
         )
         if proc.returncode == EXIT_OK:
             assert proc.stderr == ""
@@ -1009,12 +1027,15 @@ class TestStderrSubprocess:
         ("sweep", DECAY_OVERFLOWS_SWEEP, EXIT_OK, None),
         ("check", SOUND_OVERFLOWS, EXIT_RUNTIME, "RangeError"),
         ("simulate", SOUND_OVERFLOWS, EXIT_RUNTIME, "RangeError"),
+        ("simulate", PRESSURE_OVERFLOWS, EXIT_RUNTIME, "RangeError"),
+        ("sweep", PRESSURE_OVERFLOWS_SWEEP, EXIT_OK, None),
     ], ids=["cfg0-RangeError", "cfg1-ToleranceError", "threshold_overflows-check",
             "threshold_overflows-simulate", "decay_overflows-simulate",
             "time_factor_overflows-simulate", "shift_overflows-simulate",
             "narrow_gaussian-check", "narrow_gaussian-simulate",
             "decay_overflows-sweep", "sound_overflows-check",
-            "sound_overflows-simulate"])
+            "sound_overflows-simulate", "pressure_overflows-simulate",
+            "pressure_overflows-sweep"])
     def test_one_json_line(self, tmp_path, verb, cfg, code, error):
         out = tmp_path / "out"
         got, err = self.run_fresh(verb, write_cfg(tmp_path, cfg), out)
@@ -1023,10 +1044,27 @@ class TestStderrSubprocess:
         if cfg is SOUND_OVERFLOWS:  # no verdict with an infinite lhs is left
             assert "sound" in err["message"]
             assert not (out / "verdict.json").exists()
-        if verb == "sweep":  # the lambda = -300 cell fails alone
-            rows = (out / "sweep.csv").read_text().splitlines()[1:]
-            errors = [row.rsplit(",", 1)[1] for row in rows]
+        if cfg is PRESSURE_OVERFLOWS:
+            assert "pressure" in err["message"]
+        rows = (out / "sweep.csv").read_text().splitlines()[1:] if verb == "sweep" else []
+        errors = [row.rsplit(",", 1)[1] for row in rows]
+        if cfg is DECAY_OVERFLOWS_SWEEP:  # the lambda = -300 cell fails alone
             assert errors[0].startswith("RangeError: damping_decay") and errors[1] == ""
+        if cfg is PRESSURE_OVERFLOWS_SWEEP:
+            assert len(errors) == 2
+            assert all(e.startswith("RangeError") and "pressure" in e for e in errors)
+
+    @pytest.mark.parametrize("section,key", [("grid", "L"), ("run", "cfl")])
+    def test_step_budget_ends_an_endless_run(self, tmp_path, section, key):
+        # a first CFL step near 1e-303: t + dt rounds to t long before
+        # t_end, and the run once went on for ever (the config as
+        # shipped, since at BUNDLED's 64 cells the first step breaks down)
+        cfg = yaml.safe_load((CONFIG_DIR / "demo_t41.yaml").read_text())
+        cfg[section][key] = 1e-300
+        got, err = self.run_fresh("simulate", write_cfg(tmp_path, cfg), tmp_path / "out",
+                                  timeout=20)
+        assert (got, err["error"]) == (EXIT_CONFIG, "DomainError")
+        assert "STEP_BUDGET" in err["message"]
 
     @pytest.mark.parametrize("verb,text,code,error,words", [
         ("validate", "gas: " + "[" * 2000 + "]" * 2000 + "\n",

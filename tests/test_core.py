@@ -1,6 +1,7 @@
 """Pointwise algebra: derived constants, transforms, gradient
 variables, Riccati coefficients."""
 
+import functools
 import math
 import struct
 import sys
@@ -19,6 +20,8 @@ from shockline import (
     PointState,
     RangeError,
     classify_regime,
+    evaluate,
+    init_field,
     phi_of_tau,
     pressure,
     q_variable,
@@ -212,7 +215,26 @@ class TestRiccatiCoefficients:
         assert c2 > 0.0
 
 
-@in_double_range
+def after_the_fact(fn):
+    """The range check that the kernel's float-only form replaced, kept
+    here as it was: fn with numpy's warnings off, RangeError where a
+    Python float power or division raises or a result is not finite."""
+
+    @functools.wraps(fn)
+    def checked(*args):
+        try:
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                val = fn(*args)
+        except (OverflowError, ZeroDivisionError) as e:
+            raise RangeError(f"{fn.__name__} ({type(e).__name__})") from e
+        if not all(math.isfinite(v) for v in val):
+            raise RangeError(f"{fn.__name__} is not finite")
+        return val
+
+    return checked
+
+
+@after_the_fact
 def unfactored_coefficients(gm, dl, phi, t):
     """riccati_coefficients as one expression per coefficient, on numpy
     scalars for the time factor: the reference that the kernel's
@@ -436,16 +458,17 @@ class TestGuards:
 
     @pytest.mark.filterwarnings("error")
     def test_in_double_range(self):
-        # finite results pass as they are; a numpy overflow, in an array
-        # or in a tuple member, and a Python float power that raises are
-        # one RangeError each, with no warning
+        # finite results pass as they are; a numpy overflow beneath the
+        # trap, in the trapped function or in a package function it
+        # calls, and a Python float power that raises, are one
+        # RangeError each, caused by what trapped, with no warning
         @in_double_range
         def scale(x, by):
             return x * by
 
         @in_double_range
-        def pair(x, by):
-            return x, x * by
+        def scaled_pressure(tau, by):
+            return by * pressure(GasModel(5.0, 1.0), tau)
 
         @in_double_range
         def power(x, p):
@@ -454,19 +477,41 @@ class TestGuards:
         arr = np.array([1.0, 1e10])
         assert scale(arr, 1e200) == pytest.approx(arr * 1e200)
         assert power(10.0, 300.0) == 1e300
-        with pytest.raises(RangeError, match="scale"):
+        with pytest.raises(RangeError) as exc:
             scale(arr, 1e300)
-        with pytest.raises(RangeError, match="pair"):
-            pair(arr, 1e300)
-        with pytest.raises(RangeError, match="pair"):
-            pair(np.array([0.0]), math.inf)  # 0 * inf is nan
-        with pytest.raises(RangeError, match="OverflowError") as exc:
+        assert str(exc.value) == ("scale leaves double-precision range "
+                                  "(FloatingPointError: overflow encountered in multiply)")
+        assert isinstance(exc.value.__cause__, FloatingPointError)
+        with pytest.raises(RangeError, match=r"^scaled_pressure > pressure leaves .*"
+                                             r"overflow encountered in power\)$") as exc:
+            scaled_pressure(np.array([1.0, 1e-70]), 1.0)
+        assert isinstance(exc.value.__cause__, FloatingPointError)
+        with pytest.raises(RangeError, match="invalid value"):
+            scale(np.array([0.0]), math.inf)  # 0 * inf is nan
+        with pytest.raises(RangeError, match=r"^power leaves .*\(OverflowError\)$") as exc:
             power(10.0, 400.0)
         assert isinstance(exc.value.__cause__, OverflowError)
 
     @pytest.mark.filterwarnings("error")
+    def test_in_double_range_path_skips_wrappers(self, gm2, dl_const, grid128):
+        # the path runs from the trapped function down, past the
+        # per-state cache of a FieldState view
+        field = init_field({"preset": "sine", "tau0": 1.0, "u_amp": 1e308},
+                           grid128, gm2, dl_const)
+
+        @in_double_range
+        def steepest(f):
+            return np.abs(f.u_x()).max()
+
+        with pytest.raises(RangeError, match=r"^steepest > u_x > ddx4 leaves "):
+            steepest(field)
+        with pytest.raises(RangeError, match=r"^evaluate > _scan > slopes > u_x > ddx4 "):
+            evaluate(field, gm2, dl_const)
+
+    @pytest.mark.filterwarnings("error")
     def test_in_float_range(self):
-        # as in_double_range on Python floats, with no errstate entered
+        # a Python float formula checks its own result, since no trap
+        # sees a float * overflow to inf or a NaN argument
         @in_float_range
         def ratio(x, y):
             return x / y, x * y
@@ -479,19 +524,25 @@ class TestGuards:
             ratio(1e300, 1e300)
         with pytest.raises(RangeError, match="ratio leaves"):
             ratio(math.nan, 1.0)
+        # under a trap, a numpy scalar in the formula is its own error
+        trapped_ratio = in_double_range(ratio)
+        with pytest.raises(RangeError, match=r"^ratio leaves .*FloatingPointError: overflow"):
+            trapped_ratio(np.float64(1e300), 1e-300)
 
     @pytest.mark.filterwarnings("error")
     def test_in_double_range_overflowing_sum(self):
-        # finite entries whose sum overflows pass, with no warning; an
-        # inf among them does not
+        # finite entries whose sum overflows pass, with no warning, and
+        # so does an input that is already inf: a trap sees operations,
+        # not values (run's _extremes, the trace's _SnapshotSplines,
+        # read_snapshots and cli._require_finite refuse such inputs)
         @in_double_range
         def same(x):
             return x
 
         big = np.full(4, 1e308)
         assert same(big) is big
-        with pytest.raises(RangeError, match="same"):
-            same(np.append(big, math.inf))
+        given = np.append(big, math.inf)
+        assert same(given) is given
 
 
 class TestNarrowBracket:

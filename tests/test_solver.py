@@ -85,6 +85,17 @@ class TestStep:
             with pytest.raises(RangeError, match="damping decay"):
                 step(f, 1e-3)
 
+    @pytest.mark.filterwarnings("error")
+    def test_pressure_overflow_is_range_error(self, gm5, dl_const):
+        # p = tau**-5 overflows at tau = 1e-70 where c = sqrt(5) tau**-3
+        # does not: the trap names the path down to the pressure law
+        f = make_field(gm5, dl_const, {"preset": "sine", "tau0": 1e-70, "u_amp": -0.2})
+        with pytest.raises(RangeError, match=r"^step > _fluxes > pressure leaves double-"
+                                             r"precision range \(FloatingPointError: "
+                                             r"overflow encountered in power\)$") as exc:
+            step(f, 1e-213)
+        assert isinstance(exc.value.__cause__, FloatingPointError)
+
     def test_tiny_normal_decay_steps(self, gm2):
         # exp(-690) is about 1e-300: u_t / g1 stays in range, so the step
         # completes, quietly; only the corrector's dt * u_t / 2 is left of u
@@ -247,6 +258,31 @@ class TestRun:
             run(sine_field, -1.0)
         with pytest.raises(DomainError):
             run(sine_field, 1.0, cfl=0.9)
+
+    def test_step_budget(self, sine_field, monkeypatch):
+        # a first step that leaves t_end more than STEP_BUDGET such steps
+        # away ends the run; one step fewer runs to t_end
+        dt0 = solver.DEFAULT_CFL * sine_field.grid.dx / float(sine_field.sound().max())
+        monkeypatch.setattr(solver, "STEP_BUDGET", 10)
+        with pytest.raises(DomainError, match="STEP_BUDGET = 1e[+]01 steps"):
+            run(sine_field, 11.5 * dt0, monitors_requested=False)
+        assert run(sine_field, 10.5 * dt0, monitors_requested=False).outcome.t == 10.5 * dt0
+
+    def test_step_budget_refuses_a_step_that_rounds_away(self, gm5, dl_const):
+        # from t = 1, a step of 1e-17 leaves t as it is, and t_end only
+        # 1e-12 away is well within the budget's 1e7 steps
+        f = make_field(gm5, dl_const, {"preset": "sine", "tau0": 1.0, "u_amp": -0.01})
+        f = f.with_state(f.tau, f.u, 1.0)
+        cfl = 1e-17 * float(f.sound().max()) / f.grid.dx
+        with pytest.raises(DomainError, match="STEP_BUDGET"):
+            run(f, 1.0 + 1e-12, monitors_requested=False, cfl=cfl)
+
+    def test_step_budget_spares_a_first_step_breakdown(self, gm2, dl_const):
+        # initial data already past the breakdown gradient ends in
+        # breakdown at the first step, however small that step is
+        f = make_field(gm2, dl_const, {"preset": "sine", "tau0": 1.0, "u_amp": -100.0},
+                       n=32)
+        assert run(f, 1e300 * solver.STEP_BUDGET, cfl=1e-300).broke_down
 
 
 class TestCeilingRegime:
