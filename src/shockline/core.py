@@ -33,12 +33,21 @@ from .errors import DomainError, RangeError, RegimeError
 _LOG_CAP = 700.0
 
 
+# op -> the NaN-ignoring reduction to the entry that decides op(entry,
+# bound), and the value, false under op, that an empty or all-NaN x gives
+_DECIDER = {operator.le: (np.fmin, math.inf), operator.lt: (np.fmin, math.inf),
+            operator.gt: (np.fmax, -math.inf)}
+
+
 def _any(op, x, bound) -> bool:
     """Whether op(entry, bound) holds for any entry of x, a float or an
-    array (a NaN entry compares false, so it never does)."""
+    array (a NaN entry compares false, so it never does), for op le, lt
+    or gt and a finite bound.  On an array, one reduction in double finds
+    the least (le, lt) or greatest (gt) entry, and op decides that one."""
     if isinstance(x, float):  # scalars, np.float64 too, skip numpy
         return op(x, bound)
-    return op(np.asarray(x), bound).any()
+    reduce, initial = _DECIDER[op]
+    return op(reduce.reduce(x, axis=None, initial=initial, dtype=float), bound)
 
 
 _RANGE_ERRORS = (FloatingPointError, OverflowError, ZeroDivisionError)

@@ -5,8 +5,11 @@ and damping law so that every derived view (phi, c, Riemann invariants,
 gradients, y, q) is available without re-threading constants.  Gradients
 use fourth-order central differences so that monitor accuracy exceeds
 the second-order scheme accuracy.  Stencils read the neighbours of a
-node as slices of one copy of the field padded with two periodic ghost
-cells a side (`pad`; the padded_* forms take that copy).
+node as views (`taps`) of one copy of the field padded with two periodic
+ghost cells a side (`pad`), and write through numpy's out= into
+buffers, one operation at a time.  ddx2 and diff4 are written once each,
+as *_taps forms, which the one-off ddx2 and diff4 call on a fresh copy
+and solver's per-run workspace on its own taps and buffers.
 """
 
 from __future__ import annotations
@@ -58,35 +61,67 @@ class Grid:
 
 
 def pad(f: np.ndarray) -> np.ndarray:
-    """Copy of a periodic field with two wrapped ghost cells on each side;
-    the stencils read their neighbours f[i-2] .. f[i+2] as slices of it."""
+    """Copy of a periodic field with two wrapped ghost cells on each side."""
     return np.concatenate((f[-2:], f, f[:2]))
 
 
-def padded_ddx2(g: np.ndarray, dx: float) -> np.ndarray:
-    """ddx2 of the field whose padded copy is g."""
-    return (g[3:-1] - g[1:-3]) / (2.0 * dx)
+def taps(g: np.ndarray) -> tuple:
+    """The five neighbour views of a padded copy g: entry k reads
+    f[i - 2 + k] at node i."""
+    return g[:-4], g[1:-3], g[2:-2], g[3:-1], g[4:]
 
 
-def padded_diff4(g: np.ndarray) -> np.ndarray:
-    """diff4 of the field whose padded copy is g."""
-    return g[:-4] - 4.0 * g[1:-3] + 6.0 * g[2:-2] - 4.0 * g[3:-1] + g[4:]
+# Each stencil is evaluated term by term, left to right, one ufunc per
+# operation, written into out, which scratch helps fill (each a fresh
+# array when not given); the operands of a product are swapped, which is
+# exact, so every value is the one the expression in its docstring
+# gives.  The coefficients are 0-d arrays: numpy reads those as they
+# are, but converts a Python float operand at every call.
+_4, _6, _8 = np.array(4.0), np.array(6.0), np.array(8.0)
+for _c in (_4, _6, _8):
+    _c.flags.writeable = False
+del _c
+
+
+def ddx2_taps(ahead: np.ndarray, behind: np.ndarray, h, out=None) -> np.ndarray:
+    """(f[i+1] - f[i-1]) / h from the taps ahead = f[i+1] and behind =
+    f[i-1]: ddx2 at h = 2 dx.  IEEE division takes its sign from its
+    operands alone, so h = -2 dx gives -ddx2 bit for bit, signed zeros
+    included."""
+    out = np.subtract(ahead, behind, out=out)
+    return np.divide(out, h, out=out)
+
+
+def diff4_taps(t: tuple, out=None, scratch=None) -> np.ndarray:
+    """f[i-2] - 4 f[i-1] + 6 f[i] - 4 f[i+1] + f[i+2] from the taps t."""
+    out = np.multiply(t[1], _4, out=out)
+    np.subtract(t[0], out, out=out)
+    scratch = np.multiply(t[2], _6, out=scratch)
+    np.add(out, scratch, out=out)
+    np.subtract(out, np.multiply(t[3], _4, out=scratch), out=out)
+    return np.add(out, t[4], out=out)
 
 
 def ddx4(f: np.ndarray, dx: float) -> np.ndarray:
-    """Fourth-order central first derivative on a periodic grid."""
+    """Fourth-order central first derivative on a periodic grid:
+    (-f[i+2] + 8 f[i+1] - 8 f[i-1] + f[i-2]) / (12 dx)."""
     g = pad(f)
-    return (-g[4:] + 8.0 * g[3:-1] - 8.0 * g[1:-3] + g[:-4]) / (12.0 * dx)
+    out, scratch = np.negative(g[4:]), np.multiply(g[3:-1], _8)
+    np.add(out, scratch, out=out)
+    np.subtract(out, np.multiply(g[1:-3], _8, out=scratch), out=out)
+    np.add(out, g[:-4], out=out)
+    return np.divide(out, 12.0 * dx, out=out)
 
 
 def ddx2(f: np.ndarray, dx: float) -> np.ndarray:
     """Second-order central first derivative on a periodic grid."""
-    return padded_ddx2(pad(f), dx)
+    g = pad(f)
+    return ddx2_taps(g[3:-1], g[1:-3], 2.0 * dx)
 
 
 def diff4(f: np.ndarray) -> np.ndarray:
     """Undivided fourth difference (stabilization stencil)."""
-    return padded_diff4(pad(f))
+    return diff4_taps(taps(pad(f)))
 
 
 def _per_state(view):

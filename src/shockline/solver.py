@@ -7,9 +7,12 @@ strong-stability-preserving time stepping, with the linear damping term
 integrated exactly per step through its integrating factor.  A small
 fourth-difference stabilization (coefficient 0.02 in undivided form,
 i.e. 0.02*dx**3 per unit time on the continuum term) keeps the central
-scheme stable at CFL 0.4 without affecting the measured order.  Each
-stage pads tau, u and p once (fields.pad) and reads both stencils from
-those copies; run checks every accepted state for finiteness.
+scheme stable at CFL 0.4 without affecting the measured order.  A run
+steps on one Workspace: each stage loads tau and u, ghost cells
+included, into its padded buffer once and reads both stencils through
+views of it made with the workspace; every operation writes into the
+workspace, and each new state is copied out into an array of its own.
+run checks every accepted state for finiteness.
 
 Each audit of an a-priori bound (invariant region, y/q ceilings,
 density floor) is one Audit value in Monitors: a latch that run records
@@ -51,10 +54,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import bounds, core, riccati
+from . import bounds, core, fields, riccati
 from .core import Branch, DampingLaw, GasModel
 from .errors import DomainError, RangeError, TraceError, VacuumError
-from .fields import FieldState, Grid, pad, padded_ddx2, padded_diff4
+from .fields import FieldState, Grid
 
 DEFAULT_CFL = 0.4
 BREAKDOWN_CELL_GRADIENT = 0.5  # breakdown when max|u_x| * dx exceeds this
@@ -77,18 +80,83 @@ def damping_decay(dl: DampingLaw, t1: float, t2: float) -> float:
     return math.exp(-dl.alpha * integral)
 
 
-def _fluxes(gm: GasModel, tau: np.ndarray, u: np.ndarray, dx: float):
-    """Stabilized (tau_t, u_t) = (u_x, -p_x) of the undamped system."""
-    tau_g, u_g = pad(tau), pad(u)
-    p_g = core.pressure(gm, tau_g)
-    return (
-        padded_ddx2(u_g, dx) - STAB_COEF * padded_diff4(tau_g) / dx,
-        -padded_ddx2(p_g, dx) - STAB_COEF * padded_diff4(u_g) / dx,
-    )
+class _Stage:
+    """The buffers of one Heun stage: the padded tau and u rows, end to
+    end in one array, whose interiors hold the stage's state; their
+    stencil taps; and the stage's flux rows (tau_t, u_t).
+
+    The taps run along both rows at once, so one ufunc call applies a
+    stencil operation to both: entries 0..n-1 of its output are tau's and
+    entries n+4.. are u's.  The four between read windows that straddle
+    the rows; no result reads them."""
+
+    def __init__(self, padded: np.ndarray, flux: np.ndarray):
+        n = len(padded) // 2 - 4
+        rows = padded.reshape(2, n + 4)
+        self.padded_tau = rows[0]
+        self.state, self.tau, self.u = rows[:, 2:-2], rows[0, 2:-2], rows[1, 2:-2]
+        self.taps = fields.taps(padded)
+        self.u_ahead, self.u_behind = rows[1, 3:-1], rows[1, 1:-3]
+        self.flux = k = flux[:2 * n].reshape(2, n)
+        self.tau_t, self.u_t = k[0], k[1]
+        # each ghost block and the interior cells it wraps round to
+        self.ghosts = rows[:, :2], rows[:, -4:-2], rows[:, -2:], rows[:, 2:4]
+
+    def wrap(self):
+        """Fill the ghost cells from the interior."""
+        lo, lo_src, hi, hi_src = self.ghosts
+        np.copyto(lo, lo_src)
+        np.copyto(hi, hi_src)
+
+
+_STAB_COEF = np.array(STAB_COEF)  # 0-d: see fields on Python float operands
+_STAB_COEF.flags.writeable = False
+
+
+class Workspace:
+    """The buffers of every step of one run on one grid: both Heun stages,
+    the stabilization term of both rows with its scratch, and the grid's
+    constants.  step writes each intermediate into them, in the order and
+    with the operations of the expressions it stands for, and copies the
+    new state out, so no state shares a buffer.  run makes one per run; a
+    workspace shared between concurrent steps would corrupt them without
+    an error."""
+
+    def __init__(self, grid: Grid):
+        n, dx = grid.n, grid.dx
+        # one block, a row of 2(n + 4) doubles per buffer: a one-off step
+        # frees its workspace at once, and the C allocator gives freed
+        # separate blocks of this size back to the system, to fault them
+        # in again at the next call
+        rows = np.empty((6, 2 * (n + 4)))
+        self.stages = _Stage(rows[0], rows[2]), _Stage(rows[1], rows[3])
+        self.stab, self.scratch = rows[4, :2 * n + 4], rows[5, :2 * n + 4]
+        self.stab_tau, self.stab_u = self.stab[:n], self.stab[n + 4:]
+        self.seam = self.stab[n:n + 4]
+        self.dx, self.h, self.minus_h = np.array(dx), np.array(2.0 * dx), np.array(-(2.0 * dx))
+
+
+def _fluxes(gm: GasModel, stage: _Stage, ws: Workspace):
+    """Stabilized (tau_t, u_t) = (u_x, -p_x) of the undamped system at
+    the stage's state, into its flux rows: ddx2(u) - STAB_COEF *
+    diff4(tau) / dx and -ddx2(p) - STAB_COEF * diff4(u) / dx, with p
+    taken over the padded tau."""
+    p = core.pressure(gm, stage.padded_tau)
+    stab = fields.diff4_taps(stage.taps, ws.stab, ws.scratch)
+    # a seam entry mixes tau and u, so it can be far larger than a diff4
+    # of either row: cleared, it cannot overflow the scaling where the
+    # rows do not
+    ws.seam.fill(0.0)
+    np.divide(np.multiply(stab, _STAB_COEF, out=stab), ws.dx, out=stab)
+    tau_t, u_t = stage.tau_t, stage.u_t
+    np.subtract(fields.ddx2_taps(stage.u_ahead, stage.u_behind, ws.h, tau_t),
+                ws.stab_tau, out=tau_t)
+    np.subtract(fields.ddx2_taps(p[3:-1], p[1:-3], ws.minus_h, u_t), ws.stab_u, out=u_t)
 
 
 @core.in_double_range
-def step(field: FieldState, dt: float) -> FieldState:
+def step(field: FieldState, dt: float, *, workspace: Optional[Workspace] = None
+         ) -> FieldState:
     """Advance one time step of size dt (caller enforces the CFL limit).
 
     Heun stages on (tau, w) with w = u divided by the exact in-step
@@ -96,33 +164,47 @@ def step(field: FieldState, dt: float) -> FieldState:
     RangeError where u_t divided by that decay leaves double range (the
     decay can underflow to 0 or to a subnormal), naming the decay.
     The breakdown test on the new state is left to the caller (run).
+
+    The stages run in workspace, one made for field's grid (a fresh one
+    when omitted); the new state's tau and u are the rows of a new
+    (2, n) array.
     """
     if not (dt > 0.0):
         raise DomainError(f"dt must be positive, got {dt}")
-    gm, dl, dx = field.gas, field.damping, field.grid.dx
+    ws = Workspace(field.grid) if workspace is None else workspace
+    gm, dl = field.gas, field.damping
     t0, t1 = field.t, field.t + dt
     g1 = damping_decay(dl, t0, t1)
+    s1, s2 = ws.stages
 
-    k1_tau, k1_w = _fluxes(gm, field.tau, field.u, dx)
-    tau_p = field.tau + dt * k1_tau
-    if tau_p.min() <= 0.0:
+    np.copyto(s1.tau, field.tau)
+    np.copyto(s1.u, field.u)
+    s1.wrap()
+    _fluxes(gm, s1, ws)
+    # the predictor: tau + dt * tau_t, checked before g1 * (u + dt * w_t)
+    np.add(s1.tau, np.multiply(s1.tau_t, dt, out=s2.tau), out=s2.tau)
+    if s2.tau.min() <= 0.0:
         raise VacuumError(f"tau reached zero in the predictor stage at t={t1:.6g}")
-    u_p = g1 * (field.u + dt * k1_w)
+    np.add(s1.u, np.multiply(s1.u_t, dt, out=s2.u), out=s2.u)
+    np.multiply(s2.u, g1, out=s2.u)
+    s2.wrap()
 
-    k2_tau, k2_u = _fluxes(gm, tau_p, u_p, dx)
-    try:  # k2_u is finite under the trap, so only the decay can fail here
-        k2_w = k2_u / g1
+    _fluxes(gm, s2, ws)
+    try:  # u_t is finite under the trap, so only the decay can fail here
+        np.divide(s2.u_t, g1, out=s2.u_t)
     except FloatingPointError as e:
         raise RangeError(
             f"u_t / damping decay ({g1:.3g} over [{t0:.6g}, {t1:.6g}]) is not finite"
         ) from e
-    tau_n = field.tau + 0.5 * dt * (k1_tau + k2_tau)
-    u_n = g1 * (field.u + 0.5 * dt * (k1_w + k2_w))
+    # the corrector: (tau, u) + 0.5 * dt * (k1 + k2), u's row times g1
+    new = np.add(s1.flux, s2.flux)
+    np.add(s1.state, np.multiply(new, 0.5 * dt, out=new), out=new)
+    np.multiply(new[1], g1, out=new[1])
 
     # the only validation of the new state: with_state skips __post_init__
-    if tau_n.min() <= 0.0:
+    if new[0].min() <= 0.0:
         raise VacuumError(f"tau reached zero at t={t1:.6g}")
-    return field.with_state(tau=tau_n, u=u_n, t=t1)
+    return field.with_state(tau=new[0], u=new[1], t=t1)
 
 
 # ---------------------------------------------------------------------
@@ -344,13 +426,14 @@ def run(
     # tau_x, slopes, y, q) are computed once and shared by the finiteness
     # and breakdown tests, the monitors and the next CFL dt
     n_step = 0
+    workspace = Workspace(field.grid)
     while field.t < t_end:
         c_max = float(field.sound().max())
         if not c_max > 0.0:
             raise RangeError(f"the sound speed rounds to 0 at t={field.t:.6g}")
         dt = cfl * field.grid.dx / c_max
         dt = min(dt, t_end - field.t)
-        new = step(field, dt)
+        new = step(field, dt, workspace=workspace)
         max_ux, tau_max = _extremes(new)
         if max_ux * new.grid.dx > BREAKDOWN_CELL_GRADIENT:
             # the last resolved state closes out the snapshot records

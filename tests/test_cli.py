@@ -342,9 +342,9 @@ class TestSimulate:
         # after some records were written exits 3 and leaves no file
         real_step, calls = solver.step, []
 
-        def poisoned(field, dt):
+        def poisoned(field, dt, **kwargs):
             calls.append(dt)
-            new = real_step(field, dt)
+            new = real_step(field, dt, **kwargs)
             return new.with_state(new.tau, new.u * np.nan, new.t) if len(calls) > 2 else new
 
         monkeypatch.setattr(solver, "step", poisoned)
@@ -522,8 +522,8 @@ class TestSweep:
         # an error row in a sweep, exit 3 with one-line JSON in simulate
         real_step = solver.step
 
-        def poisoned(field, dt):
-            new = real_step(field, dt)
+        def poisoned(field, dt, **kwargs):
+            new = real_step(field, dt, **kwargs)
             return new.with_state(new.tau, new.u * np.nan, new.t)
 
         monkeypatch.setattr(solver, "step", poisoned)
@@ -923,11 +923,11 @@ class TestBundledConfigContract:
         last = ["sweep", "--jobs", "1"] if "sweep" in cfg else ["simulate"]
         steps, real_step = [], solver.step
 
-        def budgeted(field, dt):
+        def budgeted(field, dt, **kwargs):
             steps.append(dt)
             if len(steps) > STEP_BUDGET:
                 raise _TooStiff
-            return real_step(field, dt)
+            return real_step(field, dt, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "step", budgeted)

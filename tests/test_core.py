@@ -3,6 +3,7 @@ variables, Riccati coefficients."""
 
 import functools
 import math
+import operator
 import struct
 import sys
 import warnings
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from shockline import core
 from shockline import (
     Branch,
     DampingLaw,
@@ -421,6 +423,27 @@ class TestGuards:
         _require_positive("x", shape(5e-324))
         with pytest.raises(DomainError):
             _require_positive("x", shape(-0.0))
+
+    # _any reduces an array to its least or greatest entry; the test
+    # below holds it to the elementwise form it replaced
+    any_cases = [
+        [math.nan], [math.nan, math.nan], [math.nan, -1.0], [1.0, math.nan, 0.0],
+        [], [0.0], [-0.0], [-0.0, 5.0], [math.inf], [-math.inf], [5e-324],
+        [[1.0, 2.0], [0.0, math.nan]], [[800.0, 1.0]], np.empty((0, 3)),
+        np.array([3, 0, 7]), np.array([-2, 900]), np.array([], dtype=int),
+        np.array([True, False]), np.array(-1.0), np.array(701),
+        [700.0, -700.0], [-800.0], [1e308, -1e308],
+    ]
+
+    @pytest.mark.parametrize("x", any_cases, ids=repr)
+    @pytest.mark.parametrize("op,bound", [
+        (operator.le, 0.0), (operator.lt, 0.0), (operator.gt, 0.0),
+        (operator.gt, 700.0), (operator.le, -1.0),
+    ], ids=["le0", "lt0", "gt0", "gt700", "le-1"])
+    def test_any_matches_elementwise(self, op, bound, x):
+        assert core._any(op, x, bound) == op(np.asarray(x), bound).any()
+        if np.ndim(x) == 0:  # the float fast path
+            assert core._any(op, float(x), bound) == op(float(x), bound)
 
     @pytest.mark.parametrize("shape", shapes)
     def test_phi_rounding_to_0_is_range_error(self, gm5, shape):

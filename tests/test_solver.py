@@ -239,8 +239,8 @@ class TestRun:
     def test_nonfinite_state_mid_run(self, sine_field, monkeypatch, name):
         real_step = solver.step
 
-        def poisoned(field, dt):
-            new = real_step(field, dt)
+        def poisoned(field, dt, **kwargs):
+            new = real_step(field, dt, **kwargs)
             if new.t < 0.1:
                 return new
             arr = {"u": new.u.copy(), "tau": new.tau.copy()}
@@ -283,6 +283,141 @@ class TestRun:
         f = make_field(gm2, dl_const, {"preset": "sine", "tau0": 1.0, "u_amp": -100.0},
                        n=32)
         assert run(f, 1e300 * solver.STEP_BUDGET, cfl=1e-300).broke_down
+
+
+def reference_fluxes(gm, tau, u, dx):
+    """The stabilized fluxes as plain expressions on padded copies: the
+    oracle of the bits that step computes in its workspace."""
+    tau_g, u_g = fields.pad(tau), fields.pad(u)
+    p_g = core.pressure(gm, tau_g)
+
+    def ddx2(g):
+        return (g[3:-1] - g[1:-3]) / (2.0 * dx)
+
+    def diff4(g):
+        return g[:-4] - 4.0 * g[1:-3] + 6.0 * g[2:-2] - 4.0 * g[3:-1] + g[4:]
+
+    return (ddx2(u_g) - solver.STAB_COEF * diff4(tau_g) / dx,
+            -ddx2(p_g) - solver.STAB_COEF * diff4(u_g) / dx)
+
+
+@core.in_double_range
+def reference_step(field, dt):
+    """One Heun step in expression form (the oracle of solver.step)."""
+    gm, dl, dx = field.gas, field.damping, field.grid.dx
+    t1 = field.t + dt
+    g1 = damping_decay(dl, field.t, t1)
+    k1_tau, k1_w = reference_fluxes(gm, field.tau, field.u, dx)
+    tau_p = field.tau + dt * k1_tau
+    u_p = g1 * (field.u + dt * k1_w)
+    k2_tau, k2_u = reference_fluxes(gm, tau_p, u_p, dx)
+    k2_w = k2_u / g1
+    tau_n = field.tau + 0.5 * dt * (k1_tau + k2_tau)
+    u_n = g1 * (field.u + 0.5 * dt * (k1_w + k2_w))
+    return tau_n, u_n
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # signed zeros too
+
+
+class TestWorkspaceStep:
+    """step on a per-run workspace against the expression form, and the
+    arrays that the states it returns own."""
+
+    @pytest.mark.parametrize("gamma,alpha,lam,spec,n,length,t_end,broke", [
+        # gentle_audit physics, every audit active
+        (2.0, 1.0, 0.0, {"preset": "sine", "tau0": 1.0, "u_amp": -0.3,
+                         "tau_amp": 0.1}, 128, 10.0, 3.0, False),
+        # the T4_1 cell of sweep_alpha_lambda, run on to breakdown
+        (5.0, 1.0909090909090908, 1.0, {"preset": "gaussian", "tau0": 1.0,
+                                        "u_amp": -1.5, "width": 0.3},
+         128, 5.0, 1.5, True),
+        # demo_t32, which ends in breakdown
+        (2.0, 1.0, 0.0, {"preset": "gaussian", "tau0": 1.0, "u_amp": -6.0,
+                         "width": 0.5}, 256, 10.0, 2.0, True),
+    ], ids=["gentle_audit", "T4_1_cell", "demo_t32"])
+    def test_run_matches_expression_form(self, monkeypatch, gamma, alpha, lam, spec,
+                                         n, length, t_end, broke):
+        steps, real_step = [], solver.step
+
+        def recorded(field, dt, **kwargs):
+            new = real_step(field, dt, **kwargs)
+            steps.append((field, dt, new))
+            return new
+
+        monkeypatch.setattr(solver, "step", recorded)
+        f = make_field(GasModel(gamma, 1.0), DampingLaw(alpha, lam), spec,
+                       n=n, length=length)
+        assert run(f, t_end).broke_down is broke
+        assert len(steps) > 20
+        for field, dt, new in steps:
+            tau, u = reference_step(field, dt)
+            assert_same_bits(new.tau, tau)
+            assert_same_bits(new.u, u)
+
+    def test_large_grid_matches_expression_form(self, gm2, dl_const):
+        # long_run physics: 20 steps at n = 4096 on one workspace
+        f = make_field(gm2, dl_const, {"preset": "sine", "tau0": 1.0, "u_amp": -0.3,
+                                       "tau_amp": 0.1}, n=4096)
+        ws = solver.Workspace(f.grid)
+        dt = solver.DEFAULT_CFL * f.grid.dx / float(f.sound().max())
+        for _ in range(20):
+            new = step(f, dt, workspace=ws)
+            tau, u = reference_step(f, dt)
+            assert_same_bits(new.tau, tau)
+            assert_same_bits(new.u, u)
+            f = new
+
+    def test_state_owns_its_arrays(self, sine_field):
+        ws = solver.Workspace(sine_field.grid)
+        block = ws.stab.base  # the one allocation every buffer is a view of
+        assert all(np.shares_memory(b, block) for s in ws.stages
+                   for b in (s.state, s.flux, *s.taps))
+        new = step(sine_field, 1e-3, workspace=ws)
+        assert new.tau.base is new.u.base and new.tau.base.shape == (2, 128)
+        assert not np.shares_memory(new.tau.base, block)
+        tau, u = new.tau.copy(), new.u.copy()
+        step(new, 1e-3, workspace=ws)
+        step(sine_field, 2e-3, workspace=ws)
+        assert_same_bits(new.tau, tau)
+        assert_same_bits(new.u, u)
+
+    def test_strided_input(self, sine_field):
+        wide = np.repeat(np.stack([sine_field.tau, sine_field.u]), 2, axis=1)
+        strided = dataclasses.replace(sine_field, tau=wide[0, ::2], u=wide[1, ::2])
+        assert not strided.tau.flags.contiguous
+        want, got = step(sine_field, 1e-3), step(strided, 1e-3)
+        assert_same_bits(got.tau, want.tau)
+        assert_same_bits(got.u, want.u)
+
+    @pytest.mark.filterwarnings("error")
+    def test_uniform_flow_near_double_range(self, gm2, dl_const):
+        # u = 1e306 everywhere on a fine grid: no stencil of either row
+        # sees more than a round-off, but a window that straddles the two
+        # rows does, and its scaling by 0.02 / dx would overflow
+        f = init_field({"preset": "constant", "tau": 1.0, "u": 1e306},
+                       Grid(n=16, length=1.6e-3), gm2, dl_const)
+        new = step(f, 1e-6)
+        tau, u = reference_step(f, 1e-6)
+        assert_same_bits(new.tau, tau)
+        assert_same_bits(new.u, u)
+
+    def test_runs_leave_earlier_outcomes_alone(self, gm2, dl_const, sine_field):
+        res1 = run(sine_field, 0.5)
+        kept = res1.outcome.tau.copy(), res1.outcome.u.copy()
+        run(sine_field, 0.5)
+        assert_same_bits(res1.outcome.tau, kept[0])
+        assert_same_bits(res1.outcome.u, kept[1])
+        f = make_field(gm2, dl_const, {"preset": "gaussian", "tau0": 1.0,
+                                       "u_amp": -6.0, "width": 0.5}, n=256)
+        res1 = run(f, 2.0)
+        last = res1.outcome.last_field
+        kept = last.tau.copy(), last.u.copy()
+        assert run(f, 2.0).broke_down
+        assert_same_bits(last.tau, kept[0])
+        assert_same_bits(last.u, kept[1])
 
 
 class TestCeilingRegime:
@@ -432,6 +567,67 @@ class TestTrace:
         scale = np.max(np.abs(tr.y_or_q))
         assert np.array_equal(rep.deviations, diff / scale)
         assert rep.deviation == np.max(diff) / scale
+
+
+# (gamma, alpha, lambda, profile, L, t_end), each traced forward from
+# x = 2.5 at n = 128, 256 and 512
+CONVERGENCE_SETUPS = {
+    "criterion_9": (2.0, 1.0, 0.0, {"preset": "sine", "tau0": 1.0, "u_amp": -0.2},
+                    10.0, 0.8),
+    "gentle_audit": (2.0, 1.0, 0.0, {"preset": "sine", "tau0": 1.0, "u_amp": -0.3,
+                                     "tau_amp": 0.1}, 10.0, 3.0),
+    "T4_1": (5.0, 1.0909090909090908, 1.0, {"preset": "sine", "tau0": 1.0,
+                                            "u_amp": -0.2}, 10.0, 0.8),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CONVERGENCE_SETUPS))
+def refined_traces(request):
+    """(gas, damping, the traces at n = 128, 256, 512) of one set-up."""
+    gamma, alpha, lam, spec, length, t_end = CONVERGENCE_SETUPS[request.param]
+    gm, dl = GasModel(gamma, 1.0), DampingLaw(alpha, lam)
+    traces = []
+    for n in (128, 256, 512):
+        res = run(make_field(gm, dl, spec, n=n, length=length), t_end,
+                  monitors_requested=False)
+        assert not res.broke_down
+        traces.append(trace_characteristic(res, 2.5, Direction.FORWARD))
+    return gm, dl, traces
+
+
+def observed_orders(gm, dl, traces):
+    """log2 of the Riccati cross-check's deviation ratio over each grid
+    doubling."""
+    devs = [cross_validate_riccati(tr, gm, dl, 0.01).deviation for tr in traces]
+    return [math.log2(a / b) for a, b in zip(devs, devs[1:])]
+
+
+class TestRiccatiConvergence:
+    """The Riccati cross-check as a test that can fail: with the right
+    coefficients its deviation falls at second order as the grid is
+    refined; a kernel off by 0.1% plateaus, though the frozen tolerance
+    of criterion 9 (0.01) passes it."""
+
+    def test_deviation_converges(self, refined_traces):
+        assert min(observed_orders(*refined_traces)) >= 1.5
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["c0", "c2"])
+    @pytest.mark.parametrize("scale", [1.001, 0.999])
+    def test_perturbed_kernel_stalls(self, refined_traces, monkeypatch, which, scale):
+        built = core.riccati_kernel
+
+        def perturbed(gm, dl):
+            kernel = built(gm, dl)
+
+            def coefficients(phi, t):
+                cs = list(kernel(phi, t))
+                cs[which] *= scale
+                return tuple(cs)
+
+            return coefficients
+
+        monkeypatch.setattr(core, "riccati_kernel", perturbed)
+        assert max(observed_orders(*refined_traces)) < 0.5
 
 
 def frame_trace(run_output, x_start, direction):
@@ -779,11 +975,11 @@ class TestSnapshotIO:
         path.write_bytes(b"earlier")
         real_step, calls = solver.step, []
 
-        def failing(field, dt):
+        def failing(field, dt, **kwargs):
             calls.append(dt)
             if len(calls) == 4:
                 raise VacuumError("tau reached zero")
-            return real_step(field, dt)
+            return real_step(field, dt, **kwargs)
 
         monkeypatch.setattr(solver, "step", failing)
         with pytest.raises(VacuumError):
