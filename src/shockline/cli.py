@@ -55,6 +55,13 @@ def _need(cfg: dict, key: str, section: str):
     return cfg[key]
 
 
+def _mapping(value, where: str) -> dict:
+    """A copy of the config section value, which must be a mapping."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a mapping, got {value!r}")
+    return dict(value)
+
+
 # libyaml's loader where PyYAML was built with it, else PyYAML's own
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # libyaml composes nested nodes by C recursion, which crashes the
@@ -129,17 +136,17 @@ def build_scenario(cfg: dict) -> dict:
     """
     _require_finite(cfg, "config")
     try:
-        gas_cfg = _need(cfg, "gas", "scenario")
+        gas_cfg = _mapping(_need(cfg, "gas", "scenario"), "gas")
         gm = GasModel(
             gamma=float(_need(gas_cfg, "gamma", "gas")),
             big_k=float(_need(gas_cfg, "big_k", "gas")),
         )
-        damp_cfg = _need(cfg, "damping", "scenario")
+        damp_cfg = _mapping(_need(cfg, "damping", "scenario"), "damping")
         dl = DampingLaw(
             alpha=float(_need(damp_cfg, "alpha", "damping")),
             lam=float(_need(damp_cfg, "lambda", "damping")),
         )
-        grid_cfg = _need(cfg, "grid", "scenario")
+        grid_cfg = _mapping(_need(cfg, "grid", "scenario"), "grid")
         if "x0" in grid_cfg:  # the domain starts at 0; x0 only relabelled it
             raise ConfigError(
                 "grid.x0 is no longer supported: the domain is [0, L); "
@@ -148,7 +155,7 @@ def build_scenario(cfg: dict) -> dict:
             n=_integer(_need(grid_cfg, "n", "grid"), "grid.n"),
             length=float(_need(grid_cfg, "L", "grid")),
         )
-        profile = dict(_need(cfg, "profile", "scenario"))
+        profile = _mapping(_need(cfg, "profile", "scenario"), "profile")
         if profile.get("preset") not in PRESETS:
             raise ConfigError(
                 f"profile preset must be one of {PRESETS}, "
@@ -157,7 +164,7 @@ def build_scenario(cfg: dict) -> dict:
         if "periods" in profile:
             profile["periods"] = _integer(profile["periods"], "profile.periods")
         field = init_field(profile, grid, gm, dl)
-        run_cfg = dict(cfg.get("run", {}))
+        run_cfg = _mapping(cfg.get("run", {}), "run")
         t_end = float(run_cfg.get("t_end", 0.0))
         cfl = float(run_cfg.get("cfl", solver.DEFAULT_CFL))
         if t_end < 0.0:
@@ -166,16 +173,14 @@ def build_scenario(cfg: dict) -> dict:
             raise ConfigError(
                 f"run.cfl must lie in (0, {solver.DEFAULT_CFL}], got {cfl}"
             )
-        tolerances = dict(run_cfg.get("tolerances", {}))
+        tolerances = _mapping(run_cfg.get("tolerances", {}), "run.tolerances")
         trace_tol = float(tolerances.get("trace", 0.01))
         if not (0.0 < trace_tol < 1.0):
             raise ConfigError(f"run.tolerances.trace must be in (0,1), got {trace_tol}")
-        outputs = dict(cfg.get("outputs", {}))
+        outputs = _mapping(cfg.get("outputs", {}), "outputs")
         trace_req = outputs.get("trace")
         if trace_req is not None:
-            if not isinstance(trace_req, dict):
-                raise ConfigError(
-                    f"outputs.trace must be a mapping, got {trace_req!r}")
+            trace_req = _mapping(trace_req, "outputs.trace")
             direction = str(trace_req.get("direction", "forward")).lower()
             if direction not in ("forward", "backward"):
                 raise ConfigError(
@@ -476,8 +481,7 @@ def cmd_sweep(args) -> int:
     try:
         for i, ax in enumerate(axes_cfg):
             where = f"sweep.axes[{i}]"
-            if not isinstance(ax, dict):
-                raise ConfigError(f"{where} must be a mapping, got {ax!r}")
+            ax = _mapping(ax, where)
             name = ax.get("name")
             if name not in _AXIS_NAMES:
                 raise ConfigError(

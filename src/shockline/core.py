@@ -50,7 +50,7 @@ def _any(op, x, bound) -> bool:
     return op(reduce.reduce(x, axis=None, initial=initial, dtype=float), bound)
 
 
-_RANGE_ERRORS = (FloatingPointError, OverflowError, ZeroDivisionError)
+RANGE_ERRORS = (FloatingPointError, OverflowError, ZeroDivisionError)
 
 
 def _out_of_range(what: str, e: Exception) -> RangeError:
@@ -60,7 +60,7 @@ def _out_of_range(what: str, e: Exception) -> RangeError:
 
 def in_double_range(fn):
     """fn under numpy's floating-point traps: what leaves double range
-    beneath fn (_RANGE_ERRORS) is one RangeError caused by it, never a
+    beneath fn (RANGE_ERRORS) is one RangeError caused by it, never a
     warning, naming the package's functions from fn down to where it
     happened.  A trap sees operations, not values: NaN or inf inputs pass."""
     fn_trapped = np.errstate(over="raise", divide="raise", invalid="raise")(fn)
@@ -70,7 +70,7 @@ def in_double_range(fn):
     def trapped(*args, **kwargs):
         try:
             return fn_trapped(*args, **kwargs)
-        except _RANGE_ERRORS as e:  # the path skips traps and per-state caches
+        except RANGE_ERRORS as e:  # the path skips traps and per-state caches
             path = " > ".join(
                 f.f_code.co_name for f, _ in traceback.walk_tb(e.__traceback__)
                 if f.f_globals.get("__name__", "").startswith(modules)
@@ -81,14 +81,14 @@ def in_double_range(fn):
 
 
 def in_float_range(fn):
-    """fn on Python floats, RangeError where it raises _RANGE_ERRORS or a
+    """fn on Python floats, RangeError where it raises RANGE_ERRORS or a
     result (or tuple member) is not finite, as a float * or + can be."""
 
     @functools.wraps(fn)
     def checked(*args, **kwargs):
         try:
             val = fn(*args, **kwargs)
-        except _RANGE_ERRORS as e:
+        except RANGE_ERRORS as e:
             raise _out_of_range(fn.__name__, e) from e
         for v in val if isinstance(val, tuple) else (val,):
             if not math.isfinite(v):
@@ -409,13 +409,36 @@ def y_variable(gm: GasModel, dl: DampingLaw, phi, grad, t):
     y = (phi**((g+1)/(2(g-1))) * A
          - alpha(g-1)/(K_c (g-3) (1+t)**lam) * phi**((g-3)/(2(g-1))))
         * exp(log_time_factor).
+
+    t is one time, or a list of the K row times of a (K, n) block of
+    phi, whose grad is then (K, n) or (2, K, n).  Each row's shift and
+    time factor are formed as for its time alone, on Python floats and
+    numpy scalars, and broadcast as a (K, 1) column: an elementwise op
+    gives the same bits on a block as on its rows one at a time, but
+    numpy's power kernel on a column of times need not give those of
+    the scalar power.
     """
     _require_positive("phi", phi)
-    g, a, lam = gm.gamma, dl.alpha, dl.lam
-    # a numpy scalar from the start, so the trap sees the shift overflow
-    shift = np.float64(a) * (g - 1.0) / (gm.k_c * (g - 3.0) * (1.0 + t) ** lam)
-    tilde = phi ** p_hi(gm) * grad - shift * phi ** p_lo(gm)
-    return tilde * checked_exp(log_time_factor(gm, dl, t))
+    tilde = phi ** p_hi(gm) * grad - _per_time(_shift, gm, dl, t) * phi ** p_lo(gm)
+    return tilde * _per_time(_time_factor, gm, dl, t)
+
+
+def _per_time(fn, gm: GasModel, dl: DampingLaw, t):
+    """fn at time t, or the (K, 1) column of fn at each time of a list t."""
+    if isinstance(t, list):
+        return np.array([fn(gm, dl, s) for s in t])[:, None]
+    return fn(gm, dl, t)
+
+
+def _shift(gm: GasModel, dl: DampingLaw, t):
+    """alpha(g-1)/(K_c (g-3) (1+t)**lam), y's shift: a numpy scalar from
+    the start, so the trap sees it overflow."""
+    g = gm.gamma
+    return np.float64(dl.alpha) * (g - 1.0) / (gm.k_c * (g - 3.0) * (1.0 + t) ** dl.lam)
+
+
+def _time_factor(gm: GasModel, dl: DampingLaw, t):
+    return checked_exp(log_time_factor(gm, dl, t))
 
 
 # q has the same body as y, with B = z_x in the gradient slot

@@ -6,7 +6,8 @@ gradients, y, q) is available without re-threading constants.  Gradients
 use fourth-order central differences so that monitor accuracy exceeds
 the second-order scheme accuracy.  Stencils read the neighbours of a
 node as views (`taps`) of one copy of the field padded with two periodic
-ghost cells a side (`pad`), and write through numpy's out= into
+ghost cells a side (`pad`), both along the last axis, so that one call
+takes every row of a (K, n) block, and write through numpy's out= into
 buffers, one operation at a time.  ddx2 and diff4 are written once each,
 as *_taps forms, which the one-off ddx2 and diff4 call on a fresh copy
 and solver's per-run workspace on its own taps and buffers.
@@ -60,15 +61,23 @@ class Grid:
         return 0.0 if w == self.length else w
 
 
+# Indices along the last axis, built once: numpy reads a prebuilt index
+# tuple as fast as a plain slice, but g[..., a:b] builds one per call.
+# _TAP[k] selects f[i - 2 + k] at node i from a padded copy.
+_HEAD, _TAIL = (..., slice(None, 2)), (..., slice(-2, None))
+_TAP = tuple((..., slice(k, k - 4 or None)) for k in range(5))
+
+
 def pad(f: np.ndarray) -> np.ndarray:
-    """Copy of a periodic field with two wrapped ghost cells on each side."""
-    return np.concatenate((f[-2:], f, f[:2]))
+    """Copy of a periodic field, or of each row of a stack of them, with
+    two wrapped ghost cells on each side of the last axis."""
+    return np.concatenate((f[_TAIL], f, f[_HEAD]), axis=-1)
 
 
 def taps(g: np.ndarray) -> tuple:
-    """The five neighbour views of a padded copy g: entry k reads
-    f[i - 2 + k] at node i."""
-    return g[:-4], g[1:-3], g[2:-2], g[3:-1], g[4:]
+    """The five neighbour views along the last axis of a padded copy g:
+    entry k reads f[i - 2 + k] at node i."""
+    return g[_TAP[0]], g[_TAP[1]], g[_TAP[2]], g[_TAP[3]], g[_TAP[4]]
 
 
 # Each stencil is evaluated term by term, left to right, one ufunc per
@@ -103,20 +112,22 @@ def diff4_taps(t: tuple, out=None, scratch=None) -> np.ndarray:
 
 
 def ddx4(f: np.ndarray, dx: float) -> np.ndarray:
-    """Fourth-order central first derivative on a periodic grid:
-    (-f[i+2] + 8 f[i+1] - 8 f[i-1] + f[i-2]) / (12 dx)."""
+    """Fourth-order central first derivative on a periodic grid, along
+    the last axis, so one call differentiates every row of a (K, n)
+    block: (-f[i+2] + 8 f[i+1] - 8 f[i-1] + f[i-2]) / (12 dx)."""
     g = pad(f)
-    out, scratch = np.negative(g[4:]), np.multiply(g[3:-1], _8)
+    out, scratch = np.negative(g[_TAP[4]]), np.multiply(g[_TAP[3]], _8)
     np.add(out, scratch, out=out)
-    np.subtract(out, np.multiply(g[1:-3], _8, out=scratch), out=out)
-    np.add(out, g[:-4], out=out)
+    np.subtract(out, np.multiply(g[_TAP[1]], _8, out=scratch), out=out)
+    np.add(out, g[_TAP[0]], out=out)
     return np.divide(out, 12.0 * dx, out=out)
 
 
 def ddx2(f: np.ndarray, dx: float) -> np.ndarray:
-    """Second-order central first derivative on a periodic grid."""
+    """Second-order central first derivative on a periodic grid, along
+    the last axis."""
     g = pad(f)
-    return ddx2_taps(g[3:-1], g[1:-3], 2.0 * dx)
+    return ddx2_taps(g[_TAP[3]], g[_TAP[1]], 2.0 * dx)
 
 
 def diff4(f: np.ndarray) -> np.ndarray:

@@ -20,7 +20,17 @@ at every step and whose "violated by t" reading gives the monitors.csv
 flag letter, the summary line and the sweep's floor_violations count.
 Every run records the step times, max|u_x|, min rho and the invariant
 and floor audits; the y/q maxima and the ceiling audit that reads them
-only on request (simulate asks for them, a sweep cell does not).
+only on request (simulate asks for them, a sweep cell does not).  That
+gradient record takes the accepted states in blocks of up to
+BLOCK_CELLS // n of them (at least one): a block's tau, c and u_x rows
+are stacked as (K, n) arrays and pass through one ddx4, one
+riemann_slopes and one y_variable, whose time terms are still formed
+row by row from each row's own time.  An elementwise op gives the same
+bits on a block as on its rows one at a time, so no recorded bit moves.
+A block that leaves double range anywhere is recorded again a state at
+a time, so NaN lands on exactly the states whose y or q leaves it.  A
+block is recorded when it fills, before run returns, and before an
+error from a later step propagates.
 
 run hands each snapshot record (one every max(1, n // 256) steps, plus
 the first and last state) to the sink named by its snapshots argument:
@@ -277,10 +287,9 @@ def _prepare_audits(field: FieldState, mon: Monitors, gradient: bool) -> tuple:
     return c0_tilde, ceilings, floor
 
 
-def _record(mon: Monitors, field: FieldState, max_ux, tau_max, audits: tuple,
-            gradient: bool):
-    """One monitors row and one check of each audit that is on; the y/q
-    maxima and the ceiling audit only with the gradient record on."""
+def _record(mon: Monitors, field: FieldState, max_ux, tau_max, audits: tuple):
+    """One row of the scalar monitors and one check of the invariant and
+    floor audits where they are on."""
     t = field.t
     # 1/x is monotone and correctly rounded: min(1/tau) is 1/max(tau) exactly
     rho_min = 1.0 / tau_max
@@ -290,20 +299,9 @@ def _record(mon: Monitors, field: FieldState, max_ux, tau_max, audits: tuple,
 
     rho_max = 1.0 / float(field.tau.min())
     u_max = float(np.abs(field.u).max())
-    c0_tilde, caps, floor = audits
+    c0_tilde, _, floor = audits
     region_cap = c0_tilde * 1.02
     mon.invariant.record(rho_max <= region_cap and u_max <= region_cap, t)
-
-    if gradient:
-        try:
-            y_max, q_max = (float(v) for v in field.yq().max(axis=1))
-        except RangeError:
-            y_max = q_max = math.nan
-        mon.y_max.append(y_max)
-        mon.q_max.append(q_max)
-        if mon.ceiling.ok is not None:
-            mon.ceiling.record((not math.isnan(y_max)) and y_max <= caps.y_cap * 1.02
-                               and q_max <= caps.q_cap * 1.02, t)
 
     if floor is not None and t > floor.t_min:
         try:
@@ -313,6 +311,59 @@ def _record(mon: Monitors, field: FieldState, max_ux, tau_max, audits: tuple,
                 mon.floor_range_t = t
         else:
             mon.floor.record(rho_min >= 0.95 * floor_val, t)
+
+
+# the gradient record takes accepted states in blocks of up to this many
+# cells: 32 states at n = 128, 8 at n = 512, 1 from n = 4096 on
+BLOCK_CELLS = 4096
+
+
+def _rows(arrays: list) -> np.ndarray:
+    """The K arrays as the rows of a (K, n) array: a view of the one
+    array when K is 1, a copy otherwise."""
+    return arrays[0][np.newaxis] if len(arrays) == 1 else np.array(arrays)
+
+
+def _yq_maxima(block: list):
+    """The y and q maxima of each state of block, as two lists: one
+    array program over the (K, n) rows of its states, which share a grid
+    and model, reading each state's cached c and u_x.  A block of one
+    state, as every block is from n = BLOCK_CELLS on, passes its time as
+    a scalar, which broadcasts as its (1, 1) column would."""
+    first = block[0]
+    gm, tau = first.gas, _rows([s.tau for s in block])
+    phi = core.phi_of_tau(gm, tau)
+    slopes = core.riemann_slopes(_rows([s.sound() for s in block]),
+                                 _rows([s.u_x() for s in block]),
+                                 fields.ddx4(tau, first.grid.dx))
+    times = [s.t for s in block] if len(block) > 1 else first.t
+    yq = core.y_variable(gm, first.damping, phi, np.stack(slopes), times)
+    return yq.max(axis=-1).tolist()
+
+
+def _record_yq(mon: Monitors, block: list, caps):
+    """Append the y/q maxima of a block of accepted states to mon, and
+    check the ceiling audit on each where it is on, in time order.  A
+    block that leaves double range anywhere is recorded again a state at
+    a time.  As when each state was recorded alone, a state's RangeError
+    (from phi or y_variable) reads NaN, and its other range errors (from
+    its slopes) end the run."""
+    try:
+        y_maxes, q_maxes = _yq_maxima(block)
+    except (RangeError, *core.RANGE_ERRORS) as e:
+        if len(block) > 1:
+            for state in block:
+                _record_yq(mon, [state], caps)
+            return
+        if not isinstance(e, RangeError):
+            raise
+        y_maxes = q_maxes = [math.nan]
+    mon.y_max += y_maxes
+    mon.q_max += q_maxes
+    if mon.ceiling.ok is not None:
+        for state, y_max, q_max in zip(block, y_maxes, q_maxes):
+            mon.ceiling.record((not math.isnan(y_max)) and y_max <= caps.y_cap * 1.02
+                               and q_max <= caps.q_cap * 1.02, state.t)
 
 
 # ---------------------------------------------------------------------
@@ -420,42 +471,58 @@ def run(
     cadence = max(1, field.grid.n // 256)
     snapshots.append(field)
     snap_t = field.t  # the time of the last record appended
-    _record(mon, field, max_ux, tau_max, audits, monitors_requested)
+    block, block_size = [], max(1, BLOCK_CELLS // field.grid.n)
 
-    # each state's derived views (c, u_x, and with the gradient record
-    # tau_x, slopes, y, q) are computed once and shared by the finiteness
-    # and breakdown tests, the monitors and the next CFL dt
+    def record(state: FieldState, max_ux, tau_max):
+        _record(mon, state, max_ux, tau_max, audits)
+        if monitors_requested:
+            block.append(state)
+            if len(block) >= block_size:
+                flush()
+
+    def flush():  # cleared first: a record that raises is not made again
+        pending = block.copy()
+        block.clear()
+        if pending:
+            _record_yq(mon, pending, audits[1])
+
+    record(field, max_ux, tau_max)
+    # each state's derived views (c, u_x) are computed once and shared by
+    # the finiteness and breakdown tests, the y/q record and the next CFL dt
     n_step = 0
     workspace = Workspace(field.grid)
-    while field.t < t_end:
-        c_max = float(field.sound().max())
-        if not c_max > 0.0:
-            raise RangeError(f"the sound speed rounds to 0 at t={field.t:.6g}")
-        dt = cfl * field.grid.dx / c_max
-        dt = min(dt, t_end - field.t)
-        new = step(field, dt, workspace=workspace)
-        max_ux, tau_max = _extremes(new)
-        if max_ux * new.grid.dx > BREAKDOWN_CELL_GRADIENT:
-            # the last resolved state closes out the snapshot records
-            if snap_t != field.t:
+    try:
+        while field.t < t_end:
+            c_max = float(field.sound().max())
+            if not c_max > 0.0:
+                raise RangeError(f"the sound speed rounds to 0 at t={field.t:.6g}")
+            dt = cfl * field.grid.dx / c_max
+            dt = min(dt, t_end - field.t)
+            new = step(field, dt, workspace=workspace)
+            max_ux, tau_max = _extremes(new)
+            if max_ux * new.grid.dx > BREAKDOWN_CELL_GRADIENT:
+                # the last resolved state closes out the snapshot records
+                if snap_t != field.t:
+                    snapshots.append(field)
+                return RunResult(
+                    outcome=BreakdownReport(
+                        t=new.t, t_prev=field.t, max_abs_ux=max_ux, last_field=field,
+                    ),
+                    monitors=mon,
+                    snapshots=snapshots,
+                )
+            n_step += 1
+            if (n_step == 1 and t_end - new.t > STEP_BUDGET * dt) or new.t == field.t:
+                raise DomainError(
+                    f"the run needs more than STEP_BUDGET = {STEP_BUDGET:.0e} steps: "
+                    f"t_end - t = {t_end - new.t:.6g} after a step of {dt:.6g}")
+            field = new
+            if n_step % cadence == 0 or field.t >= t_end:
                 snapshots.append(field)
-            return RunResult(
-                outcome=BreakdownReport(
-                    t=new.t, t_prev=field.t, max_abs_ux=max_ux, last_field=field,
-                ),
-                monitors=mon,
-                snapshots=snapshots,
-            )
-        n_step += 1
-        if (n_step == 1 and t_end - new.t > STEP_BUDGET * dt) or new.t == field.t:
-            raise DomainError(
-                f"the run needs more than STEP_BUDGET = {STEP_BUDGET:.0e} steps: "
-                f"t_end - t = {t_end - new.t:.6g} after a step of {dt:.6g}")
-        field = new
-        if n_step % cadence == 0 or field.t >= t_end:
-            snapshots.append(field)
-            snap_t = field.t
-        _record(mon, field, max_ux, tau_max, audits, monitors_requested)
+                snap_t = field.t
+            record(field, max_ux, tau_max)
+    finally:  # also before an error propagates: the pending records came first
+        flush()
     return RunResult(outcome=field, monitors=mon, snapshots=snapshots)
 
 

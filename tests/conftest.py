@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 from shockline import DampingLaw, GasModel, Grid
 from shockline.fields import init_field
+
+
+def kernel_path(x86_v4, x86_v3):
+    """The value of a byte pin on the float kernels numpy dispatches to:
+    x86_v4 on its AVX-512 (X86_V4) kernels, x86_v3 on the AVX2 (X86_V3)
+    ones it uses on a CPU without AVX-512 or with X86_V4 disabled through
+    NPY_DISABLE_CPU_FEATURES.  The two can differ in the last bit of a
+    power, exp or log, and a run carries that into its outputs."""
+    return x86_v4 if __cpu_features__["X86_V4"] else x86_v3
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from conftest import kernel_path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -109,6 +110,19 @@ DECAY_OVERFLOWS_SWEEP = dict(DECAY_OVERFLOWS, sweep={
     "axes": [{"name": "lambda", "start": -300.0, "stop": -1.0, "count": 2}]})
 
 
+def _not_a_mapping(path, value):
+    """A mutation that puts value at the config section path (dotted),
+    returning the message the config must be refused with."""
+    def section(cfg):
+        *parents, key = path.split(".")
+        for name in parents:
+            cfg = cfg[name]
+        cfg[key] = value
+        return f"{path} must be a mapping, got {value!r}"
+
+    return section
+
+
 def write_cfg(tmp_path, cfg, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(cfg))
@@ -145,13 +159,19 @@ class TestValidate:
         lambda c: c["profile"].update(periods=1.5),
         lambda c: c["gas"].update(gamma=10**401),  # ints past double range
         lambda c: c["profile"].update(periods=10**310),
+        *(_not_a_mapping(path, 7) for path in (
+            "gas", "damping", "grid", "profile", "run", "outputs", "run.tolerances")),
+        _not_a_mapping("gas", [1, 2]),
     ])
     def test_fuzzed_invalid_configs(self, tmp_path, capsys, mutate):
         bad = json.loads(json.dumps(BASE))
-        mutate(bad)
+        message = mutate(bad)
         cfg = write_cfg(tmp_path, bad)
         assert main(["validate", "--config", cfg]) == EXIT_CONFIG
-        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        if isinstance(message, str):
+            assert err["message"] == message
 
     def test_unreadable_integer_rejected(self, tmp_path, capsys):
         # past 4300 digits Python refuses to read the int at all
@@ -271,14 +291,14 @@ class TestSimulate:
          {"preset": "sine", "tau0": 1.0, "tau_amp": 0.22784833958424175,
           "u_amp": -2.2622174302136844}, 3.1519173258143605,
          "density floor audit: ok (floor outside double range at some steps "
-         "from t=0.24542100066680472)", "F"),
+         "from t=" + kernel_path("0.24542100066680472", "0.2454210006668047") + ")", "F"),
         # the floor decays below the smallest normal double, then to 0,
         # which is reported, not audited as a floor of 0
         ({"gamma": 2.931, "big_k": 9.27}, {"alpha": 0.153, "lambda": 1.74},
          {"n": 32, "L": 10.0},
          {"preset": "sine", "tau0": 1.0, "u_amp": -0.05, "tau_amp": 0.02}, 25.4,
          "density floor audit: ok (floor outside double range at some steps "
-         "from t=20.934491847692339)", "F"),
+         "from t=" + kernel_path("20.934491847692339", "20.934491847692321") + ")", "F"),
     ], ids=["constants_overflow", "floor_overflows", "before_t_min", "critical_decay",
             "floor_underflows"])
     def test_floor_line_says_why(self, tmp_path, gas, damping, grid, profile, t_end,

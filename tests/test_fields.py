@@ -126,6 +126,16 @@ class TestStencilOracle:
         assert np.array_equal(ddx2(f, dx), roll_ddx2(f, dx))
         assert np.array_equal(diff4(f), roll_diff4(f))
 
+    @pytest.mark.parametrize("k", [1, 3, 32])
+    @pytest.mark.parametrize("n", [16, 128, 4096])
+    def test_ddx4_block_rows_match_rows(self, k, n):
+        # one call over a (K, n) block gives each row's 1-D result, bit for bit
+        block = np.random.default_rng(k * n).normal(size=(k, n)) * 10.0 ** np.arange(k)[:, None]
+        out = ddx4(block, 0.37)
+        assert out.shape == (k, n)
+        for row, got in zip(block, out):
+            assert got.tobytes() == ddx4(row, 0.37).tobytes()
+
 
 class TestPresets:
     def test_constant(self, gm2, dl_const):

@@ -7,8 +7,13 @@ bundled sweep has t_end 0 and runs no solver, so a test-local sweep
 floor audits and the error rows of lambda next to 1.
 
 The digests were recorded on x86-64 Linux with Python 3.11 and numpy
-2.4.  A change that moves any of them changes the numbers the toolkit
-reports and has to say why.
+2.4, on numpy's AVX-512 (X86_V4) kernels and again with those disabled
+(NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"), which leaves
+its AVX2 (X86_V3) kernels.  The two paths differ in the last bit of some
+powers, exponentials and logarithms, which moves most outputs of a run:
+each such pin holds one exact digest per path (conftest.kernel_path),
+and the pins that both paths share hold one.  A change that moves any of
+them changes the numbers the toolkit reports and has to say why.
 """
 
 import hashlib
@@ -16,6 +21,7 @@ from pathlib import Path
 
 import pytest
 import yaml
+from conftest import kernel_path
 
 from shockline.cli import EXIT_OK, main
 
@@ -28,9 +34,15 @@ GOLDEN = {
         },
         "simulate": {
             "verdict.json": "d48a26df0d20d88bb2df68058a01a8c50e8c11a3dac9cecf9495bd068952329f",
-            "monitors.csv": "e427d492754b223516caf29a3e2882f1e11d2bc2635fcecffa73042b7eec3041",
-            "summary.txt": "f98eedaa1835796017f3830319d828359b79c690943a569bbf9088d156d30826",
-            "snapshots.bin": "7e8ef61b525d8ff21887f505f485480a2b35e0910d6e8b5a2f47b615d0125322",
+            "monitors.csv": kernel_path(
+                "e427d492754b223516caf29a3e2882f1e11d2bc2635fcecffa73042b7eec3041",
+                "9284cd7c90c84c3daffc8091510993a6afc35ccfae6f16ed70e734e9f8da6791"),
+            "summary.txt": kernel_path(
+                "f98eedaa1835796017f3830319d828359b79c690943a569bbf9088d156d30826",
+                "cbe5df0f7bb9a99e6b68901d4f6fcbfc5bf2eec80ab30d0e7cc6b7ed8430bf8e"),
+            "snapshots.bin": kernel_path(
+                "7e8ef61b525d8ff21887f505f485480a2b35e0910d6e8b5a2f47b615d0125322",
+                "40eff2b95c9227b99160e73a8b6be8567c6db0eb5ddafba771b2cc622574b544"),
         },
     },
     "demo_t41": {
@@ -39,9 +51,15 @@ GOLDEN = {
         },
         "simulate": {
             "verdict.json": "17946b42b25062f6962e57341c0f33971d7142b381c13606efa7667e994b7bca",
-            "monitors.csv": "1e86b857cd98a2ae867bfde9fb05d762c269f4187b3b16b6c0453f3511c4e038",
-            "summary.txt": "62edf7970db3d649f3349b0a748562f88cf2d4ff4d6daa81ebd663a887a51c2e",
-            "snapshots.bin": "0a7c6228eac0f91e7543ef8468de5d01a321c0b952c763ed26fb0e36a24e4158",
+            "monitors.csv": kernel_path(
+                "1e86b857cd98a2ae867bfde9fb05d762c269f4187b3b16b6c0453f3511c4e038",
+                "addd6fb1baf4b190ff0fadbd382399c6d79ce5cc91717b55e2c0e673c29a6d82"),
+            "summary.txt": kernel_path(
+                "62edf7970db3d649f3349b0a748562f88cf2d4ff4d6daa81ebd663a887a51c2e",
+                "38d4db99fb98064276bb47f1caab771300b81efd89ee3cee5eee2ef59713a0ab"),
+            "snapshots.bin": kernel_path(
+                "0a7c6228eac0f91e7543ef8468de5d01a321c0b952c763ed26fb0e36a24e4158",
+                "099bb019aacefe55fe86d2ca709acb10c48233d485bf24b767330029c26367d9"),
         },
     },
     "gentle_audit": {
@@ -50,10 +68,16 @@ GOLDEN = {
         },
         "simulate": {
             "verdict.json": "2d5332e7b27b29dc0a5b68a5fafff169204bd45dafe7b44b082cec2cf4f633bc",
-            "monitors.csv": "74ae96c3d1471378af35602483c957ce40d300d5be3f1ba2371b0e9a44ad4ce0",
+            "monitors.csv": kernel_path(
+                "74ae96c3d1471378af35602483c957ce40d300d5be3f1ba2371b0e9a44ad4ce0",
+                "8dfcd3c0a1956b52afd247dc9a37af5cdd1105d2d665104be3f684973717021c"),
             "summary.txt": "214b60d21f7578564764794798aae81c9f05c39bcc682f7a663e68404040ea7c",
-            "snapshots.bin": "a1d44b2186242126dc77ee9bcf75d5e9c45a8f39cf92293ad60b20435d8d5a18",
-            "trace.csv": "a581842eb37a5f4810900ea2d5e62f1aa5cee765bcbb06c769200b8a4f0359f8",
+            "snapshots.bin": kernel_path(
+                "a1d44b2186242126dc77ee9bcf75d5e9c45a8f39cf92293ad60b20435d8d5a18",
+                "451fc035d2ad82436d032c1bfdae22941bc90c841f887943b280550db0670156"),
+            "trace.csv": kernel_path(
+                "a581842eb37a5f4810900ea2d5e62f1aa5cee765bcbb06c769200b8a4f0359f8",
+                "40f4e8bc3e1b713698fa558acdd6fb7c44e246ec1f3c5c993593f472b3ab25d3"),
         },
     },
     "sweep_gap": {
@@ -107,7 +131,9 @@ SOLVER_SWEEP = {
         {"name": "lambda", "start": 0.995, "stop": 1.005, "count": 5},
     ]},
 }
-SOLVER_SWEEP_DIGEST = "bc6805bb5312f66645f41f94481e9b916f67c693cd3727d75e56ad75f89b9e45"
+SOLVER_SWEEP_DIGEST = kernel_path(
+    "bc6805bb5312f66645f41f94481e9b916f67c693cd3727d75e56ad75f89b9e45",
+    "bfa7c06725a5645dfbd18f6cac1eb5f297229789b72c26a141ab346df6798df7")
 
 
 def test_solver_sweep_byte_identical(tmp_path, capsys):

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shockline import DampingLaw, DomainError, GasModel, Grid, RangeError, TraceError
-from shockline import VacuumError, core, fields, riccati, solver
+from shockline import VacuumError, bounds, cli, core, fields, riccati, solver
 from shockline.fields import ddx4, init_field
 from shockline.solver import (
     BreakdownReport,
@@ -174,18 +175,22 @@ class TestRun:
         assert len(snaps.times) >= 3
 
     def test_two_derivative_passes_per_step(self, sine_field, monkeypatch):
-        # with monitors on, each accepted state differentiates u and tau
-        # once; the breakdown test, monitors, audits and dt share them
-        calls = []
+        # with monitors on, each accepted state's u and tau are
+        # differentiated once: u as a row, shared by the breakdown test,
+        # the y/q record and dt, tau as a row of its y/q block.  The
+        # ceilings differentiate the initial tau once more, as with
+        # monitors off below.  Rows are counted: a block is f.shape[0]
+        rows, calls = [], []
 
         def counted(f, dx):
+            rows.append(f.shape[0] if f.ndim == 2 else 1)
             calls.append(1)
             return ddx4(f, dx)
 
         monkeypatch.setattr(fields, "ddx4", counted)
         res = run(sine_field, 0.5)
         assert not res.broke_down
-        assert len(calls) == 2 * len(res.monitors.ts)
+        assert sum(rows) == 2 * len(res.monitors.ts) + 1
         # with monitors off, u alone: tau_x is read once more, of the
         # initial state, by the ceilings the density floor is built on
         # (a fresh copy of that state, whose views are not cached yet)
@@ -283,6 +288,166 @@ class TestRun:
         f = make_field(gm2, dl_const, {"preset": "sine", "tau0": 1.0, "u_amp": -100.0},
                        n=32)
         assert run(f, 1e300 * solver.STEP_BUDGET, cfl=1e-300).broke_down
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+GENTLE_SINE = {"preset": "sine", "tau0": 1.0, "u_amp": -0.01, "tau_amp": 0.01}
+
+
+def config_run(name):
+    sc = cli.build_scenario(cli.load_config(CONFIGS / f"{name}.yaml"))
+    return sc["field"], sc["t_end"]
+
+
+def physics_run(gas, damping, spec, n, length, t_end):
+    return make_field(GasModel(*gas), DampingLaw(*damping), spec, n, length), t_end
+
+
+# the runs the block record is checked on, and which state index falls
+# strictly inside a block: the end of the run, complete or at breakdown
+# (it stops mid-block), the first NaN row (NaN next to finite rows) or
+# the ceiling violation
+BLOCK_RUNS = {
+    "gentle_audit": (lambda: config_run("gentle_audit"), "end"),
+    "demo_t32": (lambda: config_run("demo_t32"), "breakdown"),
+    "demo_t41": (lambda: config_run("demo_t41"), None),  # breaks down as block 7 fills
+    # the T4_1 cell of sweep_alpha_lambda, with the y/q record on
+    "sweep_t41_cell": (lambda: physics_run(
+        (5.0, 1.0), (1.0909090909090908, 1.0),
+        {"preset": "gaussian", "tau0": 1.0, "u_amp": -1.5, "width": 0.3}, 128, 5.0, 1.5),
+        "breakdown"),
+    # the time factor, then the shift, of y leave double range mid-run
+    "time_factor_overflows": (lambda: physics_run(
+        (2.0, 1.0), (0.0, -300.0), GENTLE_SINE, 32, 10.0, 20.0), "nan"),
+    "shift_overflows": (lambda: physics_run(
+        (2.0, 1.0), (0.0, 300.0), GENTLE_SINE, 32, 10.0, 20.0), "nan"),
+    # grid-scale oscillation violates the ceiling with no breakdown
+    "ceiling_violated": (lambda: physics_run(
+        (4.843629143650211, 0.6454772203868708), (4.042796423437301, 1.0),
+        {"preset": "gaussian", "tau0": 1.0, "tau_amp": 0.15961730657022016,
+         "u_amp": -2.2457084132503136}, 64, 3.2413018306177896, 0.795), "violation"),
+    # one state per block
+    "n4096": (lambda: physics_run(
+        (2.0, 1.0), (1.0, 0.0), {"preset": "sine", "tau0": 1.0, "u_amp": -0.2},
+        4096, 10.0, 0.01), None),
+}
+
+
+def run_with_states(monkeypatch, field, t_end):
+    """run(field, t_end) with the y/q record, and its accepted states."""
+    states, record = [], solver._record
+
+    def spy(mon, state, *args):
+        states.append(state)
+        record(mon, state, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_record", spy)
+        return run(field, t_end), states
+
+
+def state_by_state(states, without_yq: solver.Monitors) -> solver.Monitors:
+    """The monitors of a run recorded one state at a time: the rows and
+    audits of the same run without the y/q record, plus each state's y/q
+    maxima from its FieldState.yq (NaN where that leaves double range)
+    and the ceiling audit checked on them."""
+    mon = dataclasses.replace(without_yq, ceiling=solver.Audit())
+    initial = states[0]
+    if core.classify_regime(initial.gas, initial.damping).has_ceiling:
+        mon.ceiling.ok = True
+        caps = bounds.riccati_ceilings(initial)
+    for s in states:
+        try:
+            y_max, q_max = (float(v) for v in s.yq().max(axis=1))
+        except RangeError:
+            y_max = q_max = math.nan
+        mon.y_max.append(y_max)
+        mon.q_max.append(q_max)
+        if mon.ceiling.ok is not None:
+            mon.ceiling.record((not math.isnan(y_max)) and y_max <= caps.y_cap * 1.02
+                               and q_max <= caps.q_cap * 1.02, s.t)
+    return mon
+
+
+class TestBlockRecord:
+    @pytest.mark.parametrize("name", BLOCK_RUNS)
+    def test_matches_state_by_state(self, monkeypatch, name):
+        make, inside = BLOCK_RUNS[name]
+        field, t_end = make()
+        res, states = run_with_states(monkeypatch, field, t_end)
+        reference = state_by_state(states, run(field, t_end, monitors_requested=False).monitors)
+        # repr spells every float exactly, NaN included, and every audit
+        assert repr(res.monitors) == repr(reference)
+        mon, size = res.monitors, max(1, solver.BLOCK_CELLS // field.grid.n)
+        if inside is None:
+            return
+        if inside in ("end", "breakdown"):
+            assert res.broke_down is (inside == "breakdown")
+            index = len(mon.ts)
+        elif inside == "nan":
+            index = next(i for i, v in enumerate(mon.y_max) if math.isnan(v))
+        else:
+            index = mon.ts.index(mon.ceiling.violation_t)
+        assert index % size != 0
+
+    @pytest.mark.parametrize("n,t_end,size", [
+        (128, 1.0, 32), (512, 0.3, 8), (4096, 0.01, 1), (8192, 0.005, 1)])
+    def test_blocks_hold_at_most_block_cells(self, monkeypatch, n, t_end, size):
+        # a block is flushed as soon as it holds BLOCK_CELLS // n states
+        # (at least one), and the remainder when the run returns
+        field = make_field(GasModel(2.0, 1.0), DampingLaw(1.0, 0.0),
+                           {"preset": "sine", "tau0": 1.0, "u_amp": -0.2}, n=n)
+        sizes, record_yq = [], solver._record_yq
+
+        def spy(mon, block, caps):
+            sizes.append(len(block))
+            record_yq(mon, block, caps)
+
+        monkeypatch.setattr(solver, "_record_yq", spy)
+        states = len(run(field, t_end).monitors.ts)
+        assert states > size
+        assert sizes == [size] * (states // size) + [states % size] * (states % size > 0)
+
+    def test_block_error_falls_back_state_by_state(self, sine_field, monkeypatch):
+        # a block that raises one of y_variable's range errors is recorded
+        # again a state at a time: the state whose own record raises
+        # RangeError reads NaN, its block neighbours keep their values
+        clean = run(sine_field, 0.5).monitors
+        bad_t, maxima = clean.ts[5], solver._yq_maxima
+
+        def flaky(block):
+            if any(s.t == bad_t for s in block):
+                raise (OverflowError if len(block) > 1 else RangeError)("out of range")
+            return maxima(block)
+
+        monkeypatch.setattr(solver, "_yq_maxima", flaky)
+        mon = run(sine_field, 0.5).monitors
+        nan_at = [i for i, v in enumerate(mon.y_max) if math.isnan(v)]
+        assert nan_at == [i for i, v in enumerate(mon.q_max) if math.isnan(v)] == [5]
+        assert mon.y_max[:5] + mon.y_max[6:] == clean.y_max[:5] + clean.y_max[6:]
+        assert mon.ceiling.violation_t == bad_t
+
+    def test_state_error_outside_y_variable_ends_the_run(self, sine_field, monkeypatch):
+        # a state's own record that overflows outside y_variable (its
+        # slopes) ends the run, as it did when each state was recorded
+        # alone: before a later step's error, which its block outlives
+        bad_t, maxima = run(sine_field, 0.5).monitors.ts[5], solver._yq_maxima
+        real_step = solver.step
+
+        def flaky(block):
+            if any(s.t == bad_t for s in block):
+                raise FloatingPointError("overflow encountered in multiply")
+            return maxima(block)
+
+        def failing_step(field, dt, **kw):
+            if field.t > bad_t:
+                raise VacuumError("tau reached zero")
+            return real_step(field, dt, **kw)
+
+        monkeypatch.setattr(solver, "_yq_maxima", flaky)
+        monkeypatch.setattr(solver, "step", failing_step)
+        with pytest.raises(RangeError, match="FloatingPointError"):
+            run(sine_field, 0.5)
 
 
 def reference_fluxes(gm, tau, u, dx):
