@@ -30,7 +30,9 @@ bits on a block as on its rows one at a time, so no recorded bit moves.
 A block that leaves double range anywhere is recorded again a state at
 a time, so NaN lands on exactly the states whose y or q leaves it.  A
 block is recorded when it fills, before run returns, and before an
-error from a later step propagates.
+error from a later step propagates.  The initial state is a block of
+its own; a block of one state reads the state's FieldState.yq, which
+the ceilings have already computed for the initial state.
 
 run hands each snapshot record (one every max(1, n // 256) steps, plus
 the first and last state) to the sink named by its snapshots argument:
@@ -318,26 +320,23 @@ def _record(mon: Monitors, field: FieldState, max_ux, tau_max, audits: tuple):
 BLOCK_CELLS = 4096
 
 
-def _rows(arrays: list) -> np.ndarray:
-    """The K arrays as the rows of a (K, n) array: a view of the one
-    array when K is 1, a copy otherwise."""
-    return arrays[0][np.newaxis] if len(arrays) == 1 else np.array(arrays)
-
-
 def _yq_maxima(block: list):
-    """The y and q maxima of each state of block, as two lists: one
-    array program over the (K, n) rows of its states, which share a grid
-    and model, reading each state's cached c and u_x.  A block of one
-    state, as every block is from n = BLOCK_CELLS on, passes its time as
-    a scalar, which broadcasts as its (1, 1) column would."""
+    """The y and q maxima of each state of block, as two lists.  A block
+    of one state, as every block is from n = BLOCK_CELLS on, reads its
+    FieldState.yq, which the ceilings have already computed for the
+    initial state.  A longer block, whose states share a grid and model,
+    is one array program over their (K, n) rows, reading each state's
+    cached c and u_x."""
+    if len(block) == 1:
+        return block[0].yq()[:, np.newaxis].max(axis=-1).tolist()
     first = block[0]
-    gm, tau = first.gas, _rows([s.tau for s in block])
+    gm, tau = first.gas, np.array([s.tau for s in block])
     phi = core.phi_of_tau(gm, tau)
-    slopes = core.riemann_slopes(_rows([s.sound() for s in block]),
-                                 _rows([s.u_x() for s in block]),
+    slopes = core.riemann_slopes(np.array([s.sound() for s in block]),
+                                 np.array([s.u_x() for s in block]),
                                  fields.ddx4(tau, first.grid.dx))
-    times = [s.t for s in block] if len(block) > 1 else first.t
-    yq = core.y_variable(gm, first.damping, phi, np.stack(slopes), times)
+    yq = core.y_variable(gm, first.damping, phi, np.stack(slopes),
+                         [s.t for s in block])
     return yq.max(axis=-1).tolist()
 
 
@@ -487,6 +486,7 @@ def run(
             _record_yq(mon, pending, audits[1])
 
     record(field, max_ux, tau_max)
+    flush()  # the initial state alone, whose y/q the ceilings may have cached
     # each state's derived views (c, u_x) are computed once and shared by
     # the finiteness and breakdown tests, the y/q record and the next CFL dt
     n_step = 0

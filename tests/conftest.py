@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
-from numpy._core._multiarray_umath import __cpu_features__
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x: only the byte pins, recorded on numpy 2.4, fail
+    __cpu_features__ = {}
 
 from shockline import DampingLaw, GasModel, Grid
 from shockline.fields import init_field
@@ -11,8 +15,10 @@ def kernel_path(x86_v4, x86_v3):
     x86_v4 on its AVX-512 (X86_V4) kernels, x86_v3 on the AVX2 (X86_V3)
     ones it uses on a CPU without AVX-512 or with X86_V4 disabled through
     NPY_DISABLE_CPU_FEATURES.  The two can differ in the last bit of a
-    power, exp or log, and a run carries that into its outputs."""
-    return x86_v4 if __cpu_features__["X86_V4"] else x86_v3
+    power, exp or log, and a run carries that into its outputs.  A
+    machine whose numpy names no X86_V4 feature (not x86-64) gets x86_v3,
+    which need not hold there: the pins fail, the rest of the module runs."""
+    return x86_v4 if __cpu_features__.get("X86_V4", False) else x86_v3
 
 
 @pytest.fixture

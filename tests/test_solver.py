@@ -177,9 +177,9 @@ class TestRun:
     def test_two_derivative_passes_per_step(self, sine_field, monkeypatch):
         # with monitors on, each accepted state's u and tau are
         # differentiated once: u as a row, shared by the breakdown test,
-        # the y/q record and dt, tau as a row of its y/q block.  The
-        # ceilings differentiate the initial tau once more, as with
-        # monitors off below.  Rows are counted: a block is f.shape[0]
+        # the y/q record and dt, tau as a row of its y/q block (the
+        # initial state's by the ceilings, whose y/q its record reuses).
+        # Rows are counted: a block is f.shape[0]
         rows, calls = [], []
 
         def counted(f, dx):
@@ -190,7 +190,7 @@ class TestRun:
         monkeypatch.setattr(fields, "ddx4", counted)
         res = run(sine_field, 0.5)
         assert not res.broke_down
-        assert sum(rows) == 2 * len(res.monitors.ts) + 1
+        assert sum(rows) == 2 * len(res.monitors.ts)
         # with monitors off, u alone: tau_x is read once more, of the
         # initial state, by the ceilings the density floor is built on
         # (a fresh copy of that state, whose views are not cached yet)
@@ -304,9 +304,10 @@ def physics_run(gas, damping, spec, n, length, t_end):
 
 
 # the runs the block record is checked on, and which state index falls
-# strictly inside a block: the end of the run, complete or at breakdown
-# (it stops mid-block), the first NaN row (NaN next to finite rows) or
-# the ceiling violation
+# strictly inside a block (the initial state is a block of its own, the
+# next blocks start at index 1): the end of the run, complete or at
+# breakdown (it stops mid-block), the first NaN row (NaN next to finite
+# rows) or the ceiling violation
 BLOCK_RUNS = {
     "gentle_audit": (lambda: config_run("gentle_audit"), "end"),
     "demo_t32": (lambda: config_run("demo_t32"), "breakdown"),
@@ -388,13 +389,14 @@ class TestBlockRecord:
             index = next(i for i, v in enumerate(mon.y_max) if math.isnan(v))
         else:
             index = mon.ts.index(mon.ceiling.violation_t)
-        assert index % size != 0
+        assert (index - 1) % size != 0
 
     @pytest.mark.parametrize("n,t_end,size", [
         (128, 1.0, 32), (512, 0.3, 8), (4096, 0.01, 1), (8192, 0.005, 1)])
     def test_blocks_hold_at_most_block_cells(self, monkeypatch, n, t_end, size):
-        # a block is flushed as soon as it holds BLOCK_CELLS // n states
-        # (at least one), and the remainder when the run returns
+        # the initial state is recorded alone, then a block is flushed as
+        # soon as it holds BLOCK_CELLS // n states (at least one), and the
+        # remainder when the run returns
         field = make_field(GasModel(2.0, 1.0), DampingLaw(1.0, 0.0),
                            {"preset": "sine", "tau0": 1.0, "u_amp": -0.2}, n=n)
         sizes, record_yq = [], solver._record_yq
@@ -404,9 +406,9 @@ class TestBlockRecord:
             record_yq(mon, block, caps)
 
         monkeypatch.setattr(solver, "_record_yq", spy)
-        states = len(run(field, t_end).monitors.ts)
-        assert states > size
-        assert sizes == [size] * (states // size) + [states % size] * (states % size > 0)
+        later = len(run(field, t_end).monitors.ts) - 1
+        assert later > size
+        assert sizes == [1] + [size] * (later // size) + [later % size] * (later % size > 0)
 
     def test_block_error_falls_back_state_by_state(self, sine_field, monkeypatch):
         # a block that raises one of y_variable's range errors is recorded
