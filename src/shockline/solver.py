@@ -15,24 +15,24 @@ workspace, and each new state is copied out into an array of its own.
 run checks every accepted state for finiteness.
 
 Each audit of an a-priori bound (invariant region, y/q ceilings,
-density floor) is one Audit value in Monitors: a latch that run records
-at every step and whose "violated by t" reading gives the monitors.csv
-flag letter, the summary line and the sweep's floor_violations count.
-Every run records the step times, max|u_x|, min rho and the invariant
-and floor audits; the y/q maxima and the ceiling audit that reads them
-only on request (simulate asks for them, a sweep cell does not).  That
-gradient record takes the accepted states in blocks of up to
-BLOCK_CELLS // n of them (at least one): a block's tau, c and u_x rows
-are stacked as (K, n) arrays and pass through one ddx4, one
-riemann_slopes and one y_variable, whose time terms are still formed
-row by row from each row's own time.  An elementwise op gives the same
-bits on a block as on its rows one at a time, so no recorded bit moves.
-A block that leaves double range anywhere is recorded again a state at
-a time, so NaN lands on exactly the states whose y or q leaves it.  A
-block is recorded when it fills, before run returns, and before an
-error from a later step propagates.  The initial state is a block of
-its own; a block of one state reads the state's FieldState.yq, which
-the ceilings have already computed for the initial state.
+density floor) is one Audit value in Monitors: a latch whose "violated
+by t" reading gives the monitors.csv flag letter, the summary line and
+the sweep's floor_violations count.  run appends each accepted state's
+time, max|u_x| and min rho at once, and checks every audit over blocks
+of up to BLOCK_CELLS // n accepted states (at least one): when a block
+fills, before run returns, and before an error from a later step
+propagates.  The y/q maxima and the ceiling audit that reads them are
+recorded only on request (simulate asks, a sweep cell does not).  The
+tau and u rows of a block of K > 1 states are stacked as (K, n) arrays
+and reduced row by row, and for the y/q its tau, c and u_x rows pass
+through one ddx4, one riemann_slopes and one y_variable, whose time
+terms are formed from each row's own time.  A min or max is exact, an
+elementwise op gives the same bits on a block as on its rows one at a
+time, and 1/min tau and the floor stay Python-float operations per
+state, so no recorded bit moves.  A block whose y/q leaves double range
+is read again a state at a time, so NaN lands on exactly the states
+whose y or q leaves it.  The initial state is a block of its own, which
+reads the y/q its ceilings computed.
 
 run hands each snapshot record (one every max(1, n // 256) steps, plus
 the first and last state) to the sink named by its snapshots argument:
@@ -223,6 +223,10 @@ def step(field: FieldState, dt: float, *, workspace: Optional[Workspace] = None
 # monitors and audits
 # ---------------------------------------------------------------------
 
+CAP_SLACK = 1.02  # the invariant region and the y/q ceilings hold to this times their cap
+FLOOR_SLACK = 0.95  # min rho holds to this times the density floor
+
+
 @dataclass
 class Audit:
     """One a-priori bound checked at every step, latched: ok is None
@@ -263,15 +267,15 @@ class Monitors:
 
 
 def _prepare_audits(field: FieldState, mon: Monitors, gradient: bool) -> tuple:
-    """The constants of the audits: (c0_tilde, ceilings or None, floor or
-    None).  With the gradient record on, switches mon's ceiling audit on
-    where the regime map grants its hypothesis (an audit left at None is
-    off); notes the floor's onset in mon, the floor audit coming on at
+    """The constants of the audits: (region cap, ceilings or None, floor
+    or None).  With the gradient record on, switches mon's ceiling audit
+    on where the regime map grants its hypothesis (an audit left at None
+    is off); notes the floor's onset in mon, the floor audit coming on at
     its first check past t_min.  The ceilings are computed only for the
     ceiling audit or for a regime with a density floor, which is built
     on them, so a RangeError in a ceiling nothing reads ends no run."""
     gm, dl = field.gas, field.damping
-    c0_tilde = bounds.certified_initial_bound(field).c0_tilde
+    region_cap = bounds.certified_initial_bound(field).c0_tilde * CAP_SLACK
     regime = core.classify_regime(gm, dl)
     if gradient and regime.has_ceiling:
         mon.ceiling.ok = True
@@ -286,83 +290,73 @@ def _prepare_audits(field: FieldState, mon: Monitors, gradient: bool) -> tuple:
             mon.floor_t_min = floor.t_min
         except RangeError:
             pass
-    return c0_tilde, ceilings, floor
+    return region_cap, ceilings, floor
 
 
-def _record(mon: Monitors, field: FieldState, max_ux, tau_max, audits: tuple):
-    """One row of the scalar monitors and one check of the invariant and
-    floor audits where they are on."""
-    t = field.t
-    # 1/x is monotone and correctly rounded: min(1/tau) is 1/max(tau) exactly
-    rho_min = 1.0 / tau_max
-    mon.ts.append(t)
-    mon.max_abs_ux.append(max_ux)
-    mon.min_rho.append(rho_min)
-
-    rho_max = 1.0 / float(field.tau.min())
-    u_max = float(np.abs(field.u).max())
-    c0_tilde, _, floor = audits
-    region_cap = c0_tilde * 1.02
-    mon.invariant.record(rho_max <= region_cap and u_max <= region_cap, t)
-
-    if floor is not None and t > floor.t_min:
-        try:
-            floor_val = bounds.density_floor(field.gas, field.damping, floor, t)
-        except RangeError:  # no floor to audit against at this step
-            if mon.floor_range_t is None:
-                mon.floor_range_t = t
-        else:
-            mon.floor.record(rho_min >= 0.95 * floor_val, t)
-
-
-# the gradient record takes accepted states in blocks of up to this many
-# cells: 32 states at n = 128, 8 at n = 512, 1 from n = 4096 on
+# the record takes accepted states in blocks of up to this many cells:
+# 32 states at n = 128, 8 at n = 512, 1 from n = 4096 on
 BLOCK_CELLS = 4096
 
 
-def _yq_maxima(block: list):
-    """The y and q maxima of each state of block, as two lists.  A block
-    of one state, as every block is from n = BLOCK_CELLS on, reads its
-    FieldState.yq, which the ceilings have already computed for the
-    initial state.  A longer block, whose states share a grid and model,
-    is one array program over their (K, n) rows, reading each state's
-    cached c and u_x."""
-    if len(block) == 1:
-        return block[0].yq()[:, np.newaxis].max(axis=-1).tolist()
-    first = block[0]
-    gm, tau = first.gas, np.array([s.tau for s in block])
-    phi = core.phi_of_tau(gm, tau)
-    slopes = core.riemann_slopes(np.array([s.sound() for s in block]),
-                                 np.array([s.u_x() for s in block]),
-                                 fields.ddx4(tau, first.grid.dx))
-    yq = core.y_variable(gm, first.damping, phi, np.stack(slopes),
-                         [s.t for s in block])
-    return yq.max(axis=-1).tolist()
-
-
-def _record_yq(mon: Monitors, block: list, caps):
-    """Append the y/q maxima of a block of accepted states to mon, and
-    check the ceiling audit on each where it is on, in time order.  A
-    block that leaves double range anywhere is recorded again a state at
-    a time.  As when each state was recorded alone, a state's RangeError
-    (from phi or y_variable) reads NaN, and its other range errors (from
-    its slopes) end the run."""
+def _yq_maxima(block: list, tau: Optional[np.ndarray]) -> list:
+    """[y_max, q_max] of each state of block.  One state, as every block
+    is from n = BLOCK_CELLS on, reads its FieldState.yq, which the
+    ceilings have already computed for the initial state.  More are one
+    array program over their (K, n) rows, tau stacked by the caller,
+    reading each state's cached c and u_x; where it leaves double range,
+    the block is read again a state at a time.  A state's RangeError
+    (from phi or y_variable) then reads NaN, and its other range errors
+    (from its slopes) end the run."""
     try:
-        y_maxes, q_maxes = _yq_maxima(block)
+        if len(block) == 1:
+            return [block[0].yq().max(axis=-1).tolist()]
+        first = block[0]
+        slopes = core.riemann_slopes(np.array([s.sound() for s in block]),
+                                     np.array([s.u_x() for s in block]),
+                                     fields.ddx4(tau, first.grid.dx))
+        yq = core.y_variable(first.gas, first.damping, core.phi_of_tau(first.gas, tau),
+                             np.stack(slopes), [s.t for s in block])
+        return yq.max(axis=-1).T.tolist()
     except (RangeError, *core.RANGE_ERRORS) as e:
         if len(block) > 1:
-            for state in block:
-                _record_yq(mon, [state], caps)
-            return
-        if not isinstance(e, RangeError):
-            raise
-        y_maxes = q_maxes = [math.nan]
-    mon.y_max += y_maxes
-    mon.q_max += q_maxes
-    if mon.ceiling.ok is not None:
-        for state, y_max, q_max in zip(block, y_maxes, q_maxes):
-            mon.ceiling.record((not math.isnan(y_max)) and y_max <= caps.y_cap * 1.02
-                               and q_max <= caps.q_cap * 1.02, state.t)
+            return [_yq_maxima([s], None)[0] for s in block]
+        if isinstance(e, RangeError):
+            return [[math.nan, math.nan]]
+        raise
+
+
+def _record(mon: Monitors, block: list, audits: tuple, gradient: bool):
+    """Check each audit that is on over a block of accepted states, in
+    time order, and with gradient append their y/q maxima to mon, which
+    holds their other rows (its last len(block)).  A min or max over a
+    (K, n) row is exact; 1/min tau and the floor stay Python-float
+    operations per state, since numpy's exp need not give libm's bits."""
+    region_cap, caps, floor = audits
+    if len(block) == 1:  # every block from n = BLOCK_CELLS on: no copies
+        tau = None
+        tau_mins, u_maxes = [float(block[0].tau.min())], [float(np.abs(block[0].u).max())]
+    else:
+        tau = np.array([s.tau for s in block])
+        tau_mins = tau.min(axis=-1).tolist()
+        u_maxes = np.abs(np.array([s.u for s in block])).max(axis=-1).tolist()
+    rows = zip(mon.ts[-len(block):], tau_mins, u_maxes, mon.min_rho[-len(block):],
+               _yq_maxima(block, tau) if gradient else [(None, None)] * len(block))
+    for t, tau_min, u_max, rho_min, (y_max, q_max) in rows:
+        mon.invariant.record(1.0 / tau_min <= region_cap and u_max <= region_cap, t)
+        if floor is not None and t > floor.t_min:
+            try:
+                floor_val = bounds.density_floor(block[0].gas, block[0].damping, floor, t)
+            except RangeError:  # no floor to audit against at this state
+                if mon.floor_range_t is None:
+                    mon.floor_range_t = t
+            else:
+                mon.floor.record(rho_min >= FLOOR_SLACK * floor_val, t)
+        if gradient:
+            mon.y_max.append(y_max)
+            mon.q_max.append(q_max)
+            if mon.ceiling.ok is not None:  # a NaN maximum compares False
+                mon.ceiling.record(y_max <= caps.y_cap * CAP_SLACK
+                                   and q_max <= caps.q_cap * CAP_SLACK, t)
 
 
 # ---------------------------------------------------------------------
@@ -453,11 +447,11 @@ def run(
     file, or DiscardSnapshots when nothing reads them.  It is the
     result's snapshots.
 
-    Every run records, per accepted state, ts, max_abs_ux and min_rho
-    and checks the invariant-region and density-floor audits.
-    monitors_requested adds the gradient-variable record: y_max, q_max
-    and the ceiling audit that reads them (left off, ceiling.ok stays
-    None and y_max, q_max stay empty)."""
+    Every run records ts, max_abs_ux and min_rho and checks the
+    invariant-region and density-floor audits, over blocks of accepted
+    states.  monitors_requested adds the gradient-variable record: y_max,
+    q_max and the ceiling audit that reads them (left off, ceiling.ok
+    stays None and y_max, q_max stay empty)."""
     if not (t_end > field.t):
         raise DomainError("t_end must exceed the field time")
     if not (0.0 < cfl <= DEFAULT_CFL):
@@ -473,17 +467,19 @@ def run(
     block, block_size = [], max(1, BLOCK_CELLS // field.grid.n)
 
     def record(state: FieldState, max_ux, tau_max):
-        _record(mon, state, max_ux, tau_max, audits)
-        if monitors_requested:
-            block.append(state)
-            if len(block) >= block_size:
-                flush()
+        mon.ts.append(state.t)
+        mon.max_abs_ux.append(max_ux)
+        # 1/x is monotone and correctly rounded: min(1/tau) is 1/max(tau) exactly
+        mon.min_rho.append(1.0 / tau_max)
+        block.append(state)
+        if len(block) >= block_size:
+            flush()
 
     def flush():  # cleared first: a record that raises is not made again
         pending = block.copy()
         block.clear()
         if pending:
-            _record_yq(mon, pending, audits[1])
+            _record(mon, pending, audits, monitors_requested)
 
     record(field, max_ux, tau_max)
     flush()  # the initial state alone, whose y/q the ceilings may have cached

@@ -334,17 +334,17 @@ BLOCK_RUNS = {
 }
 
 
-def run_with_states(monkeypatch, field, t_end):
-    """run(field, t_end) with the y/q record, and its accepted states."""
+def run_with_states(monkeypatch, field, t_end, monitors_requested=True):
+    """run(field, t_end, monitors_requested), and its accepted states."""
     states, record = [], solver._record
 
-    def spy(mon, state, *args):
-        states.append(state)
-        record(mon, state, *args)
+    def spy(mon, block, *args):
+        states.extend(block)
+        record(mon, block, *args)
 
     with monkeypatch.context() as m:
         m.setattr(solver, "_record", spy)
-        return run(field, t_end), states
+        return run(field, t_end, monitors_requested), states
 
 
 def state_by_state(states, without_yq: solver.Monitors) -> solver.Monitors:
@@ -370,6 +370,66 @@ def state_by_state(states, without_yq: solver.Monitors) -> solver.Monitors:
     return mon
 
 
+def scalar_record(states) -> solver.Monitors:
+    """The monitors of a run without the y/q record, each state recorded
+    alone with the expressions of a per-state record: 1/max tau, the
+    invariant region on 1/min tau and max|u|, the floor from
+    bounds.density_floor."""
+    mon = solver.Monitors()
+    floor = solver._prepare_audits(states[0], mon, False)[2]
+    c0_tilde = bounds.certified_initial_bound(states[0]).c0_tilde
+    for s in states:
+        t, rho_min = s.t, 1.0 / float(s.tau.max())
+        mon.ts.append(t)
+        mon.max_abs_ux.append(float(np.abs(s.u_x()).max()))
+        mon.min_rho.append(rho_min)
+        rho_max, u_max = 1.0 / float(s.tau.min()), float(np.abs(s.u).max())
+        mon.invariant.record(rho_max <= c0_tilde * 1.02 and u_max <= c0_tilde * 1.02, t)
+        if floor is not None and t > floor.t_min:
+            try:
+                floor_val = bounds.density_floor(s.gas, s.damping, floor, t)
+            except RangeError:
+                if mon.floor_range_t is None:
+                    mon.floor_range_t = t
+            else:
+                mon.floor.record(rho_min >= 0.95 * floor_val, t)
+    return mon
+
+
+def invariant_flips(c0_tilde, make):
+    """make's run, with c0_tilde patched to lie between the first and the
+    last state's max(1/min tau, max|u|)."""
+    def patched(monkeypatch):
+        bound = bounds.certified_initial_bound
+        monkeypatch.setattr(bounds, "certified_initial_bound",
+                            lambda field: dataclasses.replace(bound(field), c0_tilde=c0_tilde))
+        return make()
+    return patched
+
+
+# the runs the record without y/q is checked on: those of BLOCK_RUNS, and
+# three whose floor, then invariant-region, latch changes inside a block
+SCALAR_RUNS = {
+    **{name: (lambda monkeypatch, make=make: make(), None)
+       for name, (make, _) in BLOCK_RUNS.items()},
+    # test_cli's floor_underflows: the floor falls below the smallest
+    # normal double
+    "floor_underflows": (lambda monkeypatch: physics_run(
+        (2.931, 9.27), (0.153, 1.74),
+        {"preset": "sine", "tau0": 1.0, "u_amp": -0.05, "tau_amp": 0.02}, 32, 10.0, 25.4),
+        "floor"),
+    # the invariant region's cap is crossed by 1/min tau, which rises
+    # from 1.0 to 1.05, then by max|u|, which rises from 0 to 0.83 while
+    # 1/min tau falls from 0.5
+    "invariant_flips_on_rho": (invariant_flips(1.025, lambda: physics_run(
+        (2.0, 1.0), (1.0, 0.0), {"preset": "sine", "tau0": 1.0, "u_amp": -0.2}, 128, 10.0, 0.5)),
+        "invariant"),
+    "invariant_flips_on_u": (invariant_flips(0.6, lambda: physics_run(
+        (2.0, 10.0), (0.0, 0.0), {"preset": "sine", "tau0": 4.0, "u_amp": 0.0, "tau_amp": 2.0},
+        128, 10.0, 1.0)), "invariant"),
+}
+
+
 class TestBlockRecord:
     @pytest.mark.parametrize("name", BLOCK_RUNS)
     def test_matches_state_by_state(self, monkeypatch, name):
@@ -391,6 +451,26 @@ class TestBlockRecord:
             index = mon.ts.index(mon.ceiling.violation_t)
         assert (index - 1) % size != 0
 
+    @pytest.mark.parametrize("name", SCALAR_RUNS)
+    def test_record_without_yq_matches_state_by_state(self, monkeypatch, name):
+        # the path sweep cells take: the invariant region and the floor
+        # checked over blocks, against each state recorded alone
+        make, inside = SCALAR_RUNS[name]
+        field, t_end = make(monkeypatch)
+        res, states = run_with_states(monkeypatch, field, t_end, monitors_requested=False)
+        # repr spells every float exactly, and every audit
+        assert repr(res.monitors) == repr(scalar_record(states))
+        if inside is None:
+            return
+        mon = res.monitors
+        if inside == "floor":
+            index = mon.ts.index(mon.floor_range_t)
+            assert mon.floor.ok is True
+        else:
+            index = mon.ts.index(mon.invariant.violation_t)
+            assert mon.invariant.ok is False
+        assert (index - 1) % max(1, solver.BLOCK_CELLS // field.grid.n) != 0
+
     @pytest.mark.parametrize("n,t_end,size", [
         (128, 1.0, 32), (512, 0.3, 8), (4096, 0.01, 1), (8192, 0.005, 1)])
     def test_blocks_hold_at_most_block_cells(self, monkeypatch, n, t_end, size):
@@ -399,13 +479,13 @@ class TestBlockRecord:
         # remainder when the run returns
         field = make_field(GasModel(2.0, 1.0), DampingLaw(1.0, 0.0),
                            {"preset": "sine", "tau0": 1.0, "u_amp": -0.2}, n=n)
-        sizes, record_yq = [], solver._record_yq
+        sizes, record = [], solver._record
 
-        def spy(mon, block, caps):
+        def spy(mon, block, *args):
             sizes.append(len(block))
-            record_yq(mon, block, caps)
+            record(mon, block, *args)
 
-        monkeypatch.setattr(solver, "_record_yq", spy)
+        monkeypatch.setattr(solver, "_record", spy)
         later = len(run(field, t_end).monitors.ts) - 1
         assert later > size
         assert sizes == [1] + [size] * (later // size) + [later % size] * (later % size > 0)
@@ -415,14 +495,14 @@ class TestBlockRecord:
         # again a state at a time: the state whose own record raises
         # RangeError reads NaN, its block neighbours keep their values
         clean = run(sine_field, 0.5).monitors
-        bad_t, maxima = clean.ts[5], solver._yq_maxima
+        bad_t, y_variable = clean.ts[5], core.y_variable
 
-        def flaky(block):
-            if any(s.t == bad_t for s in block):
-                raise (OverflowError if len(block) > 1 else RangeError)("out of range")
-            return maxima(block)
+        def flaky(gm, dl, phi, grad, t):  # t: a block's list of times, or a state's
+            if bad_t in (t if isinstance(t, list) else [t]):
+                raise (OverflowError if isinstance(t, list) else RangeError)("out of range")
+            return y_variable(gm, dl, phi, grad, t)
 
-        monkeypatch.setattr(solver, "_yq_maxima", flaky)
+        monkeypatch.setattr(core, "y_variable", flaky)
         mon = run(sine_field, 0.5).monitors
         nan_at = [i for i, v in enumerate(mon.y_max) if math.isnan(v)]
         assert nan_at == [i for i, v in enumerate(mon.q_max) if math.isnan(v)] == [5]
@@ -433,20 +513,21 @@ class TestBlockRecord:
         # a state's own record that overflows outside y_variable (its
         # slopes) ends the run, as it did when each state was recorded
         # alone: before a later step's error, which its block outlives
-        bad_t, maxima = run(sine_field, 0.5).monitors.ts[5], solver._yq_maxima
-        real_step = solver.step
+        _, states = run_with_states(monkeypatch, sine_field, 0.5)
+        bad_t, bad_ux = states[5].t, states[5].u_x()
+        slopes, real_step = core.riemann_slopes, solver.step
 
-        def flaky(block):
-            if any(s.t == bad_t for s in block):
+        def flaky(c, u_x, tau_x):  # u_x: a block's rows, or a state's row
+            if any(np.array_equal(row, bad_ux) for row in np.reshape(u_x, (-1, len(bad_ux)))):
                 raise FloatingPointError("overflow encountered in multiply")
-            return maxima(block)
+            return slopes(c, u_x, tau_x)
 
         def failing_step(field, dt, **kw):
             if field.t > bad_t:
                 raise VacuumError("tau reached zero")
             return real_step(field, dt, **kw)
 
-        monkeypatch.setattr(solver, "_yq_maxima", flaky)
+        monkeypatch.setattr(core, "riemann_slopes", flaky)
         monkeypatch.setattr(solver, "step", failing_step)
         with pytest.raises(RangeError, match="FloatingPointError"):
             run(sine_field, 0.5)
