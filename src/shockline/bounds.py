@@ -91,10 +91,10 @@ def _require_floor_regime(gm: GasModel, dl: DampingLaw):
 
 
 def _floor_coef(gm: GasModel, ceilings: RiccatiCeilings) -> float:
-    """(3-g)/(4(g-1)) * K_c * (Y+Q), the coefficient of the onset term;
-    K0's bracket is 2 * phi_coef**(-p_lo) times it."""
-    g = gm.gamma
-    return (3.0 - g) / (4.0 * (g - 1.0)) * gm.k_c * (ceilings.y_cap + ceilings.q_cap)
+    """(3-g)/(4(g-1)) * K_c * (Y+Q), the coefficient of the onset term,
+    with (3-g)/(4(g-1)) = -p_lo/2; K0's bracket is 2 * phi_coef**(-p_lo)
+    times it."""
+    return -0.5 * gm.p_lo * gm.k_c * (ceilings.y_cap + ceilings.q_cap)
 
 
 @core.in_float_range
@@ -103,7 +103,7 @@ def density_floor_constant(
 ) -> float:
     """K0 of the density lower bound."""
     _require_floor_regime(gm, dl)
-    bracket = 2.0 * gm.phi_coef ** (-core.p_lo(gm)) * _floor_coef(gm, ceilings)
+    bracket = 2.0 * gm.phi_coef ** (-gm.p_lo) * _floor_coef(gm, ceilings)
     return bracket ** (-4.0 / (3.0 - gm.gamma))
 
 
@@ -135,9 +135,8 @@ def _onset_lhs(gm: GasModel, dl: DampingLaw, ceilings: RiccatiCeilings, t: float
 
 
 def initial_phi_term_sup(field: FieldState) -> float:
-    """sup_x of phi(x,0)**((g-3)/(2(g-1))), the term the onset must
-    dominate."""
-    return float(np.max(field.phi() ** core.p_lo(field.gas)))
+    """sup_x of phi(x,0)**p_lo, the term the onset must dominate."""
+    return float(np.max(field.phi() ** field.gas.p_lo))
 
 
 @core.in_float_range
@@ -190,7 +189,7 @@ def k1_constant(gm: GasModel, ib: InitialBound) -> float:
     g = gm.gamma
     return (
         gm.k_c * (g + 1.0) / (2.0 * (g - 1.0))
-        * gm.phi_coef ** (-core.p_lo(gm))
+        * gm.phi_coef ** (-gm.p_lo)
         * ib.c0_tilde ** ((3.0 - g) / 4.0)
     )
 
@@ -218,12 +217,13 @@ def k2_integral(gm: GasModel, dl: DampingLaw) -> float:
 
 
 def k3_constant(gm: GasModel, dl: DampingLaw) -> float:
-    """K3 of the a0/a2 ratio bound."""
+    """K3 of the a0/a2 ratio bound, with phi_coef**((g-3)/(g-1)) =
+    phi_coef**(2 p_lo)."""
     g, a = gm.gamma, dl.alpha
     return (
         2.0 * a * (g - 1.0) ** 2
         / (gm.k_c**2 * (g - 3.0) ** 2 * (g + 1.0))
-        * gm.phi_coef ** ((g - 3.0) / (g - 1.0))
+        * gm.phi_coef ** (2.0 * gm.p_lo)
     )
 
 

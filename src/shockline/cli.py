@@ -28,7 +28,7 @@ import yaml
 from . import criteria, solver
 from .core import DampingLaw, GasModel, classify_regime
 from .errors import ConfigError, DomainError, RegimeError, ShocklineError
-from .fields import PRESETS, Grid, init_field
+from .fields import Grid, init_field
 
 log = logging.getLogger("shockline")
 
@@ -156,11 +156,6 @@ def build_scenario(cfg: dict) -> dict:
             length=float(_need(grid_cfg, "L", "grid")),
         )
         profile = _mapping(_need(cfg, "profile", "scenario"), "profile")
-        if profile.get("preset") not in PRESETS:
-            raise ConfigError(
-                f"profile preset must be one of {PRESETS}, "
-                f"got {profile.get('preset')!r}"
-            )
         if "periods" in profile:
             profile["periods"] = _integer(profile["periods"], "profile.periods")
         field = init_field(profile, grid, gm, dl)

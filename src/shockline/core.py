@@ -7,6 +7,11 @@ branches (decay exponent != 1 and == 1); also the regime map over
 (alpha, lambda, gamma), the hypothesis of every blow-up criterion,
 threshold and density floor.
 
+Each constant of the model is defined once: the exponents of phi are
+GasModel fields (theta, p_hi, p_lo), y's shift is _shift, which the
+criteria read at t = 0 as their Kt1, and the time factor's body is
+_log_time_body, shared by log_time_factor and the Riccati kernel.
+
 All functions accept scalars or numpy arrays in the field slots, except
 the Riccati coefficients, which take Python floats, and are pure; every
 type here is an immutable value.  in_double_range sets numpy's
@@ -127,6 +132,10 @@ class GasModel:
     k_p = (gamma-1)/(2*gamma) * k_c and k_tau * k_c = (gamma-1)/2.
     gamma == 3 is rejected: every coefficient formula downstream divides
     by gamma - 3.
+
+    theta, p_hi = (gamma+1)/(2(gamma-1)) and p_lo = (gamma-3)/(2(gamma-1))
+    are the exponents of phi; every other one is an exact multiple of one
+    of them (-1/theta, 2 p_hi, -0.5 p_lo), with the bits of its form in gamma.
     """
 
     gamma: float
@@ -136,6 +145,8 @@ class GasModel:
     k_p: float = field(init=False)
     k_c: float = field(init=False)
     phi_coef: float = field(init=False)  # 2*sqrt(K*gamma)/(gamma-1)
+    p_hi: float = field(init=False)
+    p_lo: float = field(init=False)
 
     def __post_init__(self):
         g, k = self.gamma, self.big_k
@@ -160,6 +171,8 @@ class GasModel:
         object.__setattr__(self, "k_tau", k_tau)
         object.__setattr__(self, "k_p", k_p)
         object.__setattr__(self, "k_c", k_c)
+        object.__setattr__(self, "p_hi", (g + 1.0) / (2.0 * (g - 1.0)))
+        object.__setattr__(self, "p_lo", (g - 3.0) / (2.0 * (g - 1.0)))
 
 
 @dataclass(frozen=True)
@@ -307,9 +320,9 @@ def phi_of_tau(gm: GasModel, tau):
 
 
 def tau_of_phi(gm: GasModel, phi):
-    """Inverse of phi_of_tau: tau = k_tau * phi**(-2/(gamma-1))."""
+    """Inverse of phi_of_tau: tau = k_tau * phi**(-1/theta)."""
     _require_positive("phi", phi)
-    return gm.k_tau * phi ** (-2.0 / (gm.gamma - 1.0))
+    return gm.k_tau * phi ** (-1.0 / gm.theta)
 
 
 def pressure(gm: GasModel, tau):
@@ -325,9 +338,9 @@ def sound_speed(gm: GasModel, tau):
 
 
 def sound_speed_of_phi(gm: GasModel, phi):
-    """Same speed through the phi route: c = k_c * phi**((gamma+1)/(gamma-1))."""
+    """Same speed through the phi route: c = k_c * phi**(2 p_hi)."""
     _require_positive("phi", phi)
-    return gm.k_c * phi ** ((gm.gamma + 1.0) / (gm.gamma - 1.0))
+    return gm.k_c * phi ** (2.0 * gm.p_hi)
 
 
 def riemann_invariants(gm: GasModel, p: PointState):
@@ -344,21 +357,21 @@ def riemann_slopes(c, u_x, tau_x):
     return u_x - c_taux, u_x + c_taux
 
 
-# exponents of phi that recur in the gradient-variable algebra
-def p_hi(gm: GasModel) -> float:
-    return (gm.gamma + 1.0) / (2.0 * (gm.gamma - 1.0))
-
-
-def p_lo(gm: GasModel) -> float:
-    return (gm.gamma - 3.0) / (2.0 * (gm.gamma - 1.0))
-
-
 def _log_prefix(gm: GasModel, dl: DampingLaw) -> float:
     """The t-independent factor of log_time_factor."""
     g, a = gm.gamma, dl.alpha
     if dl.branch is Branch.CRITICAL:
         return a * (3.0 * g - 1.0) / (2.0 * (g - 3.0))
     return a * (3.0 * g - 1.0) / (2.0 * (g - 3.0) * (1.0 - dl.lam))
+
+
+def _log_time_body(log_pre: float, dl: DampingLaw, t):
+    """log_pre, the _log_prefix of dl, times the t-dependent factor of
+    log_time_factor: the one body of the time factor, which the Riccati
+    kernel shares with a prefix formed once per kernel."""
+    if dl.branch is Branch.CRITICAL:
+        return log_pre * np.log1p(t)
+    return log_pre * (1.0 + t) ** (1.0 - dl.lam)
 
 
 def log_time_factor(gm: GasModel, dl: DampingLaw, t):
@@ -370,9 +383,7 @@ def log_time_factor(gm: GasModel, dl: DampingLaw, t):
     """
     if _any(operator.lt, t, 0.0):
         raise DomainError("t must be nonnegative")
-    if dl.branch is Branch.CRITICAL:
-        return _log_prefix(gm, dl) * np.log1p(t)
-    return _log_prefix(gm, dl) * (1.0 + t) ** (1.0 - dl.lam)
+    return _log_time_body(_log_prefix(gm, dl), dl, t)
 
 
 def checked_log(log_val):
@@ -406,9 +417,8 @@ def y_variable(gm: GasModel, dl: DampingLaw, phi, grad, t):
     grad = the stacked rows (A, B), one call gives (y, q) as rows and
     shares the phi powers and the time factor.
 
-    y = (phi**((g+1)/(2(g-1))) * A
-         - alpha(g-1)/(K_c (g-3) (1+t)**lam) * phi**((g-3)/(2(g-1))))
-        * exp(log_time_factor).
+    y = (phi**p_hi * A - _shift(t) * phi**p_lo) * exp(log_time_factor),
+    with y's shift _shift(t) = alpha(g-1)/(K_c (g-3) (1+t)**lam).
 
     t is one time, or a list of the K row times of a (K, n) block of
     phi, whose grad is then (K, n) or (2, K, n).  Each row's shift and
@@ -419,7 +429,7 @@ def y_variable(gm: GasModel, dl: DampingLaw, phi, grad, t):
     the scalar power.
     """
     _require_positive("phi", phi)
-    tilde = phi ** p_hi(gm) * grad - _per_time(_shift, gm, dl, t) * phi ** p_lo(gm)
+    tilde = phi ** gm.p_hi * grad - _per_time(_shift, gm, dl, t) * phi ** gm.p_lo
     return tilde * _per_time(_time_factor, gm, dl, t)
 
 
@@ -432,7 +442,9 @@ def _per_time(fn, gm: GasModel, dl: DampingLaw, t):
 
 def _shift(gm: GasModel, dl: DampingLaw, t):
     """alpha(g-1)/(K_c (g-3) (1+t)**lam), y's shift: a numpy scalar from
-    the start, so the trap sees it overflow."""
+    the start, so the trap sees it overflow.  At t = 0, (1+t)**lam is
+    exactly 1, so _shift(0) is alpha(g-1)/(K_c (g-3)) to the bit: the
+    criteria's Kt1."""
     g = gm.gamma
     return np.float64(dl.alpha) * (g - 1.0) / (gm.k_c * (g - 3.0) * (1.0 + t) ** dl.lam)
 
@@ -452,20 +464,21 @@ def riccati_kernel(gm: GasModel, dl: DampingLaw):
 
     Numerator of c0:
       lam*alpha*(g-1)*(g-3)*(1+t)**(lam-1) - alpha**2*(g-1)**2,
-    divided by K_c*(g-3)**2*(1+t)**(2 lam), times phi**((g-3)/(2(g-1)))
-    and the time factor; c2 = K_c*(g+1)/(2(g-1)) * phi**(-(g-3)/(2(g-1)))
-    over the time factor.  The critical branch is the lam = 1
-    specialisation with a power-law time factor.
+    divided by K_c*(g-3)**2*(1+t)**(2 lam), times phi**p_lo and the
+    time factor; c2 = K_c*(g+1)/(2(g-1)) * phi**(-p_lo) over the time
+    factor.  The critical branch is the lam = 1 specialisation with a
+    power-law time factor.
 
-    The factors free of phi and t are formed once, here.  Python
-    multiplies left to right, so each is a prefix of the product it
-    stood in, and c0 and c2 keep their bits.  A call is guarded by
+    The factors free of phi and t are formed once, here, the time
+    factor's prefix included; the time factor itself is
+    _log_time_body's, as in log_time_factor, through checked_exp.
+    Python multiplies left to right, so each is a prefix of the product
+    it stood in, and c0 and c2 keep their bits.  A call is guarded by
     in_float_range; a factor that itself leaves double range is NaN
     here, so every call raises RangeError, as every call did before.
     """
     g, a, lam = gm.gamma, dl.alpha, dl.lam
-    critical = dl.branch is Branch.CRITICAL
-    lo = p_lo(gm)
+    lo = gm.p_lo
     try:
         log_pre = _log_prefix(gm, dl)
         num_t, num_0 = lam * a * (g - 1.0) * (g - 3.0), a * a * (g - 1.0) ** 2
@@ -480,8 +493,7 @@ def riccati_kernel(gm: GasModel, dl: DampingLaw):
             raise DomainError("phi must be positive")
         if t < 0.0:
             raise DomainError("t must be nonnegative")
-        log_mu = log_pre * (float(np.log1p(t)) if critical else (1.0 + t) ** (1.0 - lam))
-        mu = float(np.exp(checked_log(log_mu)))
+        mu = float(checked_exp(_log_time_body(log_pre, dl, t)))
         c0 = ((num_t * (1.0 + t) ** (lam - 1.0) - num_0)
               / (den_0 * (1.0 + t) ** (2.0 * lam)) * phi ** lo * mu)
         return c0, c2_0 * phi ** -lo / mu

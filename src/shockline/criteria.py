@@ -5,7 +5,8 @@ Four sufficient conditions are implemented, split by adiabatic exponent
 (gamma above or below 3) and by damping branch (decay exponent equal to
 1 or not).  Each check scans the grid for a point where the slope of a
 Riemann invariant falls below an explicit threshold; for 1 < gamma < 3
-that threshold fires exactly where y or q is negative at t = 0.
+that threshold fires exactly where y or q is negative at t = 0, since
+its Kt1 is y's shift at t = 0 (core._shift).
 """
 
 from __future__ import annotations
@@ -87,14 +88,17 @@ def evaluate(field: FieldState, gm: GasModel, dl: DampingLaw) -> Verdict:
 
     T3_1 (gamma > 3, generic branch outside the lambda gap) and T4_1
     (gamma > 3, lambda = 1, alpha >= (g-3)/(g-1)):
-        Kt1 * phi**(-2/(g-1)) - Kt2 * phi**(-(g+1)/(2(g-1))), with
+        Kt1 * phi**(-1/theta) - Kt2 * phi**(-p_hi), with
         Kt1 = alpha(g-1)/(K_c(g-3)) and Kt2 the threshold N (T3_1) or
         N1 (T4_1) times exp(-log_time_factor(0)), both at the bound
         bounds.certified_initial_bound derives from the field;
     T3_2 (1 < gamma < 3, lambda >= alpha(g-1)/(g-3), generic branch)
     and T4_2 (1 < gamma < 3, lambda = 1):
-        Kt1 * phi**(-2/(g-1)) = -alpha(g-1)/(K_c(3-g)) * phi**(-2/(g-1)),
-        equivalently where y or q is negative at t = 0.
+        Kt1 * phi**(-1/theta) = -alpha(g-1)/(K_c(3-g)) * phi**(-2/(g-1)).
+    Kt1 is y's shift at t = 0 (core._shift) and -1/theta = p_lo - p_hi,
+    so y = phi**p_hi * (A - Kt1 * phi**(-1/theta)) times a positive
+    factor at t = 0, and q the same with B: the sub-gamma curve fires
+    exactly where y or q is negative at t = 0.
     """
     if field.t != 0.0:
         raise DomainError("criteria evaluate initial data only (t = 0)")
@@ -113,11 +117,11 @@ def evaluate(field: FieldState, gm: GasModel, dl: DampingLaw) -> Verdict:
 
 
 def _threshold_curve(gm: GasModel, dl: DampingLaw, phi, time_factor: bool, threshold):
-    """The curve of evaluate; the Kt2 term only with time_factor."""
-    g = gm.gamma  # Kt1 and Kt2 start as numpy scalars: the trap sees them
-    kt1 = np.float64(dl.alpha) * (g - 1.0) / (gm.k_c * (g - 3.0))
-    rhs = kt1 * phi ** (-2.0 / (g - 1.0))
+    """The curve of evaluate; the Kt2 term only with time_factor.  Kt1
+    is core._shift at t = 0, and the exponents are the GasModel's."""
+    # Kt1 and Kt2 start as numpy scalars: the trap sees them
+    rhs = core._shift(gm, dl, 0.0) * phi ** (-1.0 / gm.theta)
     if time_factor:
         kt2 = np.float64(threshold) * core.initial_decay(gm, dl)
-        rhs = rhs - kt2 * phi ** (-(g + 1.0) / (2.0 * (g - 1.0)))
+        rhs = rhs - kt2 * phi ** (-gm.p_hi)
     return rhs

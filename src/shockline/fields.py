@@ -234,6 +234,8 @@ def _bump(spec: dict, grid: Grid):
     """(tau_amp, u_amp, shape, shape_x): the amplitudes and the unit shape,
     with its x-derivative, of the gaussian or sine preset."""
     preset, x, length = spec.get("preset"), grid.xs, grid.length
+    if preset not in ("gaussian", "sine"):  # the callers take "constant"
+        raise DomainError(f"profile preset must be one of {PRESETS}, got {preset!r}")
     amps = float(spec.get("tau_amp", 0.0)), float(spec.get("u_amp", 0.0))
     if preset == "gaussian":
         center = float(spec.get("center", 0.5 * length))
@@ -246,8 +248,6 @@ def _bump(spec: dict, grid: Grid):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             bump = np.exp(-0.5 * (d / width) ** 2)
             return (*amps, bump, -(d / width**2) * bump)
-    if preset != "sine":
-        raise DomainError(f"unknown profile preset {preset!r}")
     periods = int(spec.get("periods", 1))
     if periods < 1:
         raise DomainError("sine preset needs at least one full period")

@@ -267,21 +267,23 @@ class Monitors:
 
 
 def _prepare_audits(field: FieldState, mon: Monitors, gradient: bool) -> tuple:
-    """The constants of the audits: (region cap, ceilings or None, floor
-    or None).  With the gradient record on, switches mon's ceiling audit
-    on where the regime map grants its hypothesis (an audit left at None
-    is off); notes the floor's onset in mon, the floor audit coming on at
-    its first check past t_min.  The ceilings are computed only for the
-    ceiling audit or for a regime with a density floor, which is built
-    on them, so a RangeError in a ceiling nothing reads ends no run."""
+    """The constants of the audits: (region cap, (Y cap, Q cap) or None,
+    floor or None), each cap times CAP_SLACK once per run.  With the
+    gradient record on, switches mon's ceiling audit on where the regime
+    map grants its hypothesis (an audit left at None is off); notes the
+    floor's onset in mon, the floor audit coming on at its first check
+    past t_min.  The ceilings are computed only for the ceiling audit or
+    for a regime with a density floor, which is built on them unslacked,
+    so a RangeError in a ceiling nothing reads ends no run."""
     gm, dl = field.gas, field.damping
     region_cap = bounds.certified_initial_bound(field).c0_tilde * CAP_SLACK
     regime = core.classify_regime(gm, dl)
     if gradient and regime.has_ceiling:
         mon.ceiling.ok = True
-    ceilings = floor = None
+    ceilings = caps = floor = None
     if mon.ceiling.ok or regime.has_density_floor:
         ceilings = bounds.riccati_ceilings(field)
+        caps = ceilings.y_cap * CAP_SLACK, ceilings.q_cap * CAP_SLACK
     if regime.has_density_floor:
         try:
             floor = bounds.make_density_floor(
@@ -290,7 +292,7 @@ def _prepare_audits(field: FieldState, mon: Monitors, gradient: bool) -> tuple:
             mon.floor_t_min = floor.t_min
         except RangeError:
             pass
-    return region_cap, ceilings, floor
+    return region_cap, caps, floor
 
 
 # the record takes accepted states in blocks of up to this many cells:
@@ -355,8 +357,7 @@ def _record(mon: Monitors, block: list, audits: tuple, gradient: bool):
             mon.y_max.append(y_max)
             mon.q_max.append(q_max)
             if mon.ceiling.ok is not None:  # a NaN maximum compares False
-                mon.ceiling.record(y_max <= caps.y_cap * CAP_SLACK
-                                   and q_max <= caps.q_cap * CAP_SLACK, t)
+                mon.ceiling.record(y_max <= caps[0] and q_max <= caps[1], t)
 
 
 # ---------------------------------------------------------------------

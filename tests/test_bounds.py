@@ -27,6 +27,7 @@ from shockline import (
 )
 from shockline.bounds import (
     DensityFloor,
+    RiccatiCeilings,
     _onset_lhs,
     initial_phi_term_sup,
     k1_constant,
@@ -99,6 +100,21 @@ class TestCeilings:
 
 
 class TestDensityFloor:
+    @pytest.mark.parametrize("make, error, message", [
+        (lambda gm, dl, caps: RiccatiCeilings(0.5, 1.0),
+         DomainError, "ceilings are floored at 1 by definition"),
+        (lambda gm, dl, caps: density_floor_onset(gm, dl, caps, 0.0),
+         DomainError, "phi0_sup must be positive"),
+        # undamped, the onset term grows like t: it reaches 3.6e16 when
+        # the doubling passes t = 1e18, far below phi0_sup
+        (lambda gm, dl, caps: density_floor_onset(gm, dl, caps, 1e300),
+         RangeError, "density-floor onset did not bracket"),
+    ])
+    def test_rejects_bad_inputs(self, gm2, make, error, message):
+        with pytest.raises(error) as exc:
+            make(gm2, DampingLaw(0.0, 0.0), RiccatiCeilings(1.0, 1.0))
+        assert str(exc.value) == message
+
     def test_frozen_constant(self):
         # gamma=2, K=1, Y=Q=1, bracket = phi_coef**(1/2)*2*(1/2)*k_c
         gm = GasModel(2.0, 1.0)

@@ -188,6 +188,28 @@ class TestValidate:
         ok["profile"]["periods"] = 2.0
         assert main(["validate", "--config", write_cfg(tmp_path, ok)]) == EXIT_OK
 
+    @pytest.mark.parametrize("verb, edit, message", [
+        ("validate", lambda c: [c], "config root must be a mapping"),
+        ("validate", lambda c: c["profile"].update(preset="square") or c,
+         "profile preset must be one of ('constant', 'gaussian', 'sine'), got 'square'"),
+        ("validate", lambda c: c["run"].update(tolerances={"trace": 1.5}) or c,
+         "run.tolerances.trace must be in (0,1), got 1.5"),
+        ("simulate", lambda c: c["run"].update(t_end=0.0) or c,
+         "simulate requires run.t_end > 0"),
+        ("sweep", lambda c: dict(c, sweep={"axes": [
+            {"name": "alpha", "start": 0.0, "stop": 1.0, "count": 0}]}),
+         "axis count must be at least 1"),
+        ("sweep", lambda c: dict(c, sweep={"axes": [
+            {"name": "alpha", "start": -1e308, "stop": 1e308, "count": 2}]}),
+         "sweep.axes[0] spans more than double range"),
+    ])
+    def test_config_error_names_its_cause(self, tmp_path, verb, edit, message):
+        cfg = edit(json.loads(json.dumps(BASE)))
+        code, err = _run_verb([verb, "--config", write_cfg(tmp_path, cfg)])
+        assert code == EXIT_CONFIG
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert json.loads(err) == {"error": "ConfigError", "message": message}
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["validate", "--config", str(tmp_path / "nope.yaml")]) \
             == EXIT_CONFIG

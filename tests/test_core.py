@@ -40,7 +40,6 @@ from shockline.core import (
     in_float_range,
     log_time_factor,
     narrow_bracket,
-    p_lo,
     riccati_kernel,
     sound_speed_of_phi,
 )
@@ -69,11 +68,48 @@ class TestDerivedConstants:
         assert math.isclose(gm.k_p, (g - 1.0) / (2.0 * g) * gm.k_c, rel_tol=1e-12)
         assert math.isclose(gm.k_tau * gm.k_c, (g - 1.0) / 2.0, rel_tol=1e-12)
 
+    @given(g=st.floats(1.0, 20.0, exclude_min=True).filter(lambda g: g != 3.0),
+           a=st.floats(0.0, 10.0), lam=st.floats(-5.0, 5.0))
+    @example(g=1.0 + 2.0**-52, a=1.0, lam=0.0)
+    @example(g=1.0 + 1e-9, a=2.5, lam=1.0)
+    @example(g=math.nextafter(3.0, 0.0), a=1.0, lam=1.0)
+    @example(g=math.nextafter(3.0, 4.0), a=1.0, lam=-2.0)
+    @example(g=2.999, a=0.3, lam=0.5)
+    @example(g=3.001, a=7.0, lam=2.0)
+    @settings(max_examples=300, deadline=None)
+    def test_exponents_and_shift_match_the_written_out_forms(self, g, a, lam):
+        """Every exponent of phi that the package writes as a multiple of
+        theta, p_hi or p_lo, and the criteria's Kt1 read as y's shift at
+        t = 0, have the bits of the same constant written out in gamma.
+        big_k = (g-1)**2/(4g) makes phi_coef 1, so that the derived
+        constants stay in double range down to gamma = 1 + 2**-52."""
+        gm = GasModel(g, (g - 1.0) ** 2 / (4.0 * g))
+        assert 2.0 * gm.p_hi == (g + 1.0) / (g - 1.0)
+        assert 2.0 * gm.p_lo == (g - 3.0) / (g - 1.0)
+        assert -1.0 / gm.theta == -2.0 / (g - 1.0)
+        assert -gm.p_hi == -(g + 1.0) / (2.0 * (g - 1.0))
+        assert -0.5 * gm.p_lo == (3.0 - g) / (4.0 * (g - 1.0))
+        dl = DampingLaw(a, lam)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            kt1 = np.float64(a) * (g - 1.0) / (gm.k_c * (g - 3.0))
+            assert core._shift(gm, dl, 0.0).tobytes() == kt1.tobytes()
+
     @pytest.mark.parametrize("g,k", [(1.0, 1.0), (0.5, 1.0), (3.0, 1.0), (2.0, 0.0),
                                      (2.0, -1.0)])
     def test_rejects_bad_parameters(self, g, k):
         with pytest.raises(DomainError):
             GasModel(gamma=g, big_k=k)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: DampingLaw(1.0, math.inf), "lambda must be finite, got inf"),
+        (lambda: DampingLaw(1.0, math.nan), "lambda must be finite, got nan"),
+        (lambda: PointState(tau=0.0, u=0.0), "tau must be positive (no vacuum), got 0.0"),
+        (lambda: PointState(tau=1.0, u=0.0, t=-1.0), "t must be nonnegative, got -1.0"),
+    ])
+    def test_value_types_reject_bad_fields(self, make, message):
+        with pytest.raises(DomainError) as exc:
+            make()
+        assert str(exc.value) == message
 
 
 class TestTransforms:
@@ -243,6 +279,7 @@ def unfactored_coefficients(gm, dl, phi, t):
     factored form must match bit for bit."""
     _require_positive("phi", phi)
     g, a, lam = gm.gamma, dl.alpha, dl.lam
+    p_lo = (g - 3.0) / (2.0 * (g - 1.0))  # written out: the oracle reads no GasModel exponent
     if dl.branch is Branch.CRITICAL:
         log_mu = a * (3.0 * g - 1.0) / (2.0 * (g - 3.0)) * np.log1p(t)
     else:
@@ -255,11 +292,11 @@ def unfactored_coefficients(gm, dl, phi, t):
     )
     c0 = (
         num0 / (gm.k_c * (g - 3.0) ** 2 * (1.0 + t) ** (2.0 * lam))
-        * phi ** p_lo(gm) * mu
+        * phi ** p_lo * mu
     )
     c2 = (
         gm.k_c * (g + 1.0) / (2.0 * (g - 1.0))
-        * phi ** (-p_lo(gm)) / mu
+        * phi ** (-p_lo) / mu
     )
     return c0, c2
 

@@ -145,8 +145,22 @@ class TestPresets:
 
     def test_unknown_preset(self):
         g = Grid(n=32, length=4.0)
-        with pytest.raises(DomainError):
-            profile_arrays({"preset": "square"}, g)
+        for evaluate in (profile_arrays, profile_derivatives):
+            with pytest.raises(DomainError) as exc:
+                evaluate({"preset": "square", "tau_amp": "not a number"}, g)
+            assert str(exc.value) == ("profile preset must be one of "
+                                      "('constant', 'gaussian', 'sine'), got 'square'")
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"preset": "gaussian", "u_amp": 1.0, "width": 0.0},
+         "gaussian width must be positive"),
+        ({"preset": "sine", "u_amp": 1.0, "periods": 0},
+         "sine preset needs at least one full period"),
+    ])
+    def test_bad_shape_parameters(self, spec, message):
+        with pytest.raises(DomainError) as exc:
+            profile_arrays(spec, Grid(n=32, length=4.0))
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("spec", [
         {"preset": "gaussian", "u_amp": -2.0, "width": 0.3, "tau_amp": 0.2},
@@ -189,6 +203,14 @@ class TestFieldState:
         with pytest.raises(DomainError):
             FieldState(grid=g, t=0.0, tau=np.ones(31), u=np.zeros(32),
                        gas=gm2, damping=dl_const)
+
+    def test_vacuum_rejected(self, gm2, dl_const):
+        tau = np.ones(32)
+        tau[5] = 0.0
+        with pytest.raises(DomainError) as exc:
+            FieldState(grid=Grid(n=32, length=4.0), t=0.0, tau=tau, u=np.zeros(32),
+                       gas=gm2, damping=dl_const)
+        assert str(exc.value) == "tau must be positive everywhere (vacuum excluded)"
 
     def test_derived_views_match_core(self, sine_field):
         f = sine_field

@@ -233,6 +233,11 @@ class TestUpperBounds:
         with pytest.raises(HypothesisError):
             blowup_time_upper_bound_case2(prob, eps=0.5)
 
+    def test_case2_requires_negative_y0(self):
+        with pytest.raises(HypothesisError) as exc:
+            blowup_time_upper_bound_case2(const_problem(1.0, 1.0, 0.5), eps=0.5)
+        assert str(exc.value) == "case-2 bound needs y0 < 0, got 0.5"
+
     def test_case2_rejects_bad_eps(self):
         with pytest.raises(DomainError):
             blowup_time_upper_bound_case2(const_problem(1.0, 1.0, -2.0), eps=0.0)

@@ -117,6 +117,17 @@ class TestStep:
         with pytest.raises(VacuumError):
             step(f, 1.0)
 
+    def test_vacuum_in_the_corrector(self, gm2):
+        # u = 0 and one thin cell: the predictor moves tau by the
+        # stabilization alone and keeps it positive; the thin cell's
+        # pressure then pushes the gas two cells away from it past tau = 0
+        tau = np.ones(32)
+        tau[16] = 0.1
+        f = fields.FieldState(grid=Grid(n=32, length=1.0), t=0.0, tau=tau,
+                              u=np.zeros(32), gas=gm2, damping=DampingLaw(0.0, 0.0))
+        with pytest.raises(VacuumError, match=r"^tau reached zero at t=0\.01$"):
+            step(f, 0.01)
+
 
 class TestRun:
     def test_completes_and_unpacks(self, sine_field):
